@@ -20,6 +20,9 @@ from .landscape import (
     round_to_discrete,
 )
 from .sim import (
+    Dense,
+    Diagonal,
+    SiteRotation,
     VqaInstance,
     apply_circuit,
     expectation,

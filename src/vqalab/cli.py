@@ -81,7 +81,17 @@ def _build_instance(family: str, g: Graph, args):
     raise UsageError(f"unknown family {family!r}")
 
 
-def _family_objective(family: str, g: Graph, args):
+# Families whose objective or optimize spectrum reads a built instance; the
+# others evaluate closed forms of mu only.
+_INSTANCE_FAMILIES = ("single-layer", "qaoa1", "qaoa-multi", "fermion")
+
+
+def _landscape_instance(family: str, g: Graph, args):
+    """The instance that _family_objective and _family_spectrum share, or None."""
+    return _build_instance(family, g, args) if family in _INSTANCE_FAMILIES else None
+
+
+def _family_objective(family: str, g: Graph, args, inst):
     """(objective, gradient-or-None, n_params) over the family's landscape."""
     if family in ("oracular", "logdim", "fermion"):
         return (lambda x: mu(g, x)), (lambda x: mu_gradient(g, x)), g.d
@@ -96,19 +106,19 @@ def _family_objective(family: str, g: Graph, args):
 
         return f, grad, g.d
     if family == "single-layer":
-        inst = single_layer_instance(g, args.m)
         return (lambda x: inst.closed_form(x[0])), None, 1
     if family == "qaoa1":
-        inst = qaoa_single_layer_instance(g, args.tau, args.m)
         return (lambda x: inst.closed_form(x[0], x[1])), None, 2
     if family == "qaoa-multi":
-        inst = qaoa_multilayer_instance(g)
         L = inst.layers
         return (lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
     raise UsageError(f"unknown family {family!r}")
 
 
-def _family_spectrum(family: str, g: Graph, maxcut: int, args) -> tuple[float, float]:
+def _family_spectrum(family: str, g: Graph, maxcut: int, args, inst) -> tuple[float, float]:
+    """(lambda_min, lambda_max) for the optimize metrics. Matrices go through
+    spectral_extremes (eigvalsh), never through the instances' cached eigh,
+    whose extreme eigenvalues can differ from eigvalsh's in the last bits."""
     if family == "oracular":
         return -float(maxcut), 0.0
     if family == "boosted":
@@ -118,16 +128,13 @@ def _family_spectrum(family: str, g: Graph, maxcut: int, args) -> tuple[float, f
 
         lo, hi, _ = spectral_extremes(logdim_observable(g))
         return lo, hi
-    if family == "qaoa1":
-        lo, hi, _ = spectral_extremes(qaoa_single_layer_instance(g, args.tau, args.m).hc)
-        return lo, hi
-    if family == "qaoa-multi":
-        lo, hi, _ = spectral_extremes(qaoa_multilayer_instance(g).hc)
+    if family in ("qaoa1", "qaoa-multi"):
+        lo, hi, _ = spectral_extremes(inst.hc)
         return lo, hi
     if family == "fermion":
         # Fock-space spectrum of a quadratic observable: extreme sums of
         # positive / negative coefficient eigenvalues.
-        vals = np.linalg.eigvalsh(fermionic_vqa_instance(g).o)
+        vals = np.linalg.eigvalsh(inst.o)
         return float(vals[vals < 0].sum()), float(vals[vals > 0].sum())
     raise UsageError(f"unknown family {family!r}")
 
@@ -176,10 +183,9 @@ def _verify_family(family: str, g: Graph, args) -> dict[str, float]:
         residuals["closed-form-vs-simulation"] = worst
     elif family == "qaoa-multi":
         inst = _build_instance(family, g, args)
-        _, hb_hi, _ = spectral_extremes(inst.hb)
-        hb_lo, _, _ = spectral_extremes(inst.hb)
+        hb_lo, hb_hi, _ = spectral_extremes(inst.mixer)
         hb_norm = max(abs(hb_lo), abs(hb_hi))
-        hc_lo, hc_hi, _ = spectral_extremes(inst.hc)
+        hc_lo, hc_hi, _ = spectral_extremes(inst.cost)
         hc_norm = max(abs(hc_lo), abs(hc_hi))
         residuals["mixer-norm-vs-3"] = abs(hb_norm - 3.0)
         residuals["cost-norm-vs-1"] = abs(hc_norm - 1.0)
@@ -238,10 +244,11 @@ def cmd_optimize(args) -> int:
     records = []
     delta_os = []
     for g in graphs:
-        objective, gradient, n_params = _family_objective(args.family, g, args)
+        inst = _landscape_instance(args.family, g, args)
+        objective, gradient, n_params = _family_objective(args.family, g, args, inst)
         mc, _ = maxcut_bruteforce(g)
         greedy_val, _, _ = maxcut_greedy(g, args.seed)
-        lam_min, lam_max = _family_spectrum(args.family, g, maxcut=mc, args=args)
+        lam_min, lam_max = _family_spectrum(args.family, g, mc, args, inst)
         if args.family in ("single-layer", "qaoa1"):
             if args.family == "single-layer":
                 grid_obj = lambda t: objective(np.array([t]))
@@ -298,7 +305,9 @@ def _parse_axis(spec: str) -> tuple[int, float, float, int]:
 
 def cmd_landscape(args) -> int:
     g = _load_graphs(args)[0]
-    objective, _, n_params = _family_objective(args.family, g, args)
+    objective, _, n_params = _family_objective(
+        args.family, g, args, _landscape_instance(args.family, g, args)
+    )
     if not args.axis or len(args.axis) > 2:
         raise UsageError("landscape needs 1 or 2 --axis specifications")
     axes = [_parse_axis(a) for a in args.axis]

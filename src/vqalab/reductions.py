@@ -8,19 +8,24 @@ against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .graphs import Graph
 from .landscape import mu, reduce_phases
-from .sim import VqaInstance, assert_hermitian, assert_state, expectation
-
-ISING_MAX_D = 12
-
-_SY = np.array([[0, -1j], [1j, 0]])
-_I2 = np.eye(2)
+from .sim import (
+    DENSE_MAX_QUBITS,
+    Dense,
+    Diagonal,
+    SiteRotation,
+    VqaInstance,
+    assert_hermitian,
+    assert_state,
+    check_state_size,
+    expectation,
+)
 
 # Two-level generators of the multilayer QAOA transfer blocks, with
 # eigenvalues {0,1}, {-1,1}, {-2,0} and {0,2} respectively.
@@ -33,39 +38,39 @@ _H3 = np.array([[1, 1], [1, 1]], dtype=complex)
 # ---------------------------------------------------------------------------
 # Oracular family (full qubit space, sigma_y rotations)
 
-def _site_operator(op: np.ndarray, site: int, d: int) -> np.ndarray:
-    """Dense 2^d matrix acting with ``op`` on one qubit (big-endian site order)."""
-    out = np.array([[1.0 + 0j]])
-    for k in range(d):
-        out = np.kron(out, op if k == site else _I2)
-    return out
+def ising_diagonal(g: Graph) -> np.ndarray:
+    """Diagonal of the Ising cut encoding O = (1/4) sum A_ij (Z_i Z_j - 1).
+
+    The entry for a basis state (qubit 0 most significant) equals minus the
+    number of edges it cuts.
+    """
+    d = g.d
+    check_state_size(d)
+    codes = np.arange(1 << d)
+    cut = np.zeros(1 << d, dtype=np.int64)
+    for u, v in g.edges():
+        cut += ((codes >> (d - 1 - u)) ^ (codes >> (d - 1 - v))) & 1
+    # negate in integers so that an uncut state reads +0.0, not -0.0
+    return (-cut).astype(float)
 
 
 def ising_observable(g: Graph) -> np.ndarray:
-    """Diagonal Ising encoding of the cut: O = (1/4) sum A_ij (Z_i Z_j - 1).
-
-    Diagonal entry for a basis state equals minus the number of edges it cuts.
-    """
-    d = g.d
-    if d > ISING_MAX_D:
-        raise ValueError(f"d={d} too large for a dense 2^d representation")
-    codes = np.arange(1 << d)
-    bits = (codes[:, None] >> np.arange(d - 1, -1, -1)) & 1
-    s = 1 - 2 * bits
-    diag = ((s @ g.adjacency) * s).sum(axis=1) - g.adjacency.sum()
-    return np.diag(diag / 4).astype(complex)
+    """The Ising cut encoding as a dense 2^d matrix."""
+    if g.d > DENSE_MAX_QUBITS:
+        raise ValueError(f"d={g.d} too large for a dense 2^d representation")
+    return np.diag(ising_diagonal(g)).astype(complex)
 
 
 def oracular_vqa_instance(g: Graph) -> VqaInstance:
     """Full-space instance with generators sigma_y^(i)/2 and the Ising observable."""
     d = g.d
+    observable = Diagonal(ising_diagonal(g))
     psi0 = np.zeros(1 << d, dtype=complex)
     psi0[0] = 1.0
-    gens = tuple(_site_operator(_SY / 2, i, d) for i in range(d))
     return VqaInstance(
         initial=psi0,
-        generators=gens,
-        observable=ising_observable(g),
+        generators=tuple(SiteRotation(i, d) for i in range(d)),
+        observable=observable,
         closed_form=lambda phi: mu(g, phi),
         family="oracular",
         graph=g,
@@ -94,27 +99,29 @@ def boosted_vqa_instance(g: Graph, k: int) -> VqaInstance:
         raise ValueError("boosting power k must be >= 1")
     d = g.d
     n = k * d
-    if n > ISING_MAX_D:
-        raise ValueError(f"k*d={n} too large for a dense representation")
-    o_single = ising_observable(g)
-    obs = np.array([[1.0 + 0j]])
+    check_state_size(n)
+    single = ising_diagonal(g)
+    diag = np.ones(1)
     for _ in range(k):
-        obs = np.kron(obs, o_single)
-    obs = (-1) ** (k - 1) * obs
+        diag = np.kron(diag, single)
     psi0 = np.zeros(1 << n, dtype=complex)
     psi0[0] = 1.0
-    gens = tuple(
-        sum(_site_operator(_SY / 2, c * d + i, n) for c in range(k))
-        for i in range(d)
-    )
+    gens = tuple(SiteRotation(tuple(c * d + i for c in range(k)), n) for i in range(d))
     return VqaInstance(
         initial=psi0,
         generators=gens,
-        observable=obs,
+        observable=Diagonal((-1) ** (k - 1) * diag, dense=lambda: _boosted_dense_observable(g, k)),
         closed_form=lambda phi: boosted_expectation(g, k, phi),
         family="boosted",
         graph=g,
     )
+
+
+def _boosted_dense_observable(g: Graph, k: int) -> np.ndarray:
+    obs = np.array([[1.0 + 0j]])
+    for _ in range(k):
+        obs = np.kron(obs, ising_observable(g))
+    return (-1) ** (k - 1) * obs
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +137,18 @@ def logdim_observable(g: Graph) -> np.ndarray:
     return obs.astype(complex)
 
 
-def logdim_generators(d: int) -> tuple:
-    """Diagonal generators |2i-1><2i-1| - |2i><2i| (1-indexed pairs)."""
-    gens = []
+def _logdim_diagonals(d: int) -> np.ndarray:
+    """Row i is the diagonal of |2i-1><2i-1| - |2i><2i| (1-indexed pairs)."""
+    diags = np.zeros((d, 2 * d))
     for i in range(d):
-        h = np.zeros((2 * d, 2 * d), dtype=complex)
-        h[2 * i, 2 * i] = 1.0
-        h[2 * i + 1, 2 * i + 1] = -1.0
-        gens.append(h)
-    return tuple(gens)
+        diags[i, 2 * i] = 1.0
+        diags[i, 2 * i + 1] = -1.0
+    return diags
+
+
+def logdim_generators(d: int) -> tuple:
+    """The log-dimension generators as dense matrices."""
+    return tuple(np.diag(v).astype(complex) for v in _logdim_diagonals(d))
 
 
 def logdim_vqa_instance(g: Graph) -> VqaInstance:
@@ -146,7 +156,7 @@ def logdim_vqa_instance(g: Graph) -> VqaInstance:
     psi0 = np.full(2 * d, 1 / math.sqrt(2 * d), dtype=complex)
     return VqaInstance(
         initial=psi0,
-        generators=logdim_generators(d),
+        generators=tuple(Diagonal(v) for v in _logdim_diagonals(d)),
         observable=logdim_observable(g),
         closed_form=lambda phi: mu(g, phi),
         family="logdim",
@@ -230,10 +240,9 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
     the ergodic spectrum, so a single time parameter scans all phases."""
     d = g.d
     spec = ergodic_energies(d, m)
-    h = np.zeros((2 * d, 2 * d), dtype=complex)
-    for i in range(d):
-        h[2 * i, 2 * i] = spec.energies[i]
-        h[2 * i + 1, 2 * i + 1] = -spec.energies[i]
+    h = np.zeros(2 * d)
+    h[0::2] = spec.energies
+    h[1::2] = -spec.energies
     psi0 = np.full(2 * d, 1 / math.sqrt(2 * d), dtype=complex)
     energies = spec.energies
 
@@ -243,7 +252,7 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
 
     return VqaInstance(
         initial=psi0,
-        generators=(h,),
+        generators=(Diagonal(h),),
         observable=logdim_observable(g),
         closed_form=closed_form,
         family="single-layer",
@@ -256,7 +265,12 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
 
 @dataclass(frozen=True, eq=False)
 class QaoaInstance:
-    """Mixer/cost pair with the initial state fixed to the mixer ground state."""
+    """Mixer/cost pair with the initial state fixed to the mixer ground state.
+
+    ``mixer`` and ``cost`` wrap ``hb`` and ``hc`` and cache their
+    eigendecompositions: the mixer's is computed here, for the ground-state
+    check, and the cost's on first use.
+    """
 
     hb: np.ndarray
     hc: np.ndarray
@@ -265,6 +279,8 @@ class QaoaInstance:
     closed_form: Optional[Callable] = None
     family: str = ""
     graph: Optional[Graph] = None
+    mixer: Dense = field(init=False, repr=False)
+    cost: Dense = field(init=False, repr=False)
 
     def __post_init__(self):
         hb = assert_hermitian(self.hb)
@@ -274,7 +290,8 @@ class QaoaInstance:
             raise ValueError("all dimensions must be equal")
         if self.layers < 1:
             raise ValueError("need at least one layer")
-        lam_min = float(np.linalg.eigvalsh(hb)[0])
+        mixer = Dense(hb)
+        lam_min = float(mixer.eigh()[0][0])
         residual = np.linalg.norm(hb @ psi - lam_min * psi)
         if residual > 1e-9:
             raise ValueError(
@@ -283,6 +300,8 @@ class QaoaInstance:
         object.__setattr__(self, "hb", hb)
         object.__setattr__(self, "hc", hc)
         object.__setattr__(self, "initial", psi)
+        object.__setattr__(self, "mixer", mixer)
+        object.__setattr__(self, "cost", Dense(hc))
 
     @property
     def dim(self) -> int:
@@ -296,12 +315,10 @@ def qaoa_apply(inst: QaoaInstance, beta, gamma) -> tuple[np.ndarray, float]:
     gamma = np.asarray(gamma, dtype=float)
     if beta.shape != (inst.layers,) or gamma.shape != (inst.layers,):
         raise ValueError(f"expected {inst.layers} betas and gammas")
-    vals_b, vecs_b = np.linalg.eigh(inst.hb)
-    vals_c, vecs_c = np.linalg.eigh(inst.hc)
     psi = inst.initial
     for b, c in zip(beta, gamma):
-        psi = vecs_c @ (np.exp(-1j * vals_c * c) * (vecs_c.conj().T @ psi))
-        psi = vecs_b @ (np.exp(-1j * vals_b * b) * (vecs_b.conj().T @ psi))
+        psi = inst.cost.apply_exp(psi, c)
+        psi = inst.mixer.apply_exp(psi, b)
     return psi, expectation(psi, inst.hc)
 
 

@@ -54,8 +54,8 @@ def instance_to_json(inst: Union[VqaInstance, QaoaInstance, FermionInstance]) ->
             kind="vqa",
             dim=inst.dim,
             initial=vector_to_json(inst.initial),
-            generators=[matrix_to_json(h) for h in inst.generators],
-            observable=matrix_to_json(inst.observable),
+            generators=[matrix_to_json(h.to_dense()) for h in inst.generators],
+            observable=matrix_to_json(inst.observable.to_dense()),
         )
     elif isinstance(inst, QaoaInstance):
         doc.update(

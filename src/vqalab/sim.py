@@ -1,9 +1,16 @@
-"""Dense Hermitian linear algebra and exact state-vector simulation."""
+"""Hermitian operators and exact state-vector simulation.
+
+Operators come in three forms: Diagonal (a real diagonal), SiteRotation
+(sigma_y/2 on chosen qubits, applied as 2x2 rotations) and Dense (a matrix
+diagonalised once and cached). Dense matrices of the structured forms are
+made only by ``to_dense()``, for export and as the test oracle.
+"""
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,36 +64,182 @@ def herm_exp(h, theta: float) -> np.ndarray:
     return (vecs * np.exp(-1j * vals * theta)) @ vecs.conj().T
 
 
-def apply_exponential(psi: np.ndarray, h: np.ndarray, theta: float) -> np.ndarray:
-    """Apply exp(-i h theta) to a state, with a fast path for diagonal h."""
-    if is_diagonal(h):
-        return np.exp(-1j * np.diag(h).real * theta) * psi
-    vals, vecs = np.linalg.eigh(h)
-    return vecs @ (np.exp(-1j * vals * theta) * (vecs.conj().T @ psi))
+DENSE_MAX_QUBITS = 12
+STATE_MAX_QUBITS = 20  # a 2^20 complex state vector takes 16 MiB
+
+_SY = np.array([[0, -1j], [1j, 0]])
+_I2 = np.eye(2)
+
+
+def _check_dense_size(dim: int) -> None:
+    if dim > 1 << DENSE_MAX_QUBITS:
+        raise ValueError(
+            f"dense form of a {dim}-dimensional operator is too large "
+            f"(limit 2^{DENSE_MAX_QUBITS})"
+        )
+
+
+def check_state_size(n_qubits: int) -> None:
+    if n_qubits > STATE_MAX_QUBITS:
+        raise ValueError(
+            f"{n_qubits} qubits is too large: the state-vector limit is {STATE_MAX_QUBITS} qubits"
+        )
+
+
+def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
+    """Dense 2^n matrix acting with ``op`` on one qubit (big-endian site order)."""
+    out = np.array([[1.0 + 0j]])
+    for k in range(n):
+        out = np.kron(out, op if k == site else _I2)
+    return out
+
+
+class Operator:
+    """Hermitian operator H on a state space of dimension ``dim``.
+
+    Every form provides ``apply_exp(psi, theta)`` = exp(-i H theta) psi,
+    ``apply(psi)`` = H psi, ``extremes()`` = (lambda_min, lambda_max, width)
+    and ``to_dense()``, the matrix, made only for export and for tests.
+    """
+
+    dim: int
+
+
+class Diagonal(Operator):
+    """diag(vec) for a real vector.
+
+    ``dense``, if given, builds the exact matrix the reduction defines (the
+    signed zeros of a Kronecker product included) in place of diag(vec).
+    """
+
+    def __init__(self, vec, dense: Optional[Callable[[], np.ndarray]] = None):
+        self.vec = np.asarray(vec, dtype=float)
+        self.dim = self.vec.shape[0]
+        self._dense = dense
+
+    def apply_exp(self, psi, theta):
+        return np.exp(-1j * self.vec * theta) * psi
+
+    def apply(self, psi):
+        return self.vec * psi
+
+    def extremes(self):
+        lo, hi = float(self.vec.min()), float(self.vec.max())
+        return lo, hi, hi - lo
+
+    def to_dense(self):
+        _check_dense_size(self.dim)
+        return self._dense() if self._dense is not None else np.diag(self.vec).astype(complex)
+
+
+class SiteRotation(Operator):
+    """sum_s sigma_y^(s)/2 over qubits of an n-qubit register (qubit 0 most significant).
+
+    ``sites`` is one qubit index, or a tuple of them for a sum over copies;
+    the dense form of a tuple is that Python ``sum``, which starts from 0.
+    exp(-i theta sigma_y/2) is the real rotation [[c, -s], [s, c]] with
+    c = cos(theta/2), s = sin(theta/2), applied per site on a reshaped state.
+    """
+
+    def __init__(self, sites, n: int):
+        self.sites = sites
+        self.qubits = (sites,) if isinstance(sites, int) else tuple(sites)
+        self.dim = 1 << n
+        self.n = n
+
+    def apply_exp(self, psi, theta):
+        c, s = math.cos(theta / 2), math.sin(theta / 2)
+        for q in self.qubits:
+            x = psi.reshape(1 << q, 2, -1)
+            out = np.empty_like(x)
+            out[:, 0] = c * x[:, 0] - s * x[:, 1]
+            out[:, 1] = s * x[:, 0] + c * x[:, 1]
+            psi = out.reshape(-1)
+        return psi
+
+    def apply(self, psi):
+        out = np.zeros_like(psi)
+        for q in self.qubits:
+            x = psi.reshape(1 << q, 2, -1)
+            o = out.reshape(1 << q, 2, -1)
+            o[:, 0] -= 0.5j * x[:, 1]
+            o[:, 1] += 0.5j * x[:, 0]
+        return out
+
+    def extremes(self):
+        half = len(self.qubits) / 2
+        return -half, half, 2 * half
+
+    def to_dense(self):
+        _check_dense_size(self.dim)
+        if isinstance(self.sites, int):
+            return _site_operator(_SY / 2, self.sites, self.n)
+        return sum(_site_operator(_SY / 2, q, self.n) for q in self.qubits)
+
+
+class Dense(Operator):
+    """A Hermitian matrix whose eigendecomposition is computed once, on first use."""
+
+    def __init__(self, mat):
+        self.mat = np.asarray(mat, dtype=complex)
+        self.dim = self.mat.shape[0]
+        self._eigh = None
+
+    def __array__(self, dtype=None, copy=None):
+        """The matrix itself, so a Dense stands wherever numpy expects an array."""
+        return self.mat if dtype is None else self.mat.astype(dtype, copy=False)
+
+    def eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(eigenvalues, eigenvectors, their conjugate transpose), cached."""
+        if self._eigh is None:
+            vals, vecs = np.linalg.eigh(self.mat)
+            self._eigh = (vals, vecs, vecs.conj().T)
+        return self._eigh
+
+    def apply_exp(self, psi, theta):
+        vals, vecs, vecs_h = self.eigh()
+        return vecs @ (np.exp(-1j * vals * theta) * (vecs_h @ psi))
+
+    def apply(self, psi):
+        return self.mat @ psi
+
+    def extremes(self):
+        vals = self.eigh()[0]
+        lo, hi = float(vals[0]), float(vals[-1])
+        return lo, hi, hi - lo
+
+    def to_dense(self):
+        return self.mat
+
+
+def _as_operator(h) -> Operator:
+    """``h`` itself if it is an Operator, else a Dense wrapper of the Hermitian array."""
+    return h if isinstance(h, Operator) else Dense(assert_hermitian(h))
 
 
 @dataclass(frozen=True, eq=False)
 class VqaInstance:
     """Initial state, ordered generator list, and observable on one space.
 
-    ``closed_form`` maps a phase vector to the analytically known expectation
-    value, where the construction provides one.
+    Generators and observable are Operators; plain arrays are wrapped as
+    Dense. ``closed_form`` maps a phase vector to the analytically known
+    expectation value, where the construction provides one.
     """
 
     initial: np.ndarray
     generators: tuple
-    observable: np.ndarray
+    observable: Operator
     closed_form: Optional[Callable] = None
     family: str = ""
     graph: Optional[Graph] = None
 
     def __post_init__(self):
         psi = assert_state(self.initial)
-        obs = assert_hermitian(self.observable)
-        gens = tuple(assert_hermitian(h) for h in self.generators)
+        obs = _as_operator(self.observable)
+        gens = tuple(_as_operator(h) for h in self.generators)
         if not gens:
             raise ValueError("generator list must be nonempty")
-        dims = {psi.shape[0], obs.shape[0], *(h.shape[0] for h in gens)}
+        dims = {psi.shape[0], obs.dim, *(h.dim for h in gens)}
         if len(dims) != 1:
             raise ValueError("all dimensions must be equal")
         object.__setattr__(self, "initial", psi)
@@ -109,18 +262,19 @@ def apply_circuit(inst: VqaInstance, phi) -> np.ndarray:
         raise ValueError(f"expected {inst.layers} angles, got {phi.shape}")
     psi = inst.initial
     for h, angle in zip(inst.generators, phi):
-        psi = apply_exponential(psi, h, angle)
+        psi = h.apply_exp(psi, angle)
     assert abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL
     return psi
 
 
-def expectation(psi: np.ndarray, obs: np.ndarray) -> float:
-    """Real expectation <psi|obs|psi>; asserts a negligible imaginary part."""
+def expectation(psi: np.ndarray, obs) -> float:
+    """Real expectation <psi|obs|psi> of an Operator or a matrix; asserts a
+    negligible imaginary part."""
     psi = np.asarray(psi, dtype=complex)
-    obs = np.asarray(obs, dtype=complex)
-    if psi.shape[0] != obs.shape[0]:
+    op = obs if isinstance(obs, Operator) else Dense(obs)
+    if psi.shape[0] != op.dim:
         raise ValueError("state and observable dimensions do not match")
-    val = np.vdot(psi, obs @ psi)
+    val = np.vdot(psi, op.apply(psi))
     if abs(val.imag) > IMAG_TOL:
         raise ValueError(f"imaginary residue {val.imag:.3e} signals a non-Hermitian observable")
     return float(val.real)
@@ -131,12 +285,16 @@ def simulate_expectation(inst: VqaInstance, phi) -> float:
 
 
 def spectral_extremes(obs) -> tuple[float, float, float]:
-    """(lambda_min, lambda_max, spectral width) of a Hermitian observable."""
+    """(lambda_min, lambda_max, spectral width) of a Hermitian observable.
+
+    An Operator reports its own extremes; a matrix goes through eigvalsh
+    unless it is diagonal.
+    """
+    if isinstance(obs, Operator):
+        return obs.extremes()
     obs = assert_hermitian(obs)
     if is_diagonal(obs):
-        diag = np.diag(obs).real
-        lo, hi = float(diag.min()), float(diag.max())
-    else:
-        vals = np.linalg.eigvalsh(obs)
-        lo, hi = float(vals[0]), float(vals[-1])
+        return Diagonal(np.diag(obs).real).extremes()
+    vals = np.linalg.eigvalsh(obs)
+    lo, hi = float(vals[0]), float(vals[-1])
     return lo, hi, hi - lo

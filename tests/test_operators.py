@@ -1,0 +1,167 @@
+"""Structured operators checked against their dense forms.
+
+The dense simulation is the oracle: every instance is rebuilt with
+``to_dense()`` generators and observable, which VqaInstance wraps as Dense
+matrices run through eigh, and both circuits must agree.
+"""
+
+import contextlib
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vqalab import (
+    VqaInstance,
+    boosted_vqa_instance,
+    logdim_vqa_instance,
+    maxcut_bruteforce,
+    mu,
+    oracular_vqa_instance,
+    qaoa_apply,
+    qaoa_multilayer_instance,
+    qaoa_single_layer_instance,
+    random_graph,
+    simulate_expectation,
+    single_layer_instance,
+    spectral_extremes,
+)
+from vqalab.cli import main
+from vqalab.landscape import phases_from_assignment
+from vqalab.sim import STATE_MAX_QUBITS, Dense, Diagonal, SiteRotation
+
+SETTINGS = settings(max_examples=25, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+probs = st.sampled_from([0.3, 0.5, 0.8, 1.0])
+
+
+def dense_twin(inst: VqaInstance) -> VqaInstance:
+    return VqaInstance(
+        initial=inst.initial,
+        generators=tuple(h.to_dense() for h in inst.generators),
+        observable=inst.observable.to_dense(),
+    )
+
+
+def angles(seed: int, n: int, high: float = 2 * np.pi) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(0, high, n)
+
+
+@SETTINGS
+@given(d=st.integers(2, 8), p=probs, seed=seeds)
+def test_oracular_matches_dense_simulation(d, p, seed):
+    inst = oracular_vqa_instance(random_graph(d, p, seed % 1000))
+    phi = angles(seed, d)
+    assert abs(simulate_expectation(inst, phi) - simulate_expectation(dense_twin(inst), phi)) <= 1e-12
+
+
+@SETTINGS
+@given(kd=st.sampled_from([(k, d) for k in (1, 2, 3, 4) for d in range(2, 9) if k * d <= 8]), p=probs, seed=seeds)
+def test_boosted_matches_dense_simulation(kd, p, seed):
+    k, d = kd
+    inst = boosted_vqa_instance(random_graph(d, p, seed % 1000), k)
+    phi = angles(seed, d)
+    assert abs(simulate_expectation(inst, phi) - simulate_expectation(dense_twin(inst), phi)) <= 1e-12
+
+
+@SETTINGS
+@given(d=st.integers(2, 8), p=probs, seed=seeds)
+def test_logdim_and_single_layer_match_dense_simulation(d, p, seed):
+    g = random_graph(d, p, seed % 1000)
+    inst = logdim_vqa_instance(g)
+    phi = angles(seed, d)
+    assert abs(simulate_expectation(inst, phi) - simulate_expectation(dense_twin(inst), phi)) <= 1e-12
+    inst = single_layer_instance(g, 16)
+    t = angles(seed, 1, high=16.0 ** min(d, 3))
+    assert abs(simulate_expectation(inst, t) - simulate_expectation(dense_twin(inst), t)) <= 1e-12
+
+
+@SETTINGS
+@given(n=st.integers(1, 8), data=st.data())
+def test_structured_extremes_and_apply_match_dense(n, data):
+    seed = data.draw(seeds)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    diag = Diagonal(rng.integers(-6, 7, size=1 << n) / 4)
+    assert diag.extremes() == spectral_extremes(diag.to_dense())
+    assert np.abs(diag.apply(psi) - diag.to_dense() @ psi).max() <= 1e-12
+    sites = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    rot = SiteRotation(tuple(sorted(sites)), n)
+    lo, hi, width = rot.extremes()
+    dense_lo, dense_hi, dense_width = spectral_extremes(rot.to_dense())
+    assert abs(lo - dense_lo) <= 1e-12 and abs(hi - dense_hi) <= 1e-12 and abs(width - dense_width) <= 1e-12
+    assert np.abs(rot.apply(psi) - rot.to_dense() @ psi).max() <= 1e-12
+    theta = rng.uniform(-5, 5)
+    assert np.abs(rot.apply_exp(psi, theta) - Dense(rot.to_dense()).apply_exp(psi, theta)).max() <= 1e-12
+
+
+def fresh_qaoa_apply(inst, beta, gamma):
+    """qaoa_apply with eigendecompositions computed on the spot."""
+    vals_b, vecs_b = np.linalg.eigh(inst.hb)
+    vals_c, vecs_c = np.linalg.eigh(inst.hc)
+    psi = inst.initial
+    for b, c in zip(beta, gamma):
+        psi = vecs_c @ (np.exp(-1j * vals_c * c) * (vecs_c.conj().T @ psi))
+        psi = vecs_b @ (np.exp(-1j * vals_b * b) * (vecs_b.conj().T @ psi))
+    return psi, float(np.vdot(psi, inst.hc @ psi).real)
+
+
+@SETTINGS
+@given(d=st.integers(2, 5), p=probs, seed=seeds)
+def test_qaoa1_cached_spectra_are_bit_identical(d, p, seed):
+    inst = qaoa_single_layer_instance(random_graph(d, p, seed % 1000), 1e-3, 16)
+    beta, gamma = angles(seed, 1), angles(seed + 1, 1, high=2 * np.pi / 1e-3)
+    for _ in range(2):  # the second call reads the cached decompositions
+        psi, val = qaoa_apply(inst, beta, gamma)
+        fresh_psi, fresh_val = fresh_qaoa_apply(inst, beta, gamma)
+        assert np.array_equal(psi, fresh_psi)
+        assert val == fresh_val
+
+
+@settings(max_examples=8, deadline=None)
+@given(d=st.integers(2, 3), p=probs, seed=seeds)
+def test_qaoa_multi_cached_spectra_are_bit_identical(d, p, seed):
+    g = random_graph(d, p, seed % 1000)
+    if g.edge_count == 0:
+        return
+    inst = qaoa_multilayer_instance(g)
+    beta, gamma = angles(seed, d), angles(seed + 1, d)
+    for _ in range(2):
+        psi, val = qaoa_apply(inst, beta, gamma)
+        fresh_psi, fresh_val = fresh_qaoa_apply(inst, beta, gamma)
+        assert np.array_equal(psi, fresh_psi)
+        assert val == fresh_val
+
+
+class TestSizeLimits:
+    def test_oracular_d16_matches_mu_and_maxcut(self):
+        g = random_graph(16, 0.4, 16)
+        inst = oracular_vqa_instance(g)
+        rng = np.random.default_rng(16)
+        for _ in range(3):
+            phi = rng.uniform(0, 2 * np.pi, 16)
+            assert abs(simulate_expectation(inst, phi) - mu(g, phi)) <= 1e-9
+        mc, witness = maxcut_bruteforce(g)
+        assert abs(simulate_expectation(inst, phases_from_assignment(witness)) + mc) <= 1e-9
+
+    def test_state_limit_is_a_clear_error(self):
+        with pytest.raises(ValueError, match=f"limit is {STATE_MAX_QUBITS} qubits"):
+            oracular_vqa_instance(random_graph(STATE_MAX_QUBITS + 1, 0.1, 0))
+        with pytest.raises(ValueError, match=f"limit is {STATE_MAX_QUBITS} qubits"):
+            boosted_vqa_instance(random_graph(11, 0.3, 0), 2)
+
+    def test_to_dense_refuses_above_dense_cap(self):
+        inst = oracular_vqa_instance(random_graph(13, 0.3, 0))
+        with pytest.raises(ValueError, match="dense form .* too large"):
+            inst.observable.to_dense()
+        with pytest.raises(ValueError, match="dense form .* too large"):
+            inst.generators[0].to_dense()
+
+    def test_export_above_dense_cap_exits_1(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["export", "--family", "oracular", "--random-graph", "13:0.3"])
+        assert rc == 1
+        assert "dense form" in err.getvalue() and "too large" in err.getvalue()
