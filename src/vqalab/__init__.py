@@ -32,14 +32,12 @@ from .sim import (
 )
 from .reductions import (
     ErgodicSpectrum,
-    QaoaInstance,
     boosted_expectation,
     boosted_vqa_instance,
     ergodic_energies,
     ergodic_time,
     ising_observable,
     logdim_vqa_instance,
-    oracular_vqa_expectation,
     oracular_vqa_instance,
     qaoa_apply,
     qaoa_multilayer_instance,

@@ -1,0 +1,222 @@
+"""One record per reduction family: build it, descend on it, bound it, check it.
+
+A new family is one ``FAMILIES`` entry; the defaults are those of the
+families whose landscape is ``mu`` itself. Entries reach constructors and
+closed forms through this module's global names at call time, never through
+stored function objects, so a wrapper installed on a module namespace sees
+every call.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .fermions import FOCK_MAX_MODES, fermionic_vqa_instance, fock_bruteforce_expectation, gaussian_expectation
+from .graphs import maxcut_bruteforce
+from .landscape import mu, mu_gradient
+from .optimize import reference_minimum
+from .reductions import (
+    boosted_vqa_instance,
+    logdim_observable,
+    logdim_vqa_instance,
+    multilayer_encoding,
+    multilayer_optimal_value,
+    oracular_vqa_instance,
+    qaoa_apply,
+    qaoa_multilayer_instance,
+    qaoa_single_layer_instance,
+    single_layer_instance,
+)
+from .sim import simulate_expectation, spectral_extremes
+
+
+def _max_residual(samples: int, draw, lhs, rhs) -> float:
+    """max |lhs(x) - rhs(x)| over ``samples`` points x = draw()."""
+    worst = 0.0
+    for _ in range(samples):
+        x = draw()
+        worst = max(worst, abs(lhs(x) - rhs(x)))
+    return worst
+
+
+def _closed_form_check(draw):
+    """verify: the closed form against state-vector simulation at points draw(g, args, rng)."""
+
+    def verify(g, args, inst, rng):
+        return {
+            "closed-form-vs-simulation": _max_residual(
+                args.samples,
+                lambda: draw(g, args, rng),
+                lambda x: simulate_expectation(inst, x),
+                inst.closed_form,
+            )
+        }
+
+    return verify
+
+
+_verify_mu = _closed_form_check(lambda g, args, rng: rng.uniform(0, 2 * np.pi, g.d))
+
+
+@dataclass(frozen=True)
+class Family:
+    """How the CLI handles one reduction family.
+
+    ``build(g, args)`` makes the instance. ``spectrum(g, maxcut, args, inst)``
+    is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
+    is (objective, gradient or None, n_params). ``reference(g, maxcut, args,
+    objective, best)`` is the ansatz minimum <O>_min; only a sampled
+    reference may be lowered to the descent's best value ``best``.
+    ``verify(g, args, inst, rng)`` maps each identity to its max residual.
+    Optimize and landscape build the instance only if ``needs_instance``.
+    """
+
+    build: Callable
+    spectrum: Callable
+    landscape: Callable = lambda g, args, inst: ((lambda x: mu(g, x)), (lambda x: mu_gradient(g, x)), g.d)
+    reference: Callable = lambda g, maxcut, args, objective, best: -float(maxcut)
+    verify: Callable = _verify_mu
+    needs_instance: bool = False
+
+
+def _boosted_landscape(g, args, inst):
+    k = args.k
+
+    def f(x):
+        return -((-mu(g, x)) ** k)
+
+    def grad(x):
+        return k * (-mu(g, x)) ** (k - 1) * mu_gradient(g, x)
+
+    return f, grad, g.d
+
+
+def _verify_boosted(g, args, inst, rng):
+    residuals = _verify_mu(g, args, inst, rng)
+    mc, _ = maxcut_bruteforce(g)
+    _, _, sw = spectral_extremes(inst.observable)
+    residuals["spectral-width-vs-maxcut-power"] = abs(sw - float(mc) ** args.k)
+    return residuals
+
+
+def _logdim_spectrum(g, maxcut, args, inst):
+    lo, hi, _ = spectral_extremes(logdim_observable(g))
+    return lo, hi
+
+
+def _qaoa_spectrum(g, maxcut, args, inst):
+    # eigvalsh of the matrix, not the cost operator's cached eigh, whose
+    # extreme eigenvalues can differ in the last bits
+    lo, hi, _ = spectral_extremes(inst.observable.to_dense())
+    return lo, hi
+
+
+def _grid_span(g, args) -> float:
+    """Upper end of the time range [0, m^min(d, 3)) that single-layer and qaoa1 sample."""
+    return float(args.m) ** min(g.d, 3)
+
+
+def _grid_reference(point):
+    """reference: the grid minimum along t -> point(t, args), lowered to the
+    descent's best value where the grid missed the minimum."""
+
+    def reference(g, maxcut, args, objective, best):
+        grid = reference_minimum(lambda t: objective(point(t, args)), (0.0, _grid_span(g, args)), args.grid_samples)
+        return min(grid, best)
+
+    return reference
+
+
+def _verify_qaoa1(g, args, inst, rng):
+    return {
+        "closed-form-vs-simulation": _max_residual(
+            args.samples,
+            lambda: (rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi / args.tau)),
+            lambda bg: qaoa_apply(inst, np.array([bg[0]]), np.array([bg[1]]))[1],
+            lambda bg: inst.closed_form(*bg),
+        )
+    }
+
+
+def _qaoa_multi_landscape(g, args, inst):
+    L = len(inst.generators) // 2
+    return (lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
+
+
+def _verify_qaoa_multi(g, args, inst, rng):
+    hb_lo, hb_hi, _ = spectral_extremes(inst.generators[1])
+    hc_lo, hc_hi, _ = spectral_extremes(inst.observable)
+    mc, witness = maxcut_bruteforce(g)
+    _, val = qaoa_apply(inst, *multilayer_encoding(g, witness))
+    return {
+        "mixer-norm-vs-3": abs(max(abs(hb_lo), abs(hb_hi)) - 3.0),
+        "cost-norm-vs-1": abs(max(abs(hc_lo), abs(hc_hi)) - 1.0),
+        "optimal-encoding-vs-closed-form": abs(val - multilayer_optimal_value(g, mc)),
+    }
+
+
+def _fermion_spectrum(g, maxcut, args, inst):
+    # Fock-space spectrum of a quadratic observable: extreme sums of
+    # positive / negative coefficient eigenvalues.
+    vals = np.linalg.eigvalsh(inst.o)
+    return float(vals[vals < 0].sum()), float(vals[vals > 0].sum())
+
+
+def _verify_fermion(g, args, inst, rng):
+    draw = lambda: rng.uniform(0, 2 * np.pi, g.d)
+    gaussian = lambda phi: gaussian_expectation(inst, phi)
+    residuals = {"closed-form-vs-covariance-pipeline": _max_residual(args.samples, draw, gaussian, inst.closed_form)}
+    if inst.n_modes <= FOCK_MAX_MODES:
+        residuals["covariance-vs-fock-oracle"] = _max_residual(
+            min(args.samples, 10), draw, gaussian, lambda phi: fock_bruteforce_expectation(inst, phi)
+        )
+    return residuals
+
+
+FAMILIES = {
+    "oracular": Family(
+        build=lambda g, args: oracular_vqa_instance(g),
+        spectrum=lambda g, maxcut, args, inst: (-float(maxcut), 0.0),
+    ),
+    "boosted": Family(
+        build=lambda g, args: boosted_vqa_instance(g, args.k),
+        spectrum=lambda g, maxcut, args, inst: (-float(maxcut) ** args.k, 0.0),
+        landscape=_boosted_landscape,
+        reference=lambda g, maxcut, args, objective, best: -float(maxcut) ** args.k,
+        verify=_verify_boosted,
+    ),
+    "logdim": Family(build=lambda g, args: logdim_vqa_instance(g), spectrum=_logdim_spectrum),
+    "single-layer": Family(
+        build=lambda g, args: single_layer_instance(g, args.m),
+        spectrum=_logdim_spectrum,
+        landscape=lambda g, args, inst: ((lambda x: inst.closed_form(x[0])), None, 1),
+        reference=_grid_reference(lambda t, args: np.array([t])),
+        verify=_closed_form_check(lambda g, args, rng: rng.uniform(0, _grid_span(g, args), 1)),
+        needs_instance=True,
+    ),
+    "qaoa1": Family(
+        build=lambda g, args: qaoa_single_layer_instance(g, args.tau, args.m),
+        spectrum=_qaoa_spectrum,
+        landscape=lambda g, args, inst: ((lambda x: inst.closed_form(x[0], x[1])), None, 2),
+        reference=_grid_reference(lambda b, args: np.array([b, np.pi / (2 * args.tau)])),
+        verify=_verify_qaoa1,
+        needs_instance=True,
+    ),
+    "qaoa-multi": Family(
+        build=lambda g, args: qaoa_multilayer_instance(g),
+        spectrum=_qaoa_spectrum,
+        landscape=_qaoa_multi_landscape,
+        reference=lambda g, maxcut, args, objective, best: multilayer_optimal_value(g, maxcut),
+        verify=_verify_qaoa_multi,
+        needs_instance=True,
+    ),
+    "fermion": Family(
+        build=lambda g, args: fermionic_vqa_instance(g),
+        spectrum=_fermion_spectrum,
+        verify=_verify_fermion,
+        needs_instance=True,
+    ),
+}

@@ -7,11 +7,9 @@ whose minimum over angles equals minus the maximum cut.
 
 from __future__ import annotations
 
-from itertools import product
-
 import numpy as np
 
-from .graphs import Graph, cut_value
+from .graphs import Graph
 
 DISCRETE_TOL = 1e-9
 
@@ -106,29 +104,3 @@ def phases_from_assignment(assignment) -> np.ndarray:
     v = np.asarray(assignment, dtype=int)
     return np.where(v == 1, 0.0, np.pi)
 
-
-def assignment_from_phases(phi, tol: float = DISCRETE_TOL) -> np.ndarray:
-    return discrete_signs(phi, tol)
-
-
-def discrete_local_minima(g: Graph, limit: int = 16) -> list[np.ndarray]:
-    """All phi in {0, pi}^d that are discrete local minima of mu (exhaustive)."""
-    if g.d > limit:
-        raise ValueError(f"d={g.d} exceeds the exhaustive limit {limit}")
-    out = []
-    for signs in product([1, -1], repeat=g.d):
-        phi = phases_from_assignment(np.array(signs))
-        if is_discrete_local_min(g, phi):
-            out.append(phi)
-    return out
-
-
-def mu_discrete_minimum(g: Graph, limit: int = 16) -> float:
-    """Exact min of mu over {0, pi}^d; equals -MaxCut by the rounding argument."""
-    if g.d > limit:
-        raise ValueError(f"d={g.d} exceeds the exhaustive limit {limit}")
-    best = 0.0
-    for signs in product([1, -1], repeat=g.d - 1):
-        v = np.array(signs + (1,))
-        best = min(best, -float(cut_value(g, v)))
-    return best

@@ -3,7 +3,7 @@ normalized error metrics (delta, delta_m, delta_o)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -144,34 +144,12 @@ def discrete_local_search(g: Graph, seed: int) -> tuple[float, np.ndarray]:
     return -float(value), phases_from_assignment(witness)
 
 
-def reference_minimum(
-    family: str,
-    g: Graph,
-    maxcut: int,
-    k: int = 1,
-    grid_objective: Optional[Callable] = None,
-    grid_bounds: Optional[tuple[float, float]] = None,
-    grid_samples: int = 100_000,
-) -> float:
-    """Global minimum <O>_min of a family's ansatz landscape.
-
-    Closed-form families are exact (discrete brute force collapses to the
-    MaxCut value); grid families report the minimum over a documented uniform
-    sample of the parameter range.
-    """
-    if family in ("oracular", "logdim", "fermion"):
-        return -float(maxcut)
-    if family == "boosted":
-        return -float(maxcut) ** k
-    if family == "qaoa-multi":
-        return 1.0 - 2.0 * maxcut / g.edge_count
-    if family in ("single-layer", "qaoa1"):
-        if grid_objective is None or grid_bounds is None:
-            raise ValueError(f"family {family!r} needs a grid objective and bounds")
-        lo, hi = grid_bounds
-        ts = np.linspace(lo, hi, grid_samples)
-        return min(grid_objective(t) for t in ts)
-    raise ValueError(f"unknown family {family!r}")
+def reference_minimum(objective: Callable, bounds: tuple[float, float], samples: int = 100_000) -> float:
+    """Minimum of a one-parameter objective over ``samples`` evenly spaced
+    points of [lo, hi]: a sampled stand-in for the landscape minimum, which
+    can lie above it when the grid misses a narrow well."""
+    lo, hi = bounds
+    return min(objective(t) for t in np.linspace(lo, hi, samples))
 
 
 def error_metrics(

@@ -8,8 +8,8 @@ against it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .sim import (
     Diagonal,
     SiteRotation,
     VqaInstance,
+    apply_circuit,
     assert_hermitian,
     assert_state,
     check_state_size,
@@ -75,11 +76,6 @@ def oracular_vqa_instance(g: Graph) -> VqaInstance:
         family="oracular",
         graph=g,
     )
-
-
-def oracular_vqa_expectation(g: Graph, phi) -> float:
-    """Closed form of the sigma_y rotation circuit: exactly mu(g, phi)."""
-    return mu(g, phi)
 
 
 def boosted_expectation(g: Graph, k: int, phi) -> float:
@@ -166,8 +162,6 @@ def logdim_vqa_instance(g: Graph) -> VqaInstance:
 
 def verify_certificate(inst: VqaInstance, phi, a: float, tol: float = 1e-9) -> bool:
     """Polynomial-time check of the decision version: <O>(phi) <= a."""
-    from .sim import apply_circuit
-
     return expectation(apply_circuit(inst, phi), inst.observable) <= a + tol
 
 
@@ -263,66 +257,53 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
 # ---------------------------------------------------------------------------
 # QAOA instances
 
-@dataclass(frozen=True, eq=False)
-class QaoaInstance:
-    """Mixer/cost pair with the initial state fixed to the mixer ground state.
+QAOA_FAMILIES = ("qaoa1", "qaoa-multi")
 
-    ``mixer`` and ``cost`` wrap ``hb`` and ``hc`` and cache their
-    eigendecompositions: the mixer's is computed here, for the ground-state
-    check, and the cost's on first use.
+
+def _qaoa_instance(hb, hc, layers: int, initial, closed_form, family: str, g: Graph) -> VqaInstance:
+    """QAOA as a VqaInstance: generators (cost, mixer) * layers, observable
+    the cost, initial state the mixer ground state.
+
+    The two Dense operators are shared by every layer, so each is
+    diagonalised once: the mixer here, for the ground-state check, and the
+    cost on first use.
     """
-
-    hb: np.ndarray
-    hc: np.ndarray
-    layers: int
-    initial: np.ndarray
-    closed_form: Optional[Callable] = None
-    family: str = ""
-    graph: Optional[Graph] = None
-    mixer: Dense = field(init=False, repr=False)
-    cost: Dense = field(init=False, repr=False)
-
-    def __post_init__(self):
-        hb = assert_hermitian(self.hb)
-        hc = assert_hermitian(self.hc)
-        psi = assert_state(self.initial)
-        if not (hb.shape[0] == hc.shape[0] == psi.shape[0]):
-            raise ValueError("all dimensions must be equal")
-        if self.layers < 1:
-            raise ValueError("need at least one layer")
-        mixer = Dense(hb)
-        lam_min = float(mixer.eigh()[0][0])
-        residual = np.linalg.norm(hb @ psi - lam_min * psi)
-        if residual > 1e-9:
-            raise ValueError(
-                f"initial state is not the mixer ground state (residual {residual:.3e})"
-            )
-        object.__setattr__(self, "hb", hb)
-        object.__setattr__(self, "hc", hc)
-        object.__setattr__(self, "initial", psi)
-        object.__setattr__(self, "mixer", mixer)
-        object.__setattr__(self, "cost", Dense(hc))
-
-    @property
-    def dim(self) -> int:
-        return self.initial.shape[0]
+    hb = assert_hermitian(hb)
+    hc = assert_hermitian(hc)
+    psi = assert_state(initial)
+    if not (hb.shape[0] == hc.shape[0] == psi.shape[0]):
+        raise ValueError("mixer, cost and initial state must have one dimension")
+    if layers < 1:
+        raise ValueError("need at least one layer")
+    mixer = Dense(hb)
+    lam_min = float(mixer.eigh()[0][0])
+    residual = np.linalg.norm(hb @ psi - lam_min * psi)
+    if residual > 1e-9:
+        raise ValueError(f"initial state is not the mixer ground state (residual {residual:.3e})")
+    cost = Dense(hc)
+    return VqaInstance(
+        initial=psi,
+        generators=(cost, mixer) * layers,
+        observable=cost,
+        closed_form=closed_form,
+        family=family,
+        graph=g,
+    )
 
 
-def qaoa_apply(inst: QaoaInstance, beta, gamma) -> tuple[np.ndarray, float]:
+def qaoa_apply(inst: VqaInstance, beta, gamma) -> tuple[np.ndarray, float]:
     """Alternating evolution U_b(beta_L) U_c(gamma_L) ... U_b(beta_1) U_c(gamma_1)
     applied to the initial state; expectation taken with the cost Hamiltonian."""
     beta = np.asarray(beta, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    if beta.shape != (inst.layers,) or gamma.shape != (inst.layers,):
-        raise ValueError(f"expected {inst.layers} betas and gammas")
-    psi = inst.initial
-    for b, c in zip(beta, gamma):
-        psi = inst.cost.apply_exp(psi, c)
-        psi = inst.mixer.apply_exp(psi, b)
-    return psi, expectation(psi, inst.hc)
+    layers = len(inst.generators) // 2
+    if beta.shape != (layers,) or gamma.shape != (layers,):
+        raise ValueError(f"expected {layers} betas and gammas")
+    psi = apply_circuit(inst, np.column_stack((gamma, beta)).reshape(-1))
+    return psi, expectation(psi, inst.observable)
 
 
-def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> QaoaInstance:
+def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
     """Single-layer QAOA on C^(2d+1) hiding the ergodic-spectrum landscape.
 
     The mixer is diagonal with pairs (E_i, -E_i) and a -1 ground level; the
@@ -357,15 +338,7 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> QaoaInstance:
             + 2 * tau * math.cos(tau * gamma) * math.sin(tau * gamma) * gfun
         )
 
-    return QaoaInstance(
-        hb=hb,
-        hc=hc,
-        layers=1,
-        initial=psi0,
-        closed_form=closed_form,
-        family="qaoa1",
-        graph=g,
-    )
+    return _qaoa_instance(hb, hc, 1, psi0, closed_form, "qaoa1", g)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +404,7 @@ def _penalty_block(d: int) -> np.ndarray:
     return hp.astype(complex)
 
 
-def qaoa_multilayer_instance(g: Graph) -> QaoaInstance:
+def qaoa_multilayer_instance(g: Graph) -> VqaInstance:
     """Bounded-norm multilayer QAOA whose optimum encodes the maximum cut.
 
     The Hilbert space is a ladder of 2d+1 copies of K; the cost Hamiltonian
@@ -459,15 +432,7 @@ def qaoa_multilayer_instance(g: Graph) -> QaoaInstance:
 
     psi0 = np.zeros(dim, dtype=complex)
     psi0[:dim_k] = gs
-    return QaoaInstance(
-        hb=hb,
-        hc=hc,
-        layers=d,
-        initial=psi0,
-        closed_form=None,
-        family="qaoa-multi",
-        graph=g,
-    )
+    return _qaoa_instance(hb, hc, d, psi0, None, "qaoa-multi", g)
 
 
 def multilayer_optimal_value(g: Graph, maxcut: int) -> float:

@@ -9,7 +9,7 @@ import numpy as np
 
 from .fermions import FermionInstance
 from .graphs import Graph
-from .reductions import QaoaInstance
+from .reductions import QAOA_FAMILIES
 from .sim import VqaInstance
 
 SCHEMA = "vqa-hardness-lab/1"
@@ -45,26 +45,28 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
-def instance_to_json(inst: Union[VqaInstance, QaoaInstance, FermionInstance]) -> dict:
+def instance_to_json(inst: Union[VqaInstance, FermionInstance]) -> dict:
+    """A QAOA instance, whose generators alternate (cost, mixer), is written
+    as its mixer ``hb``, cost ``hc`` and layer count."""
     doc = {"schema": SCHEMA, "family": inst.family}
     if inst.graph is not None:
         doc["graph"] = graph_to_json(inst.graph)
-    if isinstance(inst, VqaInstance):
+    if inst.family in QAOA_FAMILIES:
+        doc.update(
+            kind="qaoa",
+            dim=inst.dim,
+            layers=len(inst.generators) // 2,
+            initial=vector_to_json(inst.initial),
+            hb=matrix_to_json(inst.generators[1].to_dense()),
+            hc=matrix_to_json(inst.observable.to_dense()),
+        )
+    elif isinstance(inst, VqaInstance):
         doc.update(
             kind="vqa",
             dim=inst.dim,
             initial=vector_to_json(inst.initial),
             generators=[matrix_to_json(h.to_dense()) for h in inst.generators],
             observable=matrix_to_json(inst.observable.to_dense()),
-        )
-    elif isinstance(inst, QaoaInstance):
-        doc.update(
-            kind="qaoa",
-            dim=inst.dim,
-            layers=inst.layers,
-            initial=vector_to_json(inst.initial),
-            hb=matrix_to_json(inst.hb),
-            hc=matrix_to_json(inst.hc),
         )
     elif isinstance(inst, FermionInstance):
         doc.update(

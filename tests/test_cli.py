@@ -247,3 +247,26 @@ class TestExitCodes:
     def test_invalid_parameter_value(self, k3_file):
         # m=4 makes the mixer energies leave (-1, 1), which is rejected
         assert main(["verify", "--family", "qaoa1", "--graph", k3_file, "--m", "4"]) == 1
+
+    def test_unknown_family(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "nope", "--random-graph", "3:0.5"])
+        assert exc.value.code == 2
+        assert "--family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("verify", "--samples"),
+            ("verify", "--instances"),
+            ("optimize", "--restarts"),
+            ("optimize", "--grid-samples"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_counts_must_be_positive(self, command, flag, value, capsys):
+        argv = [command, "--family", "single-layer", "--random-graph", "3:0.5", flag, value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err

@@ -1,9 +1,11 @@
-"""Golden digests of `export` and `optimize` JSON for fixed seeds.
+"""Golden digests of `export`, `optimize`, `verify` and `landscape` output for fixed seeds.
 
-Each digest is the sha256 of the command's JSON document re-encoded with
-sorted keys and `timestamp` removed. A change to the operator representation
-or to the spectrum path must leave every exported matrix entry (signed zeros
-included) and every optimize figure bit for bit as they were.
+Each JSON digest is the sha256 of the command's document re-encoded with
+sorted keys and `timestamp` removed; a `landscape` digest is the sha256 of
+its CSV text. A change to the operator representation, the spectrum path or
+the family dispatch must leave every exported matrix entry (signed zeros
+included), every optimize figure, every verify residual and every landscape
+value bit for bit as they were.
 """
 
 import contextlib
@@ -36,7 +38,36 @@ CASES = {
     "optimize-oracular-d6": [
         "optimize", "--family", "oracular", "--random-graph", "6:0.5", "--restarts", "3", "--seed", "1",
     ],
+    "optimize-boosted-k2-d2": [
+        "optimize", "--family", "boosted", "--k", "2", "--random-graph", "2:1.0", "--restarts", "3", "--seed", "2",
+    ],
+    "optimize-logdim-k4": [
+        "optimize", "--family", "logdim", "--random-graph", "4:1.0", "--restarts", "3", "--seed", "2",
+    ],
+    "optimize-fermion-k4": [
+        "optimize", "--family", "fermion", "--random-graph", "4:1.0", "--restarts", "3", "--seed", "2",
+    ],
 }
+
+# Per-family extras shared by the verify and landscape cases.
+_EXTRAS = {
+    "oracular": [],
+    "boosted": ["--k", "2"],
+    "logdim": [],
+    "single-layer": ["--m", "8"],
+    "qaoa1": ["--tau", "0.5", "--m", "16"],
+    "qaoa-multi": [],
+    "fermion": [],
+}
+_VERIFY_GRAPHS = {"qaoa1": "2:1.0", "qaoa-multi": "2:1.0", "boosted": "3:1.0", "fermion": "3:0.5"}
+for _family, _extra in _EXTRAS.items():
+    CASES[f"verify-{_family}"] = [
+        "verify", "--family", _family, *_extra, "--random-graph", _VERIFY_GRAPHS.get(_family, "4:0.5"),
+        "--instances", "2", "--samples", "5", "--seed", "3",
+    ]
+    CASES[f"landscape-{_family}"] = [
+        "landscape", "--family", _family, *_extra, "--random-graph", "2:1.0", "--axis", "0:0:6.2:7", "--seed", "1",
+    ]
 
 # Recorded with the dense-matrix implementation that the structured
 # operators replaced.
@@ -55,14 +86,37 @@ DIGESTS = {
     "optimize-single-layer-k3": "35ada92525bd1c395fbaf4094ea8dbd7f024f15e71dc5604e86c32a4b1d25664",
 }
 
+# Recorded before the per-family dispatch chains were replaced by one registry.
+DIGESTS.update({
+    "landscape-boosted": "5e82547d938a2cfb3117d048469175a0a764c1fbded12531a1dc8532070e4e6c",
+    "landscape-fermion": "9399a093ff361ec47c806a5c27564fb1c1e5c2b580137b0cbb8d0b22b7869e59",
+    "landscape-logdim": "9399a093ff361ec47c806a5c27564fb1c1e5c2b580137b0cbb8d0b22b7869e59",
+    "landscape-oracular": "9399a093ff361ec47c806a5c27564fb1c1e5c2b580137b0cbb8d0b22b7869e59",
+    "landscape-qaoa-multi": "9bfc59d997446cef05c2db61a544ca90163b1f456d731cd3be328771a4f73a26",
+    "landscape-qaoa1": "a37c68171ddd1fa8eb9f8f02fb53f1125f78287955f261dc17fd164b48c09d1a",
+    "landscape-single-layer": "56af86b57eba208f4bd4f677b79d64c71b0fa9bd08fdaa4c9b33a803640ecf36",
+    "optimize-boosted-k2-d2": "650310cac1cec3a5046f179c57610681aa562011694c2fd0ecc05ce942e57572",
+    "optimize-fermion-k4": "e710ede421882dd46aef47a061741aea5e57f26ab6aef65ec6e51dc0e723ec30",
+    "optimize-logdim-k4": "843bceb4cb3ab7ae9ae9f62714c1a2b8b23e9fd5f669adef5475a0d438f8dfc4",
+    "verify-boosted": "d512cd4fea46b4ee5960fc569279bb4c8f3590991d058a93a62ab0498a3067c0",
+    "verify-fermion": "4866fb79e914255409d0294ca17a1e661bf331cedc475fc230f7f2c85db627eb",
+    "verify-logdim": "cce664a7651e6d1464a65f6735aabe63f3cf87b4ffe299d4e96e3140b818e005",
+    "verify-oracular": "17530c4512bf246589dcf5485ede17be38e0dc8e415584279cbc748132bb79dc",
+    "verify-qaoa-multi": "56a8c96b19df279f7cdcd617abb13810b1e63a3363b45cd65e185e2e5f431fd0",
+    "verify-qaoa1": "f0fc15f7e79b13202907bb154b85d4c0a43807bc71f7b2c450bf4616a213f91e",
+    "verify-single-layer": "9d1b0b996f3eb87cf8717dd930693b8588f6597bc25025c85994f34a5df5aabc",
+})
+
 
 def run_digest(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    doc = json.loads(out.getvalue())
-    doc.pop("timestamp", None)
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    text = out.getvalue()
+    if argv[0] != "landscape":
+        doc = json.loads(text)
+        doc.pop("timestamp", None)
+        text = json.dumps(doc, sort_keys=True, indent=2)
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -99,13 +99,13 @@ def test_structured_extremes_and_apply_match_dense(n, data):
 
 def fresh_qaoa_apply(inst, beta, gamma):
     """qaoa_apply with eigendecompositions computed on the spot."""
-    vals_b, vecs_b = np.linalg.eigh(inst.hb)
-    vals_c, vecs_c = np.linalg.eigh(inst.hc)
+    vals_b, vecs_b = np.linalg.eigh(inst.generators[1])
+    vals_c, vecs_c = np.linalg.eigh(inst.observable)
     psi = inst.initial
     for b, c in zip(beta, gamma):
         psi = vecs_c @ (np.exp(-1j * vals_c * c) * (vecs_c.conj().T @ psi))
         psi = vecs_b @ (np.exp(-1j * vals_b * b) * (vecs_b.conj().T @ psi))
-    return psi, float(np.vdot(psi, inst.hc @ psi).real)
+    return psi, float(np.vdot(psi, inst.observable @ psi).real)
 
 
 @SETTINGS

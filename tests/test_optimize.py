@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from vqalab import (
     reference_minimum,
     round_to_discrete,
 )
+from vqalab.families import FAMILIES
 from vqalab.landscape import is_discrete_local_min, phases_from_assignment
 from vqalab.optimize import build_report, discrete_local_search
 
@@ -141,31 +144,30 @@ class TestDiscreteSearch:
 
 
 class TestReferenceMinimum:
-    def test_exact_families(self, k3):
-        assert reference_minimum("oracular", k3, 2) == -2.0
-        assert reference_minimum("logdim", k3, 2) == -2.0
-        assert reference_minimum("fermion", k3, 2) == -2.0
-        assert reference_minimum("boosted", k3, 2, k=3) == -8.0
-        assert reference_minimum("qaoa-multi", k3, 2) == pytest.approx(1 - 4 / 3)
+    @staticmethod
+    def reference(family, g, maxcut, k=1, best=-100.0):
+        """The family's reference, handed a descent value far below it."""
+        return FAMILIES[family].reference(g, maxcut, SimpleNamespace(k=k), None, best)
 
-    def test_grid_family(self, k3):
-        ref = reference_minimum(
-            "single-layer",
-            k3,
-            2,
-            grid_objective=lambda t: (t - 1.0) ** 2 - 2.0,
-            grid_bounds=(0.0, 2.0),
-            grid_samples=10_001,
-        )
+    def test_exact_families(self, k3):
+        assert self.reference("oracular", k3, 2) == -2.0
+        assert self.reference("logdim", k3, 2) == -2.0
+        assert self.reference("fermion", k3, 2) == -2.0
+        assert self.reference("boosted", k3, 2, k=3) == -8.0
+        assert self.reference("qaoa-multi", k3, 2) == pytest.approx(1 - 4 / 3)
+
+    def test_grid_family(self):
+        ref = reference_minimum(lambda t: (t - 1.0) ** 2 - 2.0, (0.0, 2.0), 10_001)
         assert ref == pytest.approx(-2.0, abs=1e-6)
 
-    def test_grid_family_needs_objective(self, k3):
-        with pytest.raises(ValueError, match="grid objective"):
-            reference_minimum("single-layer", k3, 2)
-
-    def test_unknown_family(self, k3):
-        with pytest.raises(ValueError, match="unknown family"):
-            reference_minimum("nope", k3, 2)
+    @pytest.mark.parametrize("family", ["single-layer", "qaoa1"])
+    def test_grid_families_sample_and_lower_to_descent(self, family, k3):
+        # the grid runs over t in [0, m^min(d, 3)) along the first parameter
+        args = SimpleNamespace(m=8, tau=0.5, grid_samples=11)
+        objective = lambda x: -float(x[0])
+        reference = FAMILIES[family].reference
+        assert reference(k3, 2, args, objective, 0.0) == -512.0
+        assert reference(k3, 2, args, objective, -600.0) == -600.0
 
 
 class TestErrorMetrics:

@@ -12,7 +12,6 @@ from vqalab import (
     logdim_vqa_instance,
     maxcut_bruteforce,
     mu,
-    oracular_vqa_expectation,
     oracular_vqa_instance,
     qaoa_apply,
     qaoa_multilayer_instance,
@@ -24,6 +23,7 @@ from vqalab import (
     verify_certificate,
 )
 from vqalab.reductions import (
+    _qaoa_instance,
     ergodic_phase_errors,
     logdim_observable,
     modnorm,
@@ -56,10 +56,10 @@ class TestIsingObservable:
 
 class TestOracularIdentity:
     def test_zero_phases(self, k3):
-        assert oracular_vqa_expectation(k3, np.zeros(3)) == 0.0
+        assert mu(k3, np.zeros(3)) == 0.0
 
     def test_single_edge_hand_value(self, single_edge):
-        assert oracular_vqa_expectation(single_edge, [0.0, np.pi]) == pytest.approx(-1.0)
+        assert mu(single_edge, [0.0, np.pi]) == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_closed_form_matches_statevector(self, d):
@@ -238,9 +238,9 @@ class TestQaoaMultilayer:
         from vqalab import parse_graph
 
         inst = qaoa_multilayer_instance(parse_graph(text))
-        lo, hi, _ = spectral_extremes(inst.hb)
+        lo, hi, _ = spectral_extremes(inst.generators[1])
         assert max(abs(lo), abs(hi)) == pytest.approx(3.0, abs=1e-9)
-        lo, hi, _ = spectral_extremes(inst.hc)
+        lo, hi, _ = spectral_extremes(inst.observable)
         assert max(abs(lo), abs(hi)) == pytest.approx(1.0, abs=1e-9)
 
     def test_single_edge_optimum_is_minus_one(self, single_edge):
@@ -291,3 +291,40 @@ class TestQaoaMultilayer:
         rng = np.random.default_rng(11)
         psi, _ = qaoa_apply(inst, rng.uniform(0, 2 * np.pi, 2), rng.uniform(0, 2 * np.pi, 2))
         assert abs(np.linalg.norm(psi) - 1.0) <= 1e-10
+
+
+class TestQaoaChecks:
+    """The checks the QAOA constructors share, on a two-level mixer/cost pair."""
+
+    HB = np.diag([-1.0, 1.0]).astype(complex)
+    HC = np.array([[0, 1], [1, 0]], dtype=complex)
+    GROUND = np.array([1, 0], dtype=complex)
+
+    def build(self, hb=HB, hc=HC, layers=2, initial=GROUND):
+        return _qaoa_instance(hb, hc, layers, initial, None, "qaoa-multi", None)
+
+    def test_alternates_cost_and_mixer(self):
+        inst = self.build()
+        cost, mixer = inst.generators[:2]
+        assert inst.generators == (cost, mixer, cost, mixer)
+        assert inst.observable is cost
+        assert np.array_equal(mixer.to_dense(), self.HB)
+        assert np.array_equal(cost.to_dense(), self.HC)
+
+    def test_rejects_excited_initial_state(self):
+        with pytest.raises(ValueError, match="mixer ground state"):
+            self.build(initial=np.array([0, 1], dtype=complex))
+
+    def test_rejects_zero_layers(self):
+        with pytest.raises(ValueError, match="at least one layer"):
+            self.build(layers=0)
+
+    @pytest.mark.parametrize("which", ["hb", "hc", "initial"])
+    def test_rejects_dimension_mismatch(self, which):
+        big = {
+            "hb": np.diag([-1.0, 1.0, 2.0]).astype(complex),
+            "hc": np.eye(3, dtype=complex),
+            "initial": np.array([1, 0, 0], dtype=complex),
+        }
+        with pytest.raises(ValueError, match="must have one dimension"):
+            self.build(**{which: big[which]})
