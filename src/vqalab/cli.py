@@ -119,9 +119,12 @@ def cmd_optimize(args) -> int:
 def _parse_axis(spec: str) -> tuple[int, float, float, int]:
     try:
         idx, lo, hi, count = spec.split(":")
-        return int(idx), float(lo), float(hi), int(count)
+        idx, lo, hi, count = int(idx), float(lo), float(hi), int(count)
     except ValueError:
         raise UsageError(f"--axis expects IDX:START:STOP:COUNT, got {spec!r}")
+    if count < 1:
+        raise UsageError(f"--axis COUNT must be at least 1, got {spec!r}")
+    return idx, lo, hi, count
 
 
 def cmd_landscape(args) -> int:
@@ -189,7 +192,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--m", type=int, default=64, help="ergodic spectrum base")
     p.add_argument("--tau", type=float, default=1e-3, help="single-layer QAOA coupling")
-    p.add_argument("--k", type=int, default=1, help="boosting power")
+    p.add_argument("--k", type=_positive_int, default=1, help="boosting power")
 
 
 def build_parser() -> argparse.ArgumentParser:

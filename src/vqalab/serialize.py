@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Union
 
 import numpy as np
@@ -26,16 +26,12 @@ REFERENCE_CONSTANTS = {
 def matrix_to_json(m: np.ndarray) -> list:
     """Dense complex matrix as nested [re, im] pairs."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+    return [list(map(list, zip(re, im))) for re, im in zip(m.real.tolist(), m.imag.tolist())]
 
 
 def vector_to_json(v: np.ndarray) -> list:
     v = np.asarray(v, dtype=complex)
-    return [[float(x.real), float(x.imag)] for x in v]
-
-
-def matrix_from_json(data: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    return list(map(list, zip(v.real.tolist(), v.imag.tolist())))
 
 
 def graph_to_json(g: Graph) -> dict:
@@ -81,8 +77,82 @@ def instance_to_json(inst: Union[VqaInstance, FermionInstance]) -> dict:
     return doc
 
 
+_INF = float("inf")
+_float_repr = float.__repr__
+
+
+def _scalar_text(o) -> str:
+    """JSON text of a value that is not a list, tuple or dict; the checks run
+    in the order of the stdlib encoder."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF:
+            return "Infinity"
+        if o == -_INF:
+            return "-Infinity"
+        return _float_repr(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if key is not None and not isinstance(key, (str, int, float)):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return _encode_str(key if isinstance(key, str) else _scalar_text(key))
+
+
+def _write(o, level: int, out: list) -> None:
+    """Append the JSON text of ``o``, nested ``level`` deep, to ``out``."""
+    if not isinstance(o, (list, tuple, dict)):
+        out.append(_scalar_text(o))
+        return
+    if not o:
+        out.append("{}" if isinstance(o, dict) else "[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
+    lead = inner
+    if isinstance(o, dict):
+        out.append("{")
+        for key, value in sorted(o.items()):
+            out.append(lead + _key_text(key) + ": ")
+            lead = sep
+            _write(value, level + 1, out)
+        out.append("\n" + "  " * level + "}")
+        return
+    # A [re, im] pair of two finite plain floats fills one template; anything
+    # else, NaN, infinities and float subclasses included, takes _write.
+    deeper = "\n" + "  " * (level + 2)
+    pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
+    out.append("[")
+    for item in o:
+        out.append(lead)
+        lead = sep
+        if type(item) is list and len(item) == 2:
+            re, im = item
+            if type(re) is float and type(im) is float and -_INF < re < _INF and -_INF < im < _INF:
+                out.append(pair % (_float_repr(re), _float_repr(im)))
+                continue
+        _write(item, level + 1, out)
+    out.append("\n" + "  " * level + "]")
+
+
 def dump_json(doc: dict, path=None) -> str:
-    text = json.dumps(doc, sort_keys=True, indent=2)
+    """``doc`` as the text of ``json.dumps(doc, sort_keys=True, indent=2)``,
+    written with ``"\\n"`` appended when ``path`` is given."""
+    out: list = []
+    _write(doc, 0, out)
+    text = "".join(out)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text + "\n")

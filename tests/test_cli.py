@@ -15,9 +15,13 @@ from vqalab.serialize import (
     dump_json,
     graph_to_json,
     instance_to_json,
-    matrix_from_json,
     matrix_to_json,
 )
+
+
+def matrix_from_json(data: list) -> np.ndarray:
+    """Inverse of `matrix_to_json`: nested [re, im] pairs to a complex array."""
+    return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
 @pytest.fixture
@@ -215,6 +219,12 @@ class TestLandscapeCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_axis_count_below_one_is_usage_error(self, edge_file, count, capsys):
+        rc = main(["landscape", "--family", "oracular", "--graph", edge_file, "--axis", f"0:0:1:{count}"])
+        assert rc == 2
+        assert "--axis COUNT" in capsys.readouterr().err
+
 
 class TestExportCommand:
     def test_export_schema_and_round_trip(self, k3_file, tmp_path, k3):
@@ -261,6 +271,9 @@ class TestExitCodes:
             ("verify", "--instances"),
             ("optimize", "--restarts"),
             ("optimize", "--grid-samples"),
+            ("optimize", "--k"),
+            ("verify", "--k"),
+            ("export", "--k"),
         ],
     )
     @pytest.mark.parametrize("value", ["0", "-1"])

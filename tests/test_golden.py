@@ -6,6 +6,10 @@ its CSV text. A change to the operator representation, the spectrum path or
 the family dispatch must leave every exported matrix entry (signed zeros
 included), every optimize figure, every verify residual and every landscape
 value bit for bit as they were.
+
+A raw digest is the sha256 of the command's stdout exactly as printed (for
+`optimize`, less the `"timestamp"` line). Re-encoding hides the JSON writer's
+own formatting; the raw digests pin it.
 """
 
 import contextlib
@@ -108,11 +112,32 @@ DIGESTS.update({
 })
 
 
-def run_digest(argv) -> str:
+# Raw stdout, recorded with the stdlib's ``json.dumps(sort_keys=True, indent=2)``
+# as the writer.
+RAW_DIGESTS = {
+    "export-boosted-k1-d4": "dae19776cab76b158990e99fe864277e6e9df784ca1372a18734be6bf8a4a416",
+    "export-boosted-k2-d3": "5101a22c6339b7439da6b78ee88e3df85c3c4c4eeabb254b6ad9c7c45077ca5f",
+    "export-boosted-k3-d3": "75c208879cf2b13c939b4c355e344c46df1701bcf21fe656b8498c3f14737d57",
+    "export-fermion-d4": "4ac56b8f83b796c18c26b04bf8b5c9340be1fa842be216f14657c832a162d38b",
+    "export-logdim-d8": "8123a3865547e804900ef66af195ef2f8508831916ead3cb8e6d5c002d4c128f",
+    "export-oracular-d5": "95ac8b042d9056224430d6549284d37d62848ea90ee025e3c43e6417f61013c1",
+    "export-qaoa-multi-k2": "a9ced535a69af4dc2462491a49e3f040d4e82199112367460df6220b9d6e7b23",
+    "export-qaoa1-d3": "8abf1677244ad3ac5e4cb2d9e39981afdcf7de090e1ffab1a0165d6f9c9ef6d0",
+    "export-single-layer-d3": "947d51e9235e9ce9247b3fa0afd1aaef13e9c614bea11ab2b8b0cb801cbf8538",
+    "verify-oracular": "2381e3490fab3ad769a2f362e9ffe742e8e6c5013910a79e8bbf868cbf086c1b",
+    "optimize-qaoa1-k2": "d379375bb5673ce05f32465709f6ab99fdbbef7dcecd5cd29c69223636daced7",
+}
+
+
+def run_stdout(argv) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(argv) == 0
-    text = out.getvalue()
+    return out.getvalue()
+
+
+def run_digest(argv) -> str:
+    text = run_stdout(argv)
     if argv[0] != "landscape":
         doc = json.loads(text)
         doc.pop("timestamp", None)
@@ -123,3 +148,11 @@ def run_digest(argv) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_digest(name):
     assert run_digest(CASES[name]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RAW_DIGESTS))
+def test_raw_output_matches_golden_digest(name):
+    text = run_stdout(CASES[name])
+    if CASES[name][0] == "optimize":
+        text = "".join(line for line in text.splitlines(True) if '"timestamp"' not in line)
+    assert hashlib.sha256(text.encode()).hexdigest() == RAW_DIGESTS[name]
