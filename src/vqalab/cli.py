@@ -124,6 +124,8 @@ def _parse_axis(spec: str) -> tuple[int, float, float, int]:
         raise UsageError(f"--axis expects IDX:START:STOP:COUNT, got {spec!r}")
     if count < 1:
         raise UsageError(f"--axis COUNT must be at least 1, got {spec!r}")
+    if not np.isfinite([lo, hi]).all():
+        raise UsageError(f"--axis START and STOP must be finite, got {spec!r}")
     return idx, lo, hi, count
 
 
@@ -140,6 +142,8 @@ def cmd_landscape(args) -> int:
             base[int(idx)] = float(val)
         except (ValueError, IndexError):
             raise UsageError(f"--fixed expects IDX=VALUE, got {spec!r}")
+    if not np.isfinite(base).all():
+        raise UsageError("--fixed VALUE must be finite")
     for idx, _, _, _ in axes:
         if not (0 <= idx < n_params):
             raise UsageError(f"axis index {idx} outside 0..{n_params - 1}")

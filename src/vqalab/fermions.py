@@ -16,11 +16,10 @@ import numpy as np
 
 from .graphs import Graph
 from .landscape import mu
-from .sim import assert_hermitian
+from .sim import IMAG_TOL, assert_hermitian
 
 FOCK_MAX_MODES = 8
 COVARIANCE_TOL = 1e-9
-IMAG_TOL = 1e-10
 
 
 def thermal_covariance(h, beta: float) -> np.ndarray:

@@ -309,8 +309,8 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
     The mixer is diagonal with pairs (E_i, -E_i) and a -1 ground level; the
     cost couples that ground level to the uniform state with strength tau.
     """
-    if tau <= 0:
-        raise ValueError("coupling tau must be positive")
+    if not (tau > 0 and math.isfinite(tau)):
+        raise ValueError("coupling tau must be finite and positive")
     d = g.d
     spec = ergodic_energies(d, m)
     if np.any(np.abs(spec.energies) >= 1):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _encode_str
+import json
 from typing import Union
 
 import numpy as np
@@ -23,17 +23,6 @@ REFERENCE_CONSTANTS = {
 }
 
 
-def matrix_to_json(m: np.ndarray) -> list:
-    """Dense complex matrix as nested [re, im] pairs."""
-    m = np.asarray(m, dtype=complex)
-    return [list(map(list, zip(re, im))) for re, im in zip(m.real.tolist(), m.imag.tolist())]
-
-
-def vector_to_json(v: np.ndarray) -> list:
-    v = np.asarray(v, dtype=complex)
-    return list(map(list, zip(v.real.tolist(), v.imag.tolist())))
-
-
 def graph_to_json(g: Graph) -> dict:
     return {
         "d": g.d,
@@ -42,8 +31,10 @@ def graph_to_json(g: Graph) -> dict:
 
 
 def instance_to_json(inst: Union[VqaInstance, FermionInstance]) -> dict:
-    """A QAOA instance, whose generators alternate (cost, mixer), is written
-    as its mixer ``hb``, cost ``hc`` and layer count."""
+    """The instance as a document whose matrices and states are the complex
+    ndarrays themselves, for `dump_json` to write. A QAOA instance, whose
+    generators alternate (cost, mixer), is written as its mixer ``hb``, cost
+    ``hc`` and layer count."""
     doc = {"schema": SCHEMA, "family": inst.family}
     if inst.graph is not None:
         doc["graph"] = graph_to_json(inst.graph)
@@ -52,106 +43,80 @@ def instance_to_json(inst: Union[VqaInstance, FermionInstance]) -> dict:
             kind="qaoa",
             dim=inst.dim,
             layers=len(inst.generators) // 2,
-            initial=vector_to_json(inst.initial),
-            hb=matrix_to_json(inst.generators[1].to_dense()),
-            hc=matrix_to_json(inst.observable.to_dense()),
+            initial=inst.initial,
+            hb=inst.generators[1].to_dense(),
+            hc=inst.observable.to_dense(),
         )
     elif isinstance(inst, VqaInstance):
         doc.update(
             kind="vqa",
             dim=inst.dim,
-            initial=vector_to_json(inst.initial),
-            generators=[matrix_to_json(h.to_dense()) for h in inst.generators],
-            observable=matrix_to_json(inst.observable.to_dense()),
+            initial=inst.initial,
+            generators=[h.to_dense() for h in inst.generators],
+            observable=inst.observable.to_dense(),
         )
     elif isinstance(inst, FermionInstance):
         doc.update(
             kind="fermion",
             modes=inst.n_modes,
-            h0=matrix_to_json(inst.h0),
-            generators=[matrix_to_json(h) for h in inst.generators],
-            observable=matrix_to_json(inst.o),
+            h0=inst.h0,
+            generators=list(inst.generators),
+            observable=inst.o,
         )
     else:
         raise TypeError(f"cannot serialize {type(inst).__name__}")
     return doc
 
 
-_INF = float("inf")
-_float_repr = float.__repr__
-
-
-def _scalar_text(o) -> str:
-    """JSON text of a value that is not a list, tuple or dict; the checks run
-    in the order of the stdlib encoder."""
-    if isinstance(o, str):
-        return _encode_str(o)
-    if o is None:
-        return "null"
-    if o is True:
-        return "true"
-    if o is False:
-        return "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        if o != o:
-            return "NaN"
-        if o == _INF:
-            return "Infinity"
-        if o == -_INF:
-            return "-Infinity"
-        return _float_repr(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _key_text(key) -> str:
-    if key is not None and not isinstance(key, (str, int, float)):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return _encode_str(key if isinstance(key, str) else _scalar_text(key))
-
-
-def _write(o, level: int, out: list) -> None:
-    """Append the JSON text of ``o``, nested ``level`` deep, to ``out``."""
-    if not isinstance(o, (list, tuple, dict)):
-        out.append(_scalar_text(o))
-        return
-    if not o:
-        out.append("{}" if isinstance(o, dict) else "[]")
-        return
+def _template(shape: tuple, level: int) -> str:
+    """``json.dumps(..., indent=2)`` text, ``level`` deep, of a nested list
+    of ``shape`` with a ``%s`` for each number."""
+    if not shape:
+        return "%s"
+    if not shape[0]:
+        return "[]"
     inner = "\n" + "  " * (level + 1)
-    sep = "," + inner
-    lead = inner
-    if isinstance(o, dict):
-        out.append("{")
-        for key, value in sorted(o.items()):
-            out.append(lead + _key_text(key) + ": ")
-            lead = sep
-            _write(value, level + 1, out)
-        out.append("\n" + "  " * level + "}")
-        return
-    # A [re, im] pair of two finite plain floats fills one template; anything
-    # else, NaN, infinities and float subclasses included, takes _write.
-    deeper = "\n" + "  " * (level + 2)
-    pair = "[" + deeper + "%s," + deeper + "%s" + inner + "]"
-    out.append("[")
-    for item in o:
-        out.append(lead)
-        lead = sep
-        if type(item) is list and len(item) == 2:
-            re, im = item
-            if type(re) is float and type(im) is float and -_INF < re < _INF and -_INF < im < _INF:
-                out.append(pair % (_float_repr(re), _float_repr(im)))
-                continue
-        _write(item, level + 1, out)
-    out.append("\n" + "  " * level + "]")
+    items = ("," + inner).join([_template(shape[1:], level + 1)] * shape[0])
+    return "[" + inner + items + "\n" + "  " * level + "]"
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    """The text ``json.dumps(..., indent=2)`` gives, ``level`` deep, for the
+    complex array ``a`` as nested lists of ``[x.real, x.imag]`` pairs."""
+    # complex128 memory holds re, im in turn: the pairs are the last axis
+    floats = np.ascontiguousarray(a, dtype=complex).view(float).ravel().tolist()
+    # float.__repr__ is the stdlib's text of a finite float; json.dumps also
+    # writes NaN and the infinities
+    texts = map(float.__repr__ if np.isfinite(a).all() else json.dumps, floats)
+    return _template(a.shape + (2,), level) % tuple(texts)
 
 
 def dump_json(doc: dict, path=None) -> str:
     """``doc`` as the text of ``json.dumps(doc, sort_keys=True, indent=2)``,
-    written with ``"\\n"`` appended when ``path`` is given."""
-    out: list = []
-    _write(doc, 0, out)
+    each complex ndarray in it written as its nested ``[re, im]`` lists;
+    written with ``"\\n"`` appended when ``path`` is given.
+
+    The stdlib encoder writes the document. Its ``default`` hook takes the
+    complex arrays and returns None; the ``null`` chunk that follows that call
+    is replaced by the array's text, nested as deep as the last indentation.
+    """
+    arrays = []
+
+    def default(o):
+        if isinstance(o, np.ndarray) and o.dtype.kind == "c":
+            arrays.append(o)
+            return None
+        return json.JSONEncoder.default(encoder, o)
+
+    encoder = json.JSONEncoder(sort_keys=True, indent=2, default=default)
+    out = []
+    indent = ""
+    for chunk in encoder.iterencode(doc):
+        if arrays:
+            chunk = _array_text(arrays.pop(), len(indent.rpartition("\n")[2]) // 2)
+        elif "\n" in chunk:
+            indent = chunk
+        out.append(chunk)
     text = "".join(out)
     if path is not None:
         with open(path, "w") as fh:

@@ -9,7 +9,6 @@ made only by ``to_dense()``, for export and as the test oracle.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,20 +22,12 @@ NORM_TOL = 1e-10
 IMAG_TOL = 1e-10
 
 
-def hermitize(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Symmetrize (H + H^dag)/2, warning if the correction is significant."""
-    a = np.asarray(a, dtype=complex)
-    sym = (a + a.conj().T) / 2
-    drift = np.abs(a - sym).max() if a.size else 0.0
-    if drift > tol:
-        warnings.warn(f"hermitize corrected entries by up to {drift:.3e}", stacklevel=2)
-    return sym
-
-
 def assert_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("operator must be a square matrix")
+    if not np.isfinite(a).all():
+        raise ValueError("operator entries must be finite")
     if np.abs(a - a.conj().T).max() > tol:
         raise ValueError("operator is not Hermitian")
     return a
@@ -46,6 +37,8 @@ def assert_state(psi, tol: float = NORM_TOL) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValueError("state must be a vector")
+    if not np.isfinite(psi).all():
+        raise ValueError("state entries must be finite")
     if abs(np.linalg.norm(psi) - 1.0) > tol:
         raise ValueError("state is not normalized")
     return psi
@@ -260,6 +253,8 @@ def apply_circuit(inst: VqaInstance, phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (inst.layers,):
         raise ValueError(f"expected {inst.layers} angles, got {phi.shape}")
+    if not np.isfinite(phi).all():
+        raise ValueError("circuit angles must be finite")
     psi = inst.initial
     for h, angle in zip(inst.generators, phi):
         psi = h.apply_exp(psi, angle)

@@ -15,12 +15,12 @@ from vqalab.serialize import (
     dump_json,
     graph_to_json,
     instance_to_json,
-    matrix_to_json,
 )
 
 
 def matrix_from_json(data: list) -> np.ndarray:
-    """Inverse of `matrix_to_json`: nested [re, im] pairs to a complex array."""
+    """Inverse of `dump_json` on a complex matrix, read back by `json.loads`:
+    nested [re, im] pairs to a complex array."""
     return np.array([[complex(re, im) for re, im in row] for row in data])
 
 
@@ -42,7 +42,7 @@ class TestSerialize:
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(0)
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+        assert np.array_equal(matrix_from_json(json.loads(dump_json(m))), m)
 
     def test_graph_edges_one_indexed(self, k3):
         doc = graph_to_json(k3)
@@ -225,6 +225,21 @@ class TestLandscapeCommand:
         assert rc == 2
         assert "--axis COUNT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["qaoa-multi", "oracular"])
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--axis", "0:0:nan:3"],
+            ["--axis", "0:-inf:1:3"],
+            ["--axis", "0:0:1:3", "--fixed", "1=nan"],
+            ["--axis", "0:0:1:3", "--fixed", "1=inf"],
+        ],
+    )
+    def test_non_finite_axis_or_fixed_is_usage_error(self, family, flags, capsys):
+        rc = main(["landscape", "--family", family, "--random-graph", "2:1.0", *flags])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+
 
 class TestExportCommand:
     def test_export_schema_and_round_trip(self, k3_file, tmp_path, k3):
@@ -257,6 +272,15 @@ class TestExitCodes:
     def test_invalid_parameter_value(self, k3_file):
         # m=4 makes the mixer energies leave (-1, 1), which is rejected
         assert main(["verify", "--family", "qaoa1", "--graph", k3_file, "--m", "4"]) == 1
+
+    @pytest.mark.parametrize("command", ["verify", "export"])
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+    def test_tau_must_be_finite_and_positive(self, command, tau, capsys):
+        rc = main([command, "--family", "qaoa1", "--random-graph", "2:1.0", "--tau", tau])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "coupling tau must be finite and positive" in captured.err
 
     def test_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:

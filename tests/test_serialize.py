@@ -1,8 +1,8 @@
-"""`dump_json` against the stdlib encoder it replaces, and the [re, im] pair builders.
+"""`dump_json` against `json.dumps(doc, sort_keys=True, indent=2)`.
 
-`json.dumps(doc, sort_keys=True, indent=2)` is the oracle: the writer must
-give the same text for every JSON tree, and fail with `TypeError` where the
-stdlib does.
+The oracle sees each complex ndarray as its nested lists of
+`[float(x.real), float(x.imag)]` pairs: the writer must give the same text
+for every JSON tree, and fail with `TypeError` where the stdlib does.
 """
 
 import json
@@ -13,11 +13,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vqalab.serialize import dump_json, matrix_to_json, vector_to_json
+from vqalab.serialize import dump_json
+
+
+def as_pairs(doc):
+    """``doc`` with every complex ndarray as nested per-element [re, im] lists."""
+    if isinstance(doc, np.ndarray):
+        if doc.ndim > 1:
+            return [as_pairs(row) for row in doc]
+        return [[float(x.real), float(x.imag)] for x in doc]
+    if isinstance(doc, dict):
+        return {key: as_pairs(value) for key, value in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [as_pairs(item) for item in doc]
+    return doc
 
 
 def stdlib(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2)
+    return json.dumps(as_pairs(doc), sort_keys=True, indent=2)
 
 
 SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf]
@@ -29,20 +42,26 @@ numbers = st.one_of(
     st.integers(),
     st.integers(min_value=2**63, max_value=2**200),
 )
-scalars = st.one_of(st.none(), st.booleans(), numbers, st.text())
-# [re, im] pairs: plain finite floats take the writer's fast path, the rest
-# (NaN, infinities, np.float64, tuples) the generic one
+# strings that read like JSON text or like an array's place in it
+texts = st.one_of(st.text(), st.sampled_from(["null", "[]", "\n", "\x00", "\x000", "NaN"]))
+scalars = st.one_of(st.none(), st.booleans(), numbers, texts)
+# plain [re, im] lists, which the writer leaves to the stdlib
 pairs = st.one_of(
-    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2),
     st.lists(st.one_of(floats, floats.map(np.float64)), min_size=2, max_size=2),
     st.tuples(floats, floats),
 )
+# complex ndarrays of one or two axes, empty ones included
+complex_arrays = st.lists(st.integers(0, 3), min_size=1, max_size=2).flatmap(
+    lambda shape: st.lists(
+        st.tuples(floats, floats), min_size=math.prod(shape), max_size=math.prod(shape)
+    ).map(lambda xs: np.array([complex(re, im) for re, im in xs], dtype=complex).reshape(shape))
+)
 trees = st.recursive(
-    st.one_of(scalars, pairs),
+    st.one_of(scalars, pairs, complex_arrays),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(st.text(), children, max_size=5),
+        st.dictionaries(texts, children, max_size=5),
         st.dictionaries(st.integers(), children, max_size=3),
         st.dictionaries(floats, children, max_size=3),
     ),
@@ -71,6 +90,10 @@ def test_matches_stdlib_on_random_trees(doc):
         {None: 0},
         {0.5: "a", -0.0: "b", math.inf: "c"},
         {"a": [[[0.1, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]]]},
+        {"\x00": "\x000", "\x000": "\x00", "null": "null"},
+        np.array([complex(-0.0, math.nan), complex(math.inf, -math.inf), -0j]),
+        {"a": np.zeros(0, dtype=complex), "b": np.zeros((2, 0), dtype=complex), "c": [np.eye(2, dtype=complex)]},
+        [np.ones((2, 2), dtype=np.complex64), "null", np.array([0.1 + 0.2j])],
     ],
 )
 def test_matches_stdlib_on_edge_cases(doc):
@@ -86,11 +109,13 @@ def test_matches_stdlib_on_edge_cases(doc):
         {"a": {1, 2}},
         {(1, 2): 0},
         {1: 0, "a": 1},
+        {"a": np.ones(2)},
+        [np.arange(3)],
     ],
 )
 def test_unserializable_raises_type_error(doc):
     with pytest.raises(TypeError):
-        stdlib(doc)
+        json.dumps(doc, sort_keys=True, indent=2)
     with pytest.raises(TypeError):
         dump_json(doc)
 
@@ -103,17 +128,8 @@ def test_path_gets_text_and_newline(tmp_path):
     assert path.read_text() == text + "\n"
 
 
-complex_arrays = st.integers(1, 4).flatmap(
-    lambda n: st.lists(st.tuples(floats, floats), min_size=n * n, max_size=n * n).map(
-        lambda xs: np.array([complex(re, im) for re, im in xs]).reshape(n, n)
-    )
-)
-
-
 @given(complex_arrays)
 def test_pairs_are_the_per_element_floats(m):
-    """The tolist-built pairs hold the floats `float(x.real)`, `float(x.imag)`
-    would give, signed zeros and NaN included (compared through `repr`)."""
-    assert repr(matrix_to_json(m)) == repr([[[float(x.real), float(x.imag)] for x in row] for row in m])
-    assert repr(vector_to_json(m[0])) == repr([[float(x.real), float(x.imag)] for x in m[0]])
-    assert all(type(x) is float for row in matrix_to_json(m) for pair in row for x in pair)
+    """Read back, the text holds the floats `float(x.real)`, `float(x.imag)`,
+    signed zeros and NaN included (compared through `repr`)."""
+    assert repr(json.loads(dump_json(m))) == repr(as_pairs(m))

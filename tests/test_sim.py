@@ -11,7 +11,7 @@ from vqalab import (
     random_graph,
     spectral_extremes,
 )
-from vqalab.sim import assert_hermitian, hermitize
+from vqalab.sim import assert_hermitian, assert_state
 
 
 def random_hermitian(dim, rng):
@@ -93,6 +93,12 @@ class TestApplyCircuit:
         with pytest.raises(ValueError, match="angles"):
             apply_circuit(inst, np.zeros(2))
 
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle(self, x):
+        inst = self._instance(np.random.default_rng(3))
+        with pytest.raises(ValueError, match="finite"):
+            apply_circuit(inst, [0.1, x, 0.2])
+
 
 class TestExpectation:
     def test_identity_observable(self):
@@ -135,14 +141,21 @@ class TestSpectralExtremes:
 
 
 class TestConstruction:
-    def test_hermitize_warns_on_large_correction(self):
-        a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        with pytest.warns(UserWarning, match="corrected"):
-            hermitize(a)
-
     def test_assert_hermitian_tolerates_roundoff(self):
         a = np.array([[1.0, 0.5 + 1e-14], [0.5, 2.0]], dtype=complex)
         assert_hermitian(a, tol=1e-12)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_assert_hermitian_rejects_non_finite(self, x):
+        a = np.eye(2, dtype=complex)
+        a[0, 1] = a[1, 0] = x
+        with pytest.raises(ValueError, match="finite"):
+            assert_hermitian(a)
+
+    @pytest.mark.parametrize("x", [np.nan, np.inf])
+    def test_assert_state_rejects_non_finite(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            assert_state(np.array([x, 0.0]))
 
     def test_instance_requires_normalized_state(self):
         with pytest.raises(ValueError, match="normalized"):
