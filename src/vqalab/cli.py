@@ -147,7 +147,12 @@ def cmd_landscape(args) -> int:
     for idx, _, _, _ in axes:
         if not (0 <= idx < n_params):
             raise UsageError(f"axis index {idx} outside 0..{n_params - 1}")
-    grids = [np.linspace(lo, hi, count) for _, lo, hi, count in axes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        grids = [np.linspace(lo, hi, count) for _, lo, hi, count in axes]
+    # finite ends whose span overflows give infinite or NaN points
+    for spec, grid in zip(args.axis, grids):
+        if not np.isfinite(grid).all():
+            raise UsageError(f"--axis grid points must be finite, got {spec!r}")
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow([f"param_{idx}" for idx, *_ in axes] + ["value"])

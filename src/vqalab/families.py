@@ -16,7 +16,7 @@ import numpy as np
 
 from .fermions import FOCK_MAX_MODES, fermionic_vqa_instance, fock_bruteforce_expectation, gaussian_expectation
 from .graphs import maxcut_bruteforce
-from .landscape import mu, mu_gradient
+from .landscape import _mu, _mu_gradient
 from .optimize import reference_minimum
 from .reductions import (
     boosted_vqa_instance,
@@ -67,7 +67,10 @@ class Family:
 
     ``build(g, args)`` makes the instance. ``spectrum(g, maxcut, args, inst)``
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
-    is (objective, gradient or None, n_params). ``reference(g, maxcut, args,
+    is (objective, gradient or None, n_params); objective and gradient may
+    skip input checks, since their callers (descent from uniform start points,
+    the landscape command's checked grid) pass finite vectors of length
+    n_params. ``reference(g, maxcut, args,
     objective, best)`` is the ansatz minimum <O>_min; only a sampled
     reference may be lowered to the descent's best value ``best``.
     ``verify(g, args, inst, rng)`` maps each identity to its max residual.
@@ -76,7 +79,7 @@ class Family:
 
     build: Callable
     spectrum: Callable
-    landscape: Callable = lambda g, args, inst: ((lambda x: mu(g, x)), (lambda x: mu_gradient(g, x)), g.d)
+    landscape: Callable = lambda g, args, inst: ((lambda x: _mu(g, x)), (lambda x: _mu_gradient(g, x)), g.d)
     reference: Callable = lambda g, maxcut, args, objective, best: -float(maxcut)
     verify: Callable = _verify_mu
     needs_instance: bool = False
@@ -86,10 +89,10 @@ def _boosted_landscape(g, args, inst):
     k = args.k
 
     def f(x):
-        return -((-mu(g, x)) ** k)
+        return -((-_mu(g, x)) ** k)
 
     def grad(x):
-        return k * (-mu(g, x)) ** (k - 1) * mu_gradient(g, x)
+        return k * (-_mu(g, x)) ** (k - 1) * _mu_gradient(g, x)
 
     return f, grad, g.d
 

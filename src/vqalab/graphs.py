@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,10 +18,13 @@ class Graph:
     """Undirected, unweighted, loop-free graph given by its adjacency matrix.
 
     The adjacency matrix is symmetric, binary, has a vanishing diagonal and
-    at least one edge.
+    at least one edge. ``float_adjacency`` is its float64 copy and
+    ``adjacency_sum`` its entry sum, made once for the ``mu`` kernels.
     """
 
     adjacency: np.ndarray
+    float_adjacency: np.ndarray = field(init=False, repr=False)
+    adjacency_sum: float = field(init=False, repr=False)
 
     def __post_init__(self):
         a = np.asarray(self.adjacency, dtype=int)
@@ -37,6 +40,11 @@ class Graph:
             raise ValueError("graph must have at least one edge")
         a.setflags(write=False)
         object.__setattr__(self, "adjacency", a)
+        # exact: the entries are 0 and 1, so the cast changes no value
+        f = a.astype(float)
+        f.setflags(write=False)
+        object.__setattr__(self, "float_adjacency", f)
+        object.__setattr__(self, "adjacency_sum", float(a.sum()))
 
     @property
     def d(self) -> int:

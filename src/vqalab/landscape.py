@@ -15,10 +15,11 @@ DISCRETE_TOL = 1e-9
 
 
 def _check_phases(g: Graph, phi) -> np.ndarray:
+    """The checks of every public function here; the private kernels skip them."""
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (g.d,):
         raise ValueError(f"phase vector length {phi.shape} does not match d={g.d}")
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise ValueError("phase vector entries must be finite")
     return phi
 
@@ -26,16 +27,19 @@ def _check_phases(g: Graph, phi) -> np.ndarray:
 def reduce_phases(phi) -> np.ndarray:
     """Canonical reduction of angles into [0, 2*pi)."""
     phi = np.asarray(phi, dtype=float)
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise ValueError("phase vector entries must be finite")
     return np.mod(phi, 2 * np.pi)
 
 
-def mu(g: Graph, phi) -> float:
-    phi = _check_phases(g, phi)
+def _mu(g: Graph, phi: np.ndarray) -> float:
+    # unchecked: phi must be a finite float vector of length d
     c = np.cos(phi)
-    a = g.adjacency
-    return float((c @ a @ c - a.sum()) / 4)
+    return float((c @ g.float_adjacency @ c - g.adjacency_sum) / 4)
+
+
+def mu(g: Graph, phi) -> float:
+    return _mu(g, _check_phases(g, phi))
 
 
 def _sin_exact(phi: np.ndarray) -> np.ndarray:
@@ -46,9 +50,13 @@ def _sin_exact(phi: np.ndarray) -> np.ndarray:
     return s
 
 
+def _mu_gradient(g: Graph, phi: np.ndarray) -> np.ndarray:
+    # unchecked: phi must be a finite float vector of length d
+    return -0.5 * _sin_exact(phi) * (g.float_adjacency @ np.cos(phi))
+
+
 def mu_gradient(g: Graph, phi) -> np.ndarray:
-    phi = _check_phases(g, phi)
-    return -0.5 * _sin_exact(phi) * (g.adjacency @ np.cos(phi))
+    return _mu_gradient(g, _check_phases(g, phi))
 
 
 def mu_hessian(g: Graph, phi) -> np.ndarray:
@@ -95,7 +103,7 @@ def is_discrete_local_min(g: Graph, phi, tol: float = DISCRETE_TOL) -> bool:
     Flipping coordinate i changes mu by -c_i * (A c)_i, so the point is a
     local minimum iff c_i * (A c)_i <= 0 for all i.
     """
-    c = discrete_signs(phi, tol)
+    c = discrete_signs(_check_phases(g, phi), tol)
     return bool(np.all(c * (g.adjacency @ c) <= 0))
 
 

@@ -3,6 +3,7 @@ normalized error metrics (delta, delta_m, delta_o)."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -78,13 +79,13 @@ def gradient_descent(
         gradient = lambda x: finite_difference_gradient(objective, x, cfg.finite_diff_step)
     x = np.asarray(init, dtype=float).copy()
     fx = objective(x)
-    if not np.isfinite(fx):
+    if not math.isfinite(fx):
         raise ValueError(f"non-finite objective value {fx!r} at the initial point")
     trajectory = [float(fx)]
     converged = False
     for _ in range(cfg.max_iters):
         g = gradient(x)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a real vector
         if gnorm <= cfg.grad_tol:
             converged = True
             break
@@ -93,7 +94,7 @@ def gradient_descent(
         for _ in range(MAX_BACKTRACKS):
             cand = x - step * g
             fc = objective(cand)
-            if not np.isfinite(fc):
+            if not math.isfinite(fc):
                 raise ValueError(f"non-finite objective value {fc!r} during line search")
             if fc <= fx - ARMIJO_C * step * gnorm**2:
                 x, fx = cand, fc
@@ -104,7 +105,8 @@ def gradient_descent(
             break  # step underflow: no Armijo decrease available
         trajectory.append(float(fx))
     else:
-        converged = float(np.linalg.norm(gradient(x))) <= cfg.grad_tol
+        g = gradient(x)
+        converged = math.sqrt(g.dot(g)) <= cfg.grad_tol
     return DescentResult(value=float(fx), params=x, trajectory=trajectory, converged=converged)
 
 

@@ -311,6 +311,10 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise ValueError("coupling tau must be finite and positive")
+    # gamma's period 2*pi/tau bounds the verify sampler; pi/(2*tau), its
+    # quarter, is the grid reference point, so one check covers both
+    if not math.isfinite(2 * math.pi / tau):
+        raise ValueError(f"coupling tau={tau!r} too small: 2*pi/tau and pi/(2*tau) must be finite")
     d = g.d
     spec = ergodic_energies(d, m)
     if np.any(np.abs(spec.energies) >= 1):

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -240,6 +241,18 @@ class TestLandscapeCommand:
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["qaoa-multi", "oracular"])
+    @pytest.mark.parametrize("axis", ["1:-1e308:1e308:3", "1:-1e308:1e308:1", "0:-1.7e308:1.7e308:2"])
+    def test_overflowing_axis_span_is_usage_error(self, family, axis, capsys):
+        # finite ends, but np.linspace yields infinite or NaN points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["landscape", "--family", family, "--random-graph", "2:1.0", "--axis", "0:0:1:2", "--axis", axis])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--axis grid points must be finite" in captured.err
+
 
 class TestExportCommand:
     def test_export_schema_and_round_trip(self, k3_file, tmp_path, k3):
@@ -281,6 +294,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "coupling tau must be finite and positive" in captured.err
+
+    @pytest.mark.parametrize("command", ["verify", "optimize", "export"])
+    @pytest.mark.parametrize("tau", ["1e-320", "5e-324", "1e-308"])
+    def test_tau_with_infinite_period_fails(self, command, tau, capsys):
+        # 2*pi/tau overflows: the verify sampler and the grid reference need it
+        rc = main([command, "--family", "qaoa1", "--random-graph", "2:1.0", "--tau", tau])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "2*pi/tau and pi/(2*tau) must be finite" in captured.err
+
+    def test_tau_with_finite_period_exports(self, capsys):
+        assert main(["export", "--family", "qaoa1", "--random-graph", "2:1.0", "--tau", "1e-307"]) == 0
 
     def test_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:

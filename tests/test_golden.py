@@ -73,6 +73,18 @@ for _family, _extra in _EXTRAS.items():
         "landscape", "--family", _family, *_extra, "--random-graph", "2:1.0", "--axis", "0:0:6.2:7", "--seed", "1",
     ]
 
+# The optimize-descent benchmark's commands at its default and check seeds.
+for _family, _extra, _graph in (
+    ("oracular", [], "10:1.0"),
+    ("logdim", [], "8:1.0"),
+    ("fermion", [], "8:1.0"),
+    ("boosted", ["--k", "2"], "2:1.0"),
+):
+    for _seed in ("1", "2"):
+        CASES[f"optimize-descent-{_family}-seed{_seed}"] = [
+            "optimize", "--family", _family, *_extra, "--random-graph", _graph, "--restarts", "10", "--seed", _seed,
+        ]
+
 # Recorded with the dense-matrix implementation that the structured
 # operators replaced.
 DIGESTS = {
@@ -111,6 +123,17 @@ DIGESTS.update({
     "verify-single-layer": "9d1b0b996f3eb87cf8717dd930693b8588f6597bc25025c85994f34a5df5aabc",
 })
 
+# Recorded while descent still called the checked public mu and mu_gradient.
+DIGESTS.update({
+    "optimize-descent-boosted-seed1": "3a63baf9cd6b91f104962a8d4d2ecf8f9df6043113977f48e83d0e9293945a8a",
+    "optimize-descent-boosted-seed2": "9b81e28eb558dea996cb73259c77b197da9f3d8a25d266483c0fbb85f136af44",
+    "optimize-descent-fermion-seed1": "93c1242bc0ef4337b34a243d0018ca61acc9d35d0bb99d4bf4d69c2e991696d5",
+    "optimize-descent-fermion-seed2": "1a6f7e47e8145d012caf845d57a011eb8d58d4d02eaace7b916185ffdb38e576",
+    "optimize-descent-logdim-seed1": "af217c3a52e92fdec76f0815b3bccb981f191c88a2ce6eb804d9018064bf153e",
+    "optimize-descent-logdim-seed2": "f586a6c9e8ad96681596b8656a8e0753d512b29e2369d69c39b2c231da5e7fde",
+    "optimize-descent-oracular-seed1": "25e9b50954a2a85d5de62013f92f5ba564c01f7b35703995f1f08cb3d3944f38",
+    "optimize-descent-oracular-seed2": "e1d541f1bf3e80be71aedf8d761c18527c4993f790203b93515d60e7ebd7d05d",
+})
 
 # Raw stdout, recorded with the stdlib's ``json.dumps(sort_keys=True, indent=2)``
 # as the writer.

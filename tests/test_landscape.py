@@ -1,7 +1,11 @@
+import math
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_difference_gradient, central_difference_hessian
 from vqalab import (
@@ -14,10 +18,15 @@ from vqalab import (
     reduce_phases,
     round_to_discrete,
 )
+from vqalab.families import FAMILIES
 from vqalab.landscape import (
+    _mu,
+    _mu_gradient,
+    _sin_exact,
     discrete_signs,
     phases_from_assignment,
 )
+from vqalab.optimize import OptimizerConfig, gradient_descent
 
 
 class TestMu:
@@ -158,3 +167,83 @@ class TestPhaseHelpers:
     def test_assignment_round_trip(self):
         v = np.array([1, -1, -1, 1])
         assert np.array_equal(discrete_signs(phases_from_assignment(v)), v)
+
+
+# Reference: mu, mu_gradient and mu_hessian as products with the integer
+# adjacency. The kernels read Graph's float copy and must match bit for bit.
+def int_adjacency_mu(g, phi):
+    c = np.cos(phi)
+    a = g.adjacency
+    return float((c @ a @ c - a.sum()) / 4)
+
+
+def int_adjacency_gradient(g, phi):
+    return -0.5 * _sin_exact(phi) * (g.adjacency @ np.cos(phi))
+
+
+def int_adjacency_hessian(g, phi):
+    c, s = np.cos(phi), _sin_exact(phi)
+    h = 0.5 * g.adjacency * np.outer(s, s)
+    np.fill_diagonal(h, -0.5 * c * (g.adjacency @ c))
+    return h
+
+
+def bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+KERNEL_SETTINGS = settings(max_examples=200, deadline=None)
+phase = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.integers(-300, 300).map(lambda k: k * np.pi),
+    st.just(-0.0),
+)
+
+
+@st.composite
+def graphs_and_phases(draw):
+    # d starts at 2: a one-vertex graph has no edge, which Graph rejects
+    d = draw(st.integers(2, 20))
+    g = random_graph(d, draw(st.sampled_from([0.1, 0.3, 1.0])), draw(st.integers(0, 2**32 - 1)))
+    return g, np.array(draw(st.lists(phase, min_size=d, max_size=d)), dtype=float)
+
+
+class TestUncheckedKernels:
+    @KERNEL_SETTINGS
+    @given(case=graphs_and_phases())
+    def test_bit_identical_to_integer_adjacency_expressions(self, case):
+        g, phi = case
+        value, gradient = int_adjacency_mu(g, phi), int_adjacency_gradient(g, phi)
+        assert bits(_mu(g, phi)) == bits(mu(g, phi)) == bits(value)
+        assert bits(_mu_gradient(g, phi)) == bits(mu_gradient(g, phi)) == bits(gradient)
+        assert bits(mu_hessian(g, phi)) == bits(int_adjacency_hessian(g, phi))
+
+    @KERNEL_SETTINGS
+    @given(case=graphs_and_phases())
+    def test_descent_norm_is_numpy_norm(self, case):
+        g, phi = case
+        for v in (_mu_gradient(g, phi), phi):
+            assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
+
+    def test_float_adjacency_is_read_only_copy(self, k3):
+        assert k3.float_adjacency.dtype == np.float64
+        assert np.array_equal(k3.float_adjacency, k3.adjacency)
+        assert k3.adjacency_sum == 6.0
+        with pytest.raises(ValueError):
+            k3.float_adjacency[0, 1] = 0.0
+
+    @pytest.mark.parametrize("family", ["oracular", "boosted"])
+    def test_descent_from_non_finite_start_raises(self, family, c5):
+        objective, gradient, n = FAMILIES[family].landscape(c5, SimpleNamespace(k=2), None)
+        start = np.zeros(n)
+        start[2] = np.nan
+        with pytest.raises(ValueError, match="non-finite objective"):
+            gradient_descent(objective, start, OptimizerConfig(), gradient)
+
+    @pytest.mark.parametrize("public", [mu, mu_gradient, mu_hessian, round_to_discrete, is_discrete_local_min])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_public_functions_check_their_input(self, public, bad, k3):
+        with pytest.raises(ValueError, match="must be finite"):
+            public(k3, [0.0, bad, np.pi])
+        with pytest.raises(ValueError, match="does not match"):
+            public(k3, [0.0, np.pi])
