@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from itertools import product
@@ -156,11 +157,18 @@ def cmd_landscape(args) -> int:
     out = open(args.out, "w", newline="") if args.out else sys.stdout
     writer = csv.writer(out)
     writer.writerow([f"param_{idx}" for idx, *_ in axes] + ["value"])
-    for point in product(*grids):
-        x = base.copy()
-        for (idx, *_), t in zip(axes, point):
-            x[idx] = t
-        writer.writerow([f"{t:.12g}" for t in point] + [f"{objective(x):.12g}"])
+    # the unchecked objectives overflow at a few finite points (single-layer
+    # phases E_i * t past the float range); the value check reports those
+    with np.errstate(over="ignore", invalid="ignore"):
+        for point in product(*grids):
+            x = base.copy()
+            for (idx, *_), t in zip(axes, point):
+                x[idx] = t
+            value = objective(x)
+            coords = [f"{t:.12g}" for t in point]
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite objective value {value} at ({', '.join(coords)})")
+            writer.writerow(coords + [f"{value:.12g}"])
     if args.out:
         out.close()
     return 0

@@ -19,7 +19,12 @@ from .graphs import maxcut_bruteforce
 from .landscape import _mu, _mu_gradient
 from .optimize import reference_minimum
 from .reductions import (
+    _qaoa1_value,
+    _qaoa1_values,
+    _single_layer_value,
+    _single_layer_values,
     boosted_vqa_instance,
+    ergodic_energies,
     logdim_observable,
     logdim_vqa_instance,
     multilayer_encoding,
@@ -70,7 +75,7 @@ class Family:
     is (objective, gradient or None, n_params); objective and gradient may
     skip input checks, since their callers (descent from uniform start points,
     the landscape command's checked grid) pass finite vectors of length
-    n_params. ``reference(g, maxcut, args,
+    n_params and reject a non-finite value. ``reference(g, maxcut, args,
     objective, best)`` is the ansatz minimum <O>_min; only a sampled
     reference may be lowered to the descent's best value ``best``.
     ``verify(g, args, inst, rng)`` maps each identity to its max residual.
@@ -122,15 +127,36 @@ def _grid_span(g, args) -> float:
     return float(args.m) ** min(g.d, 3)
 
 
-def _grid_reference(point):
+def _energies(g, args):
+    """The ergodic energies that the single-layer and qaoa1 instances carry."""
+    return ergodic_energies(g.d, args.m).energies
+
+
+def _grid_reference(point, batch):
     """reference: the grid minimum along t -> point(t, args), lowered to the
-    descent's best value where the grid missed the minimum."""
+    descent's best value where the grid missed the minimum. ``batch(g, args,
+    ts)`` is the objective at point(t, args) for each t in ts, up to rounding."""
 
     def reference(g, maxcut, args, objective, best):
-        grid = reference_minimum(lambda t: objective(point(t, args)), (0.0, _grid_span(g, args)), args.grid_samples)
+        grid = reference_minimum(
+            lambda t: objective(point(t, args)),
+            lambda ts: batch(g, args, ts),
+            (0.0, _grid_span(g, args)),
+            args.grid_samples,
+        )
         return min(grid, best)
 
     return reference
+
+
+def _single_layer_landscape(g, args, inst):
+    energies = _energies(g, args)
+    return (lambda x: _single_layer_value(g, energies, x[0])), None, 1
+
+
+def _qaoa1_landscape(g, args, inst):
+    energies, tau = _energies(g, args), args.tau
+    return (lambda x: _qaoa1_value(g, energies, tau, x[0], x[1])), None, 2
 
 
 def _verify_qaoa1(g, args, inst, rng):
@@ -195,16 +221,22 @@ FAMILIES = {
     "single-layer": Family(
         build=lambda g, args: single_layer_instance(g, args.m),
         spectrum=_logdim_spectrum,
-        landscape=lambda g, args, inst: ((lambda x: inst.closed_form(x[0])), None, 1),
-        reference=_grid_reference(lambda t, args: np.array([t])),
+        landscape=_single_layer_landscape,
+        reference=_grid_reference(
+            lambda t, args: np.array([t]),
+            lambda g, args, ts: _single_layer_values(g, _energies(g, args), ts),
+        ),
         verify=_closed_form_check(lambda g, args, rng: rng.uniform(0, _grid_span(g, args), 1)),
         needs_instance=True,
     ),
     "qaoa1": Family(
         build=lambda g, args: qaoa_single_layer_instance(g, args.tau, args.m),
         spectrum=_qaoa_spectrum,
-        landscape=lambda g, args, inst: ((lambda x: inst.closed_form(x[0], x[1])), None, 2),
-        reference=_grid_reference(lambda b, args: np.array([b, np.pi / (2 * args.tau)])),
+        landscape=_qaoa1_landscape,
+        reference=_grid_reference(
+            lambda b, args: np.array([b, np.pi / (2 * args.tau)]),
+            lambda g, args, bs: _qaoa1_values(g, _energies(g, args), args.tau, bs, np.pi / (2 * args.tau)),
+        ),
         verify=_verify_qaoa1,
         needs_instance=True,
     ),

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
-from .landscape import mu, reduce_phases
+from .landscape import _check_phases, _mu, mu, reduce_phases
 from .sim import (
     DENSE_MAX_QUBITS,
     Dense,
@@ -186,7 +186,16 @@ def ergodic_energies(n: int, m: int) -> ErgodicSpectrum:
         raise ValueError("base m must be >= 2")
     if n < 1:
         raise ValueError("need at least one energy")
-    energies = 2 * np.pi / (float(m) ** np.arange(1, n + 1))
+    overflow = ValueError(f"base m is too large: m^{n} overflows a float")
+    try:
+        base = float(m)
+    except OverflowError:
+        raise overflow from None
+    with np.errstate(over="ignore"):
+        powers = base ** np.arange(1, n + 1)
+    if not np.isfinite(powers[-1]):
+        raise overflow
+    energies = 2 * np.pi / powers
     energies.setflags(write=False)
     return ErgodicSpectrum(m=m, energies=energies, epsilon=4 * np.pi / m)
 
@@ -229,6 +238,21 @@ def ergodic_phase_errors(phi, spec: ErgodicSpectrum, t: int) -> np.ndarray:
     return errs
 
 
+def _mu_rows(g: Graph, c: np.ndarray) -> np.ndarray:
+    """landscape._mu of each row of phases, given the rows' cosines c."""
+    return (np.einsum("ij,ij->i", c @ g.float_adjacency, c) - g.adjacency_sum) / 4
+
+
+def _single_layer_value(g: Graph, energies: np.ndarray, t: float) -> float:
+    # unchecked: energies * t must be finite
+    return _mu(g, energies * t)
+
+
+def _single_layer_values(g: Graph, energies: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    # unchecked: _single_layer_value at each time in ts, up to rounding
+    return _mu_rows(g, np.cos(np.multiply.outer(ts, energies)))
+
+
 def single_layer_instance(g: Graph, m: int) -> VqaInstance:
     """L=1 instance: the log-dimension observable with one generator carrying
     the ergodic spectrum, so a single time parameter scans all phases."""
@@ -242,7 +266,8 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
 
     def closed_form(phi):
         t = float(np.atleast_1d(np.asarray(phi, dtype=float))[0])
-        return mu(g, energies * t)
+        _check_phases(g, energies * t)
+        return _single_layer_value(g, energies, t)
 
     return VqaInstance(
         initial=psi0,
@@ -303,6 +328,26 @@ def qaoa_apply(inst: VqaInstance, beta, gamma) -> tuple[np.ndarray, float]:
     return psi, expectation(psi, inst.observable)
 
 
+def _qaoa1_value(g: Graph, energies: np.ndarray, tau: float, beta: float, gamma: float) -> float:
+    # unchecked: energies * beta must be finite. f is landscape._mu's formula
+    # on the cosines, so it is bit for bit mu(g, energies * beta).
+    c = np.cos(energies * beta)
+    f = float((c @ g.float_adjacency @ c - g.adjacency_sum) / 4)
+    gfun = -math.sin(beta) / g.d * float(c.sum())
+    return (
+        math.sin(tau * gamma) ** 2 * f
+        + 2 * tau * math.cos(tau * gamma) * math.sin(tau * gamma) * gfun
+    )
+
+
+def _qaoa1_values(g: Graph, energies: np.ndarray, tau: float, betas: np.ndarray, gamma: float) -> np.ndarray:
+    # unchecked: _qaoa1_value at each beta in betas and one gamma, up to rounding
+    c = np.cos(np.multiply.outer(betas, energies))
+    gfun = -np.sin(betas) / g.d * c.sum(axis=1)
+    s, co = math.sin(tau * gamma), math.cos(tau * gamma)
+    return s**2 * _mu_rows(g, c) + 2 * tau * co * s * gfun
+
+
 def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
     """Single-layer QAOA on C^(2d+1) hiding the ergodic-spectrum landscape.
 
@@ -335,12 +380,8 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
     energies = spec.energies
 
     def closed_form(beta: float, gamma: float) -> float:
-        f = mu(g, energies * beta)
-        gfun = -math.sin(beta) / d * float(np.cos(energies * beta).sum())
-        return (
-            math.sin(tau * gamma) ** 2 * f
-            + 2 * tau * math.cos(tau * gamma) * math.sin(tau * gamma) * gfun
-        )
+        _check_phases(g, energies * beta)
+        return _qaoa1_value(g, energies, tau, beta, gamma)
 
     return _qaoa_instance(hb, hc, 1, psi0, closed_form, "qaoa1", g)
 

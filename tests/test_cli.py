@@ -253,6 +253,17 @@ class TestLandscapeCommand:
         assert captured.out == ""
         assert "--axis grid points must be finite" in captured.err
 
+    def test_non_finite_value_fails(self, capsys):
+        # with m = 2 the phase E_1 * t = pi * t overflows at t = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["landscape", "--family", "single-layer", "--m", "2", "--random-graph", "3:1.0",
+                       "--axis", "0:0:1e308:2"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out.splitlines() == ["param_0,value", "0,0"]
+        assert "non-finite objective value nan at (1e+308)" in captured.err
+
 
 class TestExportCommand:
     def test_export_schema_and_round_trip(self, k3_file, tmp_path, k3):
@@ -307,6 +318,21 @@ class TestExitCodes:
 
     def test_tau_with_finite_period_exports(self, capsys):
         assert main(["export", "--family", "qaoa1", "--random-graph", "2:1.0", "--tau", "1e-307"]) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "optimize", "landscape", "export"])
+    @pytest.mark.parametrize("family", ["single-layer", "qaoa1"])
+    @pytest.mark.parametrize("m", [10**110, 10**400], ids=["m^3-overflows", "m-overflows"])
+    def test_base_m_too_large_fails(self, command, family, m, capsys):
+        argv = [command, "--family", family, "--random-graph", "3:1.0", "--m", str(m)]
+        if command == "landscape":
+            argv += ["--axis", "0:0:1:2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "base m is too large: m^3 overflows a float" in captured.err
 
     def test_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:

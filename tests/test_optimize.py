@@ -157,17 +157,28 @@ class TestReferenceMinimum:
         assert self.reference("qaoa-multi", k3, 2) == pytest.approx(1 - 4 / 3)
 
     def test_grid_family(self):
-        ref = reference_minimum(lambda t: (t - 1.0) ** 2 - 2.0, (0.0, 2.0), 10_001)
+        f = lambda t: (t - 1.0) ** 2 - 2.0
+        ref = reference_minimum(f, f, (0.0, 2.0), 10_001)
         assert ref == pytest.approx(-2.0, abs=1e-6)
 
     @pytest.mark.parametrize("family", ["single-layer", "qaoa1"])
-    def test_grid_families_sample_and_lower_to_descent(self, family, k3):
-        # the grid runs over t in [0, m^min(d, 3)) along the first parameter
+    def test_grid_families_sample_and_lower_to_descent(self, family):
+        # on K4 the grid runs over t in [0, m^min(d, 3)] = [0, 512], not
+        # [0, m^d], along the first parameter; the scalar closed form on that
+        # span is the oracle
+        k4 = random_graph(4, 1.0, 0)
         args = SimpleNamespace(m=8, tau=0.5, grid_samples=11)
-        objective = lambda x: -float(x[0])
+        inst = FAMILIES[family].build(k4, args)
+        objective, _, _ = FAMILIES[family].landscape(k4, args, inst)
+        if family == "single-layer":
+            scalar = lambda t: inst.closed_form(t)
+        else:
+            scalar = lambda t: inst.closed_form(t, np.pi / (2 * args.tau))
+        grid_min = min(scalar(t) for t in np.linspace(0.0, 512.0, 11))
+        assert grid_min != min(scalar(t) for t in np.linspace(0.0, 4096.0, 11))
         reference = FAMILIES[family].reference
-        assert reference(k3, 2, args, objective, 0.0) == -512.0
-        assert reference(k3, 2, args, objective, -600.0) == -600.0
+        assert reference(k4, 4, args, objective, 0.0) == grid_min
+        assert reference(k4, 4, args, objective, grid_min - 1.0) == grid_min - 1.0
 
 
 class TestErrorMetrics:

@@ -139,6 +139,13 @@ class TestErgodicSpectrum:
         assert ergodic_energies(3, 16).epsilon == pytest.approx(np.pi / 4)
         assert np.allclose(ergodic_energies(1, 2).energies, [np.pi])
 
+    def test_rejects_base_whose_power_overflows(self):
+        # m^n past the float range would give a zero energy, a degenerate spectrum
+        assert ergodic_energies(2, 10**110).energies[-1] == pytest.approx(2 * np.pi / 1e220, rel=1e-15)
+        for n, m in [(3, 10**110), (1, 10**400), (2, 2**1023)]:
+            with pytest.raises(ValueError, match=f"m\\^{n} overflows"):
+                ergodic_energies(n, m)
+
     def test_modnorm_range(self):
         for x in np.linspace(-20, 20, 101):
             assert 0 <= modnorm(x) <= np.pi + 1e-12
