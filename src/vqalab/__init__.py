@@ -26,7 +26,6 @@ from .sim import (
     VqaInstance,
     apply_circuit,
     expectation,
-    herm_exp,
     simulate_expectation,
     spectral_extremes,
 )
@@ -51,14 +50,13 @@ from .fermions import (
     fermion_expectation,
     fermionic_vqa_instance,
     fock_bruteforce_expectation,
+    fock_system,
     gaussian_expectation,
     ground_covariance,
-    thermal_covariance,
 )
 from .optimize import (
     OptimizerConfig,
     OptimizationReport,
-    discrete_local_search,
     error_metrics,
     gradient_descent,
     multistart,

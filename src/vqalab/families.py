@@ -14,7 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .fermions import FOCK_MAX_MODES, fermionic_vqa_instance, fock_bruteforce_expectation, gaussian_expectation
+from .fermions import (
+    FOCK_MAX_MODES,
+    fermionic_vqa_instance,
+    fock_bruteforce_expectation,
+    fock_system,
+    gaussian_expectation,
+)
 from .graphs import maxcut_bruteforce
 from .landscape import _mu, _mu_gradient
 from .optimize import reference_minimum
@@ -190,7 +196,7 @@ def _verify_qaoa_multi(g, args, inst, rng):
 def _fermion_spectrum(g, maxcut, args, inst):
     # Fock-space spectrum of a quadratic observable: extreme sums of
     # positive / negative coefficient eigenvalues.
-    vals = np.linalg.eigvalsh(inst.o)
+    vals = np.linalg.eigvalsh(logdim_observable(g))
     return float(vals[vals < 0].sum()), float(vals[vals > 0].sum())
 
 
@@ -198,9 +204,10 @@ def _verify_fermion(g, args, inst, rng):
     draw = lambda: rng.uniform(0, 2 * np.pi, g.d)
     gaussian = lambda phi: gaussian_expectation(inst, phi)
     residuals = {"closed-form-vs-covariance-pipeline": _max_residual(args.samples, draw, gaussian, inst.closed_form)}
-    if inst.n_modes <= FOCK_MAX_MODES:
+    if inst.dim <= FOCK_MAX_MODES:
+        fock = fock_system(inst)
         residuals["covariance-vs-fock-oracle"] = _max_residual(
-            min(args.samples, 10), draw, gaussian, lambda phi: fock_bruteforce_expectation(inst, phi)
+            min(args.samples, 10), draw, gaussian, lambda phi: fock_bruteforce_expectation(fock, phi)
         )
     return residuals
 
@@ -227,7 +234,6 @@ FAMILIES = {
             lambda g, args, ts: _single_layer_values(g, _energies(g, args), ts),
         ),
         verify=_closed_form_check(lambda g, args, rng: rng.uniform(0, _grid_span(g, args), 1)),
-        needs_instance=True,
     ),
     "qaoa1": Family(
         build=lambda g, args: qaoa_single_layer_instance(g, args.tau, args.m),
@@ -252,6 +258,5 @@ FAMILIES = {
         build=lambda g, args: fermionic_vqa_instance(g),
         spectrum=_fermion_spectrum,
         verify=_verify_fermion,
-        needs_instance=True,
     ),
 }

@@ -2,39 +2,22 @@
 and a full Fock-space brute-force oracle.
 
 Quadratic operators sum h_ij c_i^dag c_j are represented by their n x n
-Hermitian coefficient matrices; all simulation happens at that level except
-for the independent 2^n Fock-space oracle.
+Hermitian coefficient matrices, held as Operators; all simulation happens at
+that level except for the independent 2^n Fock-space oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import cached_property
 
 import numpy as np
 
 from .graphs import Graph
 from .landscape import mu
-from .sim import IMAG_TOL, assert_hermitian
+from .sim import IMAG_TOL, VqaInstance, _as_operator, assert_hermitian
 
 FOCK_MAX_MODES = 8
-COVARIANCE_TOL = 1e-9
-
-
-def thermal_covariance(h, beta: float) -> np.ndarray:
-    """Covariance Gamma_ij = <c_j^dag c_i> of the thermal state of h.
-
-    Per-eigenvalue occupation is the Fermi-Dirac filling 1/(exp(beta*lam)+1),
-    so negative-energy modes are occupied in the zero-temperature limit.
-    """
-    h = assert_hermitian(h)
-    if not (beta >= 0 and math.isfinite(beta)):
-        raise ValueError("inverse temperature must be finite and nonnegative")
-    vals, vecs = np.linalg.eigh(h)
-    with np.errstate(over="ignore"):
-        occ = 1.0 / (np.exp(beta * vals) + 1.0)
-    return (vecs * occ) @ vecs.conj().T
 
 
 def ground_covariance(h, zero_tol: float = 1e-12) -> np.ndarray:
@@ -48,18 +31,19 @@ def ground_covariance(h, zero_tol: float = 1e-12) -> np.ndarray:
 
 def evolve_coefficient(o, generators, phi) -> np.ndarray:
     """Heisenberg evolution of the observable's coefficient matrix:
-    o(phi) = e^{i h_L phi_L} ... e^{i h_1 phi_1} o e^{-i h_1 phi_1} ... e^{-i h_L phi_L}.
+    o(phi) = w o w^dag with w = e^{i h_L phi_L} ... e^{i h_1 phi_1}.
+
+    Generators are Operators (matrices are wrapped as Dense); w is the
+    identity, its columns passed through every ``apply_exp(., -phi)``.
     """
     o = assert_hermitian(o)
+    gens = [_as_operator(h) for h in generators]
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (len(generators),):
+    if phi.shape != (len(gens),):
         raise ValueError("angle count does not match generator count")
     w = np.eye(o.shape[0], dtype=complex)
-    for h, angle in zip(generators, phi):
-        h = assert_hermitian(h)
-        vals, vecs = np.linalg.eigh(h)
-        u = (vecs * np.exp(1j * vals * angle)) @ vecs.conj().T
-        w = u @ w
+    for h, angle in zip(gens, phi):
+        w = h.apply_exp(w, -angle)
     return w @ o @ w.conj().T
 
 
@@ -77,60 +61,45 @@ def fermion_expectation(o, gamma) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class FermionInstance:
-    """Initial-state Hamiltonian, generators and observable, all as
-    coefficient matrices over the same modes."""
+class FermionInstance(VqaInstance):
+    """A VqaInstance over modes: ``initial`` is the Hermitian coefficient
+    matrix h0 whose ground state the circuit starts from, and generators and
+    observable act on the coefficient space; ``dim`` is the mode count."""
 
-    h0: np.ndarray
-    generators: tuple
-    o: np.ndarray
-    closed_form: Optional[Callable] = None
     family: str = "fermion"
-    graph: Optional[Graph] = None
+    kind: str = "fermion"
 
-    def __post_init__(self):
-        h0 = assert_hermitian(self.h0)
-        o = assert_hermitian(self.o)
-        gens = tuple(assert_hermitian(h) for h in self.generators)
-        dims = {h0.shape[0], o.shape[0], *(h.shape[0] for h in gens)}
-        if len(dims) != 1:
-            raise ValueError("all mode counts must be equal")
-        object.__setattr__(self, "h0", h0)
-        object.__setattr__(self, "o", o)
-        object.__setattr__(self, "generators", gens)
+    _check_initial = staticmethod(assert_hermitian)
 
-    @property
-    def n_modes(self) -> int:
-        return self.h0.shape[0]
-
-    @property
-    def layers(self) -> int:
-        return len(self.generators)
+    @cached_property
+    def covariance(self) -> np.ndarray:
+        """Ground covariance of h0, computed on first use."""
+        return ground_covariance(self.initial)
 
 
 def gaussian_expectation(inst: FermionInstance, phi) -> float:
     """Covariance-pipeline expectation: evolve o, contract with the ground
     covariance of h0."""
-    o_phi = evolve_coefficient(inst.o, inst.generators, phi)
-    return fermion_expectation(o_phi, ground_covariance(inst.h0))
+    o_phi = evolve_coefficient(inst.observable.to_dense(), inst.generators, phi)
+    return fermion_expectation(o_phi, inst.covariance)
 
 
 def fermionic_vqa_instance(g: Graph) -> FermionInstance:
     """Free-fermion encoding of the continuous MaxCut landscape on 2d modes.
 
-    Reuses the log-dimension observable as the coefficient matrix, pairs each
-    vertex with two opposite-sign modes, and picks h0 = 1 - 2*J/n so the
-    uniform mode is the unique negative-energy mode (covariance J/n).
+    Reuses the log-dimension generators and observable as coefficient
+    matrices, pairing each vertex with two opposite-sign modes, and picks
+    h0 = 1 - 2*J/n so the uniform mode is the unique negative-energy mode
+    (covariance J/n).
     """
-    from .reductions import logdim_generators, logdim_observable
+    from .reductions import _logdim_generators, logdim_observable
 
-    d = g.d
-    n = 2 * d
+    n = 2 * g.d
     h0 = np.eye(n, dtype=complex) - 2 * np.ones((n, n), dtype=complex) / n
     return FermionInstance(
-        h0=h0,
-        generators=logdim_generators(d),
-        o=logdim_observable(g),
+        initial=h0,
+        generators=_logdim_generators(g.d),
+        observable=logdim_observable(g),
         closed_form=lambda phi: mu(g, phi),
         graph=g,
     )
@@ -182,12 +151,6 @@ def fock_ground_state(h_full: np.ndarray, degeneracy_tol: float = 1e-10) -> np.n
     return (p @ p.conj().T) / int(mask.sum())
 
 
-def fock_thermal_state(h_full: np.ndarray, beta: float) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(h_full)
-    w = np.exp(-beta * (vals - vals[0]))
-    return (vecs * (w / w.sum())) @ vecs.conj().T
-
-
 def fock_covariance(rho: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:
     """Correlation matrix Gamma_ij = Tr[c_j^dag c_i rho] from a Fock density matrix."""
     n = len(cs)
@@ -198,27 +161,36 @@ def fock_covariance(rho: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:
     return gamma
 
 
-def fock_bruteforce_expectation(inst: FermionInstance, phi) -> float:
-    """Independent oracle: exact 2^n simulation of the circuit on the Fock space.
+def fock_system(inst: FermionInstance) -> tuple:
+    """The instance on the 2^n Fock space, built once for the oracle:
+    (rho, observable, spectra), where rho is the ground state of h0 and
+    spectra holds the (eigenvalues, eigenvectors) of each generator.
+
+    Dense and independent of the coefficient pipeline: it reads the
+    operators only through ``to_dense()``.
+    """
+    cs = annihilation_operators(inst.dim)
+    rho = fock_ground_state(second_quantized(inst.initial, cs))
+    obs = second_quantized(inst.observable.to_dense(), cs)
+    spectra = tuple(np.linalg.eigh(second_quantized(h.to_dense(), cs)) for h in inst.generators)
+    return rho, obs, spectra
+
+
+def fock_bruteforce_expectation(fock: tuple, phi) -> float:
+    """Independent oracle: exact 2^n simulation of the circuit on the Fock
+    space of ``fock = fock_system(inst)``.
 
     The circuit is applied so that Tr[O rho(phi)] matches the Heisenberg
     coefficient evolution order of :func:`evolve_coefficient`.
     """
-    n = inst.n_modes
-    if n > FOCK_MAX_MODES:
-        raise ValueError(f"{n} modes exceed the Fock oracle limit {FOCK_MAX_MODES}")
+    rho, obs, spectra = fock
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (inst.layers,):
+    if phi.shape != (len(spectra),):
         raise ValueError("angle count does not match generator count")
-    cs = annihilation_operators(n)
-    rho = fock_ground_state(second_quantized(inst.h0, cs))
-    obs = second_quantized(inst.o, cs)
     # U = U_1(phi_1) ... U_L(phi_L): U_L hits the state first, which is the
     # adjoint of the coefficient-level product used by evolve_coefficient.
-    u = np.eye(1 << n, dtype=complex)
-    for h, angle in zip(inst.generators, phi):
-        h_full = second_quantized(h, cs)
-        vals, vecs = np.linalg.eigh(h_full)
+    u = np.eye(rho.shape[0], dtype=complex)
+    for (vals, vecs), angle in zip(spectra, phi):
         u = u @ ((vecs * np.exp(-1j * vals * angle)) @ vecs.conj().T)
     rho = u @ rho @ u.conj().T
     val = np.trace(obs @ rho)

@@ -1,4 +1,4 @@
-"""Gradient descent with multistart, discrete local search, and the
+"""Gradient descent with multistart, the sampled reference minimum, and the
 normalized error metrics (delta, delta_m, delta_o)."""
 
 from __future__ import annotations
@@ -8,9 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .graphs import Graph, maxcut_greedy
-from .landscape import phases_from_assignment
 
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
@@ -142,13 +139,6 @@ def multistart(
         trajectories=trajectories,
         converged=flags,
     )
-
-
-def discrete_local_search(g: Graph, seed: int) -> tuple[float, np.ndarray]:
-    """Greedy cut search seen through the angle correspondence v_i = cos(phi_i);
-    returns (mu value, discrete phase vector)."""
-    value, witness, _ = maxcut_greedy(g, seed)
-    return -float(value), phases_from_assignment(witness)
 
 
 def reference_minimum(

@@ -21,6 +21,7 @@ from .sim import (
     Diagonal,
     SiteRotation,
     VqaInstance,
+    _as_operator,
     apply_circuit,
     assert_hermitian,
     assert_state,
@@ -133,18 +134,13 @@ def logdim_observable(g: Graph) -> np.ndarray:
     return obs.astype(complex)
 
 
-def _logdim_diagonals(d: int) -> np.ndarray:
-    """Row i is the diagonal of |2i-1><2i-1| - |2i><2i| (1-indexed pairs)."""
+def _logdim_generators(d: int) -> tuple:
+    """Generator i is |2i-1><2i-1| - |2i><2i| on C^(2d) (1-indexed pairs)."""
     diags = np.zeros((d, 2 * d))
     for i in range(d):
         diags[i, 2 * i] = 1.0
         diags[i, 2 * i + 1] = -1.0
-    return diags
-
-
-def logdim_generators(d: int) -> tuple:
-    """The log-dimension generators as dense matrices."""
-    return tuple(np.diag(v).astype(complex) for v in _logdim_diagonals(d))
+    return tuple(Diagonal(v) for v in diags)
 
 
 def logdim_vqa_instance(g: Graph) -> VqaInstance:
@@ -152,7 +148,7 @@ def logdim_vqa_instance(g: Graph) -> VqaInstance:
     psi0 = np.full(2 * d, 1 / math.sqrt(2 * d), dtype=complex)
     return VqaInstance(
         initial=psi0,
-        generators=tuple(Diagonal(v) for v in _logdim_diagonals(d)),
+        generators=_logdim_generators(d),
         observable=logdim_observable(g),
         closed_form=lambda phi: mu(g, phi),
         family="logdim",
@@ -282,30 +278,26 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
 # ---------------------------------------------------------------------------
 # QAOA instances
 
-QAOA_FAMILIES = ("qaoa1", "qaoa-multi")
-
-
-def _qaoa_instance(hb, hc, layers: int, initial, closed_form, family: str, g: Graph) -> VqaInstance:
+def _qaoa_instance(mixer, hc, layers: int, initial, closed_form, family: str, g: Graph) -> VqaInstance:
     """QAOA as a VqaInstance: generators (cost, mixer) * layers, observable
     the cost, initial state the mixer ground state.
 
-    The two Dense operators are shared by every layer, so each is
-    diagonalised once: the mixer here, for the ground-state check, and the
-    cost on first use.
+    ``mixer`` is an Operator or a Hermitian matrix, wrapped as Dense. The
+    operators are shared by every layer, so a Dense one is diagonalised
+    once: the mixer here, for the ground-state check, and the cost on first
+    use.
     """
-    hb = assert_hermitian(hb)
-    hc = assert_hermitian(hc)
+    mixer = _as_operator(mixer)
+    cost = Dense(assert_hermitian(hc))
     psi = assert_state(initial)
-    if not (hb.shape[0] == hc.shape[0] == psi.shape[0]):
+    if not (mixer.dim == cost.dim == psi.shape[0]):
         raise ValueError("mixer, cost and initial state must have one dimension")
     if layers < 1:
         raise ValueError("need at least one layer")
-    mixer = Dense(hb)
-    lam_min = float(mixer.eigh()[0][0])
-    residual = np.linalg.norm(hb @ psi - lam_min * psi)
+    lam_min = mixer.extremes()[0]
+    residual = np.linalg.norm(mixer.apply(psi) - lam_min * psi)
     if residual > 1e-9:
         raise ValueError(f"initial state is not the mixer ground state (residual {residual:.3e})")
-    cost = Dense(hc)
     return VqaInstance(
         initial=psi,
         generators=(cost, mixer) * layers,
@@ -313,6 +305,7 @@ def _qaoa_instance(hb, hc, layers: int, initial, closed_form, family: str, g: Gr
         closed_form=closed_form,
         family=family,
         graph=g,
+        kind="qaoa",
     )
 
 
@@ -369,7 +362,6 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
     hb[0 : 2 * d : 2] = spec.energies
     hb[1 : 2 * d : 2] = -spec.energies
     hb[2 * d] = -1.0
-    hb = np.diag(hb).astype(complex)
     hc = np.zeros((dim, dim), dtype=complex)
     hc[: 2 * d, : 2 * d] = logdim_observable(g)
     plus = np.full(2 * d, 1 / math.sqrt(2 * d))
@@ -383,7 +375,7 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
         _check_phases(g, energies * beta)
         return _qaoa1_value(g, energies, tau, beta, gamma)
 
-    return _qaoa_instance(hb, hc, 1, psi0, closed_form, "qaoa1", g)
+    return _qaoa_instance(Diagonal(hb), hc, 1, psi0, closed_form, "qaoa1", g)
 
 
 # ---------------------------------------------------------------------------

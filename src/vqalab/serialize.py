@@ -3,13 +3,10 @@
 from __future__ import annotations
 
 import json
-from typing import Union
 
 import numpy as np
 
-from .fermions import FermionInstance
 from .graphs import Graph
-from .reductions import QAOA_FAMILIES
 from .sim import VqaInstance
 
 SCHEMA = "vqa-hardness-lab/1"
@@ -30,41 +27,30 @@ def graph_to_json(g: Graph) -> dict:
     }
 
 
-def instance_to_json(inst: Union[VqaInstance, FermionInstance]) -> dict:
+def instance_to_json(inst: VqaInstance) -> dict:
     """The instance as a document whose matrices and states are the complex
     ndarrays themselves, for `dump_json` to write. A QAOA instance, whose
     generators alternate (cost, mixer), is written as its mixer ``hb``, cost
-    ``hc`` and layer count."""
-    doc = {"schema": SCHEMA, "family": inst.family}
+    ``hc`` and layer count; a fermion instance names its dimension ``modes``
+    and its initial coefficient matrix ``h0``."""
+    doc = {"schema": SCHEMA, "family": inst.family, "kind": inst.kind}
     if inst.graph is not None:
         doc["graph"] = graph_to_json(inst.graph)
-    if inst.family in QAOA_FAMILIES:
+    if inst.kind == "qaoa":
         doc.update(
-            kind="qaoa",
             dim=inst.dim,
             layers=len(inst.generators) // 2,
             initial=inst.initial,
             hb=inst.generators[1].to_dense(),
             hc=inst.observable.to_dense(),
         )
-    elif isinstance(inst, VqaInstance):
-        doc.update(
-            kind="vqa",
-            dim=inst.dim,
-            initial=inst.initial,
-            generators=[h.to_dense() for h in inst.generators],
-            observable=inst.observable.to_dense(),
-        )
-    elif isinstance(inst, FermionInstance):
-        doc.update(
-            kind="fermion",
-            modes=inst.n_modes,
-            h0=inst.h0,
-            generators=list(inst.generators),
-            observable=inst.o,
-        )
-    else:
-        raise TypeError(f"cannot serialize {type(inst).__name__}")
+        return doc
+    size, initial = ("modes", "h0") if inst.kind == "fermion" else ("dim", "initial")
+    doc.update(
+        {size: inst.dim, initial: inst.initial},
+        generators=[h.to_dense() for h in inst.generators],
+        observable=inst.observable.to_dense(),
+    )
     return doc
 
 

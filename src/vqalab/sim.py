@@ -44,19 +44,6 @@ def assert_state(psi, tol: float = NORM_TOL) -> np.ndarray:
     return psi
 
 
-def is_diagonal(a: np.ndarray) -> bool:
-    return bool(np.abs(a - np.diag(np.diag(a))).max() == 0.0) if a.size else True
-
-
-def herm_exp(h, theta: float) -> np.ndarray:
-    """Unitary exp(-i h theta) of a Hermitian matrix via spectral decomposition."""
-    h = assert_hermitian(h)
-    if is_diagonal(h):
-        return np.diag(np.exp(-1j * np.diag(h).real * theta))
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(-1j * vals * theta)) @ vecs.conj().T
-
-
 DENSE_MAX_QUBITS = 12
 STATE_MAX_QUBITS = 20  # a 2^20 complex state vector takes 16 MiB
 
@@ -93,6 +80,7 @@ class Operator:
     Every form provides ``apply_exp(psi, theta)`` = exp(-i H theta) psi,
     ``apply(psi)`` = H psi, ``extremes()`` = (lambda_min, lambda_max, width)
     and ``to_dense()``, the matrix, made only for export and for tests.
+    ``apply_exp`` also takes a matrix whose columns are states.
     """
 
     dim: int
@@ -111,7 +99,8 @@ class Diagonal(Operator):
         self._dense = dense
 
     def apply_exp(self, psi, theta):
-        return np.exp(-1j * self.vec * theta) * psi
+        # .T puts the state axis last, for a state and a matrix of them alike
+        return (np.exp(-1j * self.vec * theta) * psi.T).T
 
     def apply(self, psi):
         return self.vec * psi
@@ -142,12 +131,13 @@ class SiteRotation(Operator):
 
     def apply_exp(self, psi, theta):
         c, s = math.cos(theta / 2), math.sin(theta / 2)
+        shape = psi.shape
         for q in self.qubits:
             x = psi.reshape(1 << q, 2, -1)
             out = np.empty_like(x)
             out[:, 0] = c * x[:, 0] - s * x[:, 1]
             out[:, 1] = s * x[:, 0] + c * x[:, 1]
-            psi = out.reshape(-1)
+            psi = out.reshape(shape)
         return psi
 
     def apply(self, psi):
@@ -178,10 +168,6 @@ class Dense(Operator):
         self.dim = self.mat.shape[0]
         self._eigh = None
 
-    def __array__(self, dtype=None, copy=None):
-        """The matrix itself, so a Dense stands wherever numpy expects an array."""
-        return self.mat if dtype is None else self.mat.astype(dtype, copy=False)
-
     def eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(eigenvalues, eigenvectors, their conjugate transpose), cached."""
         if self._eigh is None:
@@ -191,7 +177,7 @@ class Dense(Operator):
 
     def apply_exp(self, psi, theta):
         vals, vecs, vecs_h = self.eigh()
-        return vecs @ (np.exp(-1j * vals * theta) * (vecs_h @ psi))
+        return vecs @ (np.exp(-1j * vals * theta) * (vecs_h @ psi).T).T
 
     def apply(self, psi):
         return self.mat @ psi
@@ -216,7 +202,8 @@ class VqaInstance:
 
     Generators and observable are Operators; plain arrays are wrapped as
     Dense. ``closed_form`` maps a phase vector to the analytically known
-    expectation value, where the construction provides one.
+    expectation value, where the construction provides one. ``kind`` is
+    "vqa", "qaoa" (generators alternate cost and mixer) or "fermion".
     """
 
     initial: np.ndarray
@@ -225,9 +212,13 @@ class VqaInstance:
     closed_form: Optional[Callable] = None
     family: str = ""
     graph: Optional[Graph] = None
+    kind: str = "vqa"
+
+    # the check ``initial`` passes, and what it returns
+    _check_initial = staticmethod(assert_state)
 
     def __post_init__(self):
-        psi = assert_state(self.initial)
+        psi = self._check_initial(self.initial)
         obs = _as_operator(self.observable)
         gens = tuple(_as_operator(h) for h in self.generators)
         if not gens:
@@ -282,14 +273,10 @@ def simulate_expectation(inst: VqaInstance, phi) -> float:
 def spectral_extremes(obs) -> tuple[float, float, float]:
     """(lambda_min, lambda_max, spectral width) of a Hermitian observable.
 
-    An Operator reports its own extremes; a matrix goes through eigvalsh
-    unless it is diagonal.
+    An Operator reports its own extremes; a matrix goes through eigvalsh.
     """
     if isinstance(obs, Operator):
         return obs.extremes()
-    obs = assert_hermitian(obs)
-    if is_diagonal(obs):
-        return Diagonal(np.diag(obs).real).extremes()
-    vals = np.linalg.eigvalsh(obs)
+    vals = np.linalg.eigvalsh(assert_hermitian(obs))
     lo, hi = float(vals[0]), float(vals[-1])
     return lo, hi, hi - lo

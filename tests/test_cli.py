@@ -5,12 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from vqalab import (
-    fermionic_vqa_instance,
-    logdim_vqa_instance,
-    qaoa_multilayer_instance,
-)
-from vqalab.cli import main
+from vqalab import logdim_vqa_instance
+from vqalab.cli import build_parser, main
+from vqalab.families import FAMILIES
 from vqalab.serialize import (
     SCHEMA,
     dump_json,
@@ -52,16 +49,19 @@ class TestSerialize:
         assert all(1 <= u <= 3 and 1 <= v <= 3 for u, v in doc["edges"])
 
     def test_instance_kinds(self, k3):
-        assert instance_to_json(logdim_vqa_instance(k3))["kind"] == "vqa"
-        assert instance_to_json(qaoa_multilayer_instance(k3))["kind"] == "qaoa"
-        assert instance_to_json(fermionic_vqa_instance(k3))["kind"] == "fermion"
+        kinds = {"oracular": "vqa", "boosted": "vqa", "logdim": "vqa", "single-layer": "vqa",
+                 "qaoa1": "qaoa", "qaoa-multi": "qaoa", "fermion": "fermion"}
+        assert set(kinds) == set(FAMILIES)
+        for family, kind in kinds.items():
+            args = build_parser().parse_args(["export", "--family", family])
+            assert instance_to_json(FAMILIES[family].build(k3, args))["kind"] == kind
 
     def test_dump_is_json(self, k3):
         text = dump_json(instance_to_json(logdim_vqa_instance(k3)))
         doc = json.loads(text)
         assert doc["schema"] == SCHEMA
         reconstructed = matrix_from_json(doc["observable"])
-        assert np.array_equal(reconstructed, logdim_vqa_instance(k3).observable)
+        assert np.array_equal(reconstructed, logdim_vqa_instance(k3).observable.to_dense())
 
 
 class TestVerifyCommand:
@@ -275,7 +275,7 @@ class TestExportCommand:
         assert doc["kind"] == "vqa"
         assert doc["graph"]["d"] == 3
         obs = matrix_from_json(doc["observable"])
-        assert np.array_equal(obs, logdim_vqa_instance(k3).observable)
+        assert np.array_equal(obs, logdim_vqa_instance(k3).observable.to_dense())
 
 
 class TestExitCodes:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqalab import (
     fermionic_vqa_instance,
@@ -7,7 +9,6 @@ from vqalab import (
     ground_covariance,
     mu,
     random_graph,
-    thermal_covariance,
 )
 from vqalab.fermions import (
     FermionInstance,
@@ -17,7 +18,7 @@ from vqalab.fermions import (
     fock_bruteforce_expectation,
     fock_covariance,
     fock_ground_state,
-    fock_thermal_state,
+    fock_system,
     second_quantized,
 )
 
@@ -27,28 +28,35 @@ def random_hermitian(n, rng):
     return (a + a.conj().T) / 2
 
 
-class TestThermalCovariance:
-    def test_infinite_temperature_is_half_identity(self):
-        rng = np.random.default_rng(0)
-        h = random_hermitian(4, rng)
-        assert np.allclose(thermal_covariance(h, 0.0), np.eye(4) / 2)
+def random_instance(n, layers, rng):
+    return FermionInstance(
+        initial=random_hermitian(n, rng),
+        generators=tuple(random_hermitian(n, rng) for _ in range(layers)),
+        observable=random_hermitian(n, rng),
+    )
 
-    def test_low_temperature_fills_negative_mode(self):
-        h = np.diag([-1.0, 1.0]).astype(complex)
-        gamma = thermal_covariance(h, 50.0)
-        assert np.allclose(gamma, np.diag([1.0, 0.0]), atol=1e-12)
 
-    def test_matches_fock_gibbs_state(self):
-        rng = np.random.default_rng(3)
-        h = random_hermitian(3, rng)
-        beta = 0.7
-        cs = annihilation_operators(3)
-        rho = fock_thermal_state(second_quantized(h, cs), beta)
-        assert np.allclose(thermal_covariance(h, beta), fock_covariance(rho, cs), atol=1e-10)
+def eigh_gaussian_expectation(inst, phi):
+    """The covariance pipeline on dense matrices, each generator and h0
+    diagonalised by eigh on the spot."""
+    w = np.eye(inst.dim, dtype=complex)
+    for h, angle in zip(inst.generators, phi):
+        vals, vecs = np.linalg.eigh(h.to_dense())
+        w = ((vecs * np.exp(1j * vals * angle)) @ vecs.conj().T) @ w
+    o_phi = w @ inst.observable.to_dense() @ w.conj().T
+    return fermion_expectation(o_phi, ground_covariance(inst.initial))
 
-    def test_rejects_negative_beta(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            thermal_covariance(np.eye(2, dtype=complex), -1.0)
+
+def fresh_fock_expectation(inst, phi):
+    """The Fock oracle with every 2^n matrix built on the spot."""
+    cs = annihilation_operators(inst.dim)
+    rho = fock_ground_state(second_quantized(inst.initial, cs))
+    u = np.eye(1 << inst.dim, dtype=complex)
+    for h, angle in zip(inst.generators, phi):
+        vals, vecs = np.linalg.eigh(second_quantized(h.to_dense(), cs))
+        u = u @ ((vecs * np.exp(-1j * vals * angle)) @ vecs.conj().T)
+    rho = u @ rho @ u.conj().T
+    return float(np.trace(second_quantized(inst.observable.to_dense(), cs) @ rho).real)
 
 
 class TestGroundCovariance:
@@ -63,7 +71,10 @@ class TestGroundCovariance:
     def test_is_low_temperature_limit(self):
         rng = np.random.default_rng(5)
         h = random_hermitian(4, rng)
-        assert np.allclose(ground_covariance(h), thermal_covariance(h, 1e4), atol=1e-8)
+        vals, vecs = np.linalg.eigh(h)
+        with np.errstate(over="ignore"):
+            fermi_dirac = 1.0 / (np.exp(1e4 * vals) + 1.0)
+        assert np.allclose(ground_covariance(h), (vecs * fermi_dirac) @ vecs.conj().T, atol=1e-8)
 
     def test_matches_fock_ground_state(self):
         rng = np.random.default_rng(7)
@@ -116,33 +127,54 @@ class TestGaussianVsFock:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_quadratic_circuits_agree(self, seed):
         rng = np.random.default_rng(100 + seed)
-        n, layers = 4, 3
-        inst = FermionInstance(
-            h0=random_hermitian(n, rng),
-            generators=tuple(random_hermitian(n, rng) for _ in range(layers)),
-            o=random_hermitian(n, rng),
-        )
-        phi = rng.uniform(0, 2 * np.pi, layers)
+        inst = random_instance(4, 3, rng)
+        phi = rng.uniform(0, 2 * np.pi, 3)
         assert gaussian_expectation(inst, phi) == pytest.approx(
-            fock_bruteforce_expectation(inst, phi), abs=1e-9
+            fock_bruteforce_expectation(fock_system(inst), phi), abs=1e-9
         )
 
     def test_fock_oracle_refuses_many_modes(self):
         n = 10
         inst = FermionInstance(
-            h0=np.eye(n, dtype=complex),
+            initial=np.eye(n, dtype=complex),
             generators=(np.eye(n, dtype=complex),),
-            o=np.eye(n, dtype=complex),
+            observable=np.eye(n, dtype=complex),
         )
         with pytest.raises(ValueError, match="Fock oracle limit"):
-            fock_bruteforce_expectation(inst, np.zeros(1))
+            fock_system(inst)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_built_once_equals_fresh(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        for inst in (random_instance(3 + seed, 2, rng), fermionic_vqa_instance(random_graph(2 + seed, 0.7, seed))):
+            fock = fock_system(inst)
+            for _ in range(4):
+                phi = rng.uniform(0, 2 * np.pi, inst.layers)
+                assert fock_bruteforce_expectation(fock, phi) == fresh_fock_expectation(inst, phi)
+
+
+class TestInstanceShape:
+    def test_initial_must_be_hermitian(self):
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            FermionInstance(initial=np.array([[0.0, 1.0], [0.0, 0.0]]), generators=(eye,), observable=eye)
+
+    def test_dimension_is_the_mode_count(self, k3):
+        inst = fermionic_vqa_instance(k3)
+        assert (inst.dim, inst.layers, inst.kind, inst.family) == (6, 3, "fermion", "fermion")
 
 
 class TestMaxcutEncoding:
     def test_initial_covariance_is_uniform_projector(self, k3):
         inst = fermionic_vqa_instance(k3)
-        n = inst.n_modes
-        assert np.allclose(ground_covariance(inst.h0), np.ones((n, n)) / n, atol=1e-12)
+        n = inst.dim
+        assert np.allclose(inst.covariance, np.ones((n, n)) / n, atol=1e-12)
+
+    def test_covariance_is_computed_on_first_use(self, k3):
+        inst = fermionic_vqa_instance(k3)
+        assert "covariance" not in vars(inst)
+        gaussian_expectation(inst, np.zeros(3))
+        assert vars(inst)["covariance"] is inst.covariance
 
     def test_zero_phases(self, k3):
         inst = fermionic_vqa_instance(k3)
@@ -157,11 +189,21 @@ class TestMaxcutEncoding:
             phi = rng.uniform(0, 2 * np.pi, d)
             assert gaussian_expectation(inst, phi) == pytest.approx(mu(g, phi), abs=1e-9)
 
+    @settings(max_examples=25, deadline=None)
+    @given(d=st.integers(2, 8), p=st.sampled_from([0.3, 0.5, 0.8, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_operator_evolution_is_bit_identical_to_eigh(self, d, p, seed):
+        inst = fermionic_vqa_instance(random_graph(d, p, seed % 1000))
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            phi = rng.uniform(0, 2 * np.pi, d)
+            assert gaussian_expectation(inst, phi) == eigh_gaussian_expectation(inst, phi)
+
     def test_full_fock_confirms_d2(self, single_edge):
         inst = fermionic_vqa_instance(single_edge)
+        fock = fock_system(inst)
         rng = np.random.default_rng(2)
         for _ in range(10):
             phi = rng.uniform(0, 2 * np.pi, 2)
-            assert fock_bruteforce_expectation(inst, phi) == pytest.approx(
+            assert fock_bruteforce_expectation(fock, phi) == pytest.approx(
                 mu(single_edge, phi), abs=1e-9
             )

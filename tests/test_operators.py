@@ -97,15 +97,28 @@ def test_structured_extremes_and_apply_match_dense(n, data):
     assert np.abs(rot.apply_exp(psi, theta) - Dense(rot.to_dense()).apply_exp(psi, theta)).max() <= 1e-12
 
 
+@SETTINGS
+@given(n=st.integers(1, 5), k=st.integers(1, 6), seed=seeds)
+def test_apply_exp_on_column_states_matches_each_column(n, k, seed):
+    rng = np.random.default_rng(seed)
+    dim = 1 << n
+    states = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    theta = rng.uniform(-5, 5)
+    for op in (Diagonal(rng.normal(size=dim)), SiteRotation(tuple(range(n)), n), Dense((a + a.conj().T) / 2)):
+        columns = np.column_stack([op.apply_exp(col, theta) for col in states.T])
+        assert np.abs(op.apply_exp(states, theta) - columns).max() <= 1e-12
+
+
 def fresh_qaoa_apply(inst, beta, gamma):
     """qaoa_apply with eigendecompositions computed on the spot."""
-    vals_b, vecs_b = np.linalg.eigh(inst.generators[1])
-    vals_c, vecs_c = np.linalg.eigh(inst.observable)
+    vals_b, vecs_b = np.linalg.eigh(inst.generators[1].to_dense())
+    vals_c, vecs_c = np.linalg.eigh(inst.observable.to_dense())
     psi = inst.initial
     for b, c in zip(beta, gamma):
         psi = vecs_c @ (np.exp(-1j * vals_c * c) * (vecs_c.conj().T @ psi))
         psi = vecs_b @ (np.exp(-1j * vals_b * b) * (vecs_b.conj().T @ psi))
-    return psi, float(np.vdot(psi, inst.observable @ psi).real)
+    return psi, float(np.vdot(psi, inst.observable.to_dense() @ psi).real)
 
 
 @SETTINGS
