@@ -121,10 +121,15 @@ def _logdim_spectrum(g, maxcut, args, inst):
     return lo, hi
 
 
-def _qaoa_spectrum(g, maxcut, args, inst):
+def _qaoa1_spectrum(g, maxcut, args, inst):
     # eigvalsh of the matrix, not the cost operator's cached eigh, whose
     # extreme eigenvalues can differ in the last bits
     lo, hi, _ = spectral_extremes(inst.observable.to_dense())
+    return lo, hi
+
+
+def _operator_spectrum(g, maxcut, args, inst):
+    lo, hi, _ = inst.observable.extremes()
     return lo, hi
 
 
@@ -237,7 +242,7 @@ FAMILIES = {
     ),
     "qaoa1": Family(
         build=lambda g, args: qaoa_single_layer_instance(g, args.tau, args.m),
-        spectrum=_qaoa_spectrum,
+        spectrum=_qaoa1_spectrum,
         landscape=_qaoa1_landscape,
         reference=_grid_reference(
             lambda b, args: np.array([b, np.pi / (2 * args.tau)]),
@@ -248,7 +253,7 @@ FAMILIES = {
     ),
     "qaoa-multi": Family(
         build=lambda g, args: qaoa_multilayer_instance(g),
-        spectrum=_qaoa_spectrum,
+        spectrum=_operator_spectrum,
         landscape=_qaoa_multi_landscape,
         reference=lambda g, maxcut, args, objective, best: multilayer_optimal_value(g, maxcut),
         verify=_verify_qaoa_multi,

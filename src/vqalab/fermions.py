@@ -129,17 +129,27 @@ def annihilation_operators(n: int) -> list[np.ndarray]:
     return ops
 
 
+def second_quantized_all(hs, cs: list[np.ndarray]) -> list[np.ndarray]:
+    """2^n matrices of the quadratic operators sum h_ij c_i^dag c_j, one per
+    coefficient matrix h in ``hs``; each product c_i^dag c_j is formed once
+    and added, in (i, j) order, to every matrix whose h_ij is nonzero."""
+    hs = [np.asarray(h, dtype=complex) for h in hs]
+    dim = cs[0].shape[0]
+    outs = [np.zeros((dim, dim), dtype=complex) for _ in hs]
+    for i, ci in enumerate(cs):
+        ci_dag = ci.conj().T
+        for j, cj in enumerate(cs):
+            terms = [(h[i, j], out) for h, out in zip(hs, outs) if h[i, j] != 0]
+            if terms:
+                pair = ci_dag @ cj
+                for coeff, out in terms:
+                    out += coeff * pair
+    return outs
+
+
 def second_quantized(h, cs: list[np.ndarray]) -> np.ndarray:
     """2^n matrix of the quadratic operator sum h_ij c_i^dag c_j."""
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    dim = cs[0].shape[0]
-    out = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if h[i, j] != 0:
-                out += h[i, j] * (cs[i].conj().T @ cs[j])
-    return out
+    return second_quantized_all([h], cs)[0]
 
 
 def fock_ground_state(h_full: np.ndarray, degeneracy_tol: float = 1e-10) -> np.ndarray:
@@ -170,10 +180,10 @@ def fock_system(inst: FermionInstance) -> tuple:
     operators only through ``to_dense()``.
     """
     cs = annihilation_operators(inst.dim)
-    rho = fock_ground_state(second_quantized(inst.initial, cs))
-    obs = second_quantized(inst.observable.to_dense(), cs)
-    spectra = tuple(np.linalg.eigh(second_quantized(h.to_dense(), cs)) for h in inst.generators)
-    return rho, obs, spectra
+    h0, obs, *gens = second_quantized_all(
+        [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)], cs
+    )
+    return fock_ground_state(h0), obs, tuple(np.linalg.eigh(h) for h in gens)
 
 
 def fock_bruteforce_expectation(fock: tuple, phi) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -17,13 +16,12 @@ from .graphs import Graph
 from .landscape import _check_phases, _mu, mu, reduce_phases
 from .sim import (
     DENSE_MAX_QUBITS,
-    Dense,
+    Blocks,
     Diagonal,
     SiteRotation,
     VqaInstance,
     _as_operator,
     apply_circuit,
-    assert_hermitian,
     assert_state,
     check_state_size,
     expectation,
@@ -278,17 +276,17 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
 # ---------------------------------------------------------------------------
 # QAOA instances
 
-def _qaoa_instance(mixer, hc, layers: int, initial, closed_form, family: str, g: Graph) -> VqaInstance:
+def _qaoa_instance(mixer, cost, layers: int, initial, closed_form, family: str, g: Graph) -> VqaInstance:
     """QAOA as a VqaInstance: generators (cost, mixer) * layers, observable
     the cost, initial state the mixer ground state.
 
-    ``mixer`` is an Operator or a Hermitian matrix, wrapped as Dense. The
-    operators are shared by every layer, so a Dense one is diagonalised
+    ``mixer`` and ``cost`` are Operators or Hermitian matrices, wrapped as
+    Dense. The operators are shared by every layer, so each is diagonalised
     once: the mixer here, for the ground-state check, and the cost on first
     use.
     """
     mixer = _as_operator(mixer)
-    cost = Dense(assert_hermitian(hc))
+    cost = _as_operator(cost)
     psi = assert_state(initial)
     if not (mixer.dim == cost.dim == psi.shape[0]):
         raise ValueError("mixer, cost and initial state must have one dimension")
@@ -381,92 +379,60 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
 # ---------------------------------------------------------------------------
 # Multilayer QAOA (ladder construction on (2d+1) * 4d^2 dimensions)
 
-def _transfer_block(d: int, kappa: Optional[int]) -> np.ndarray:
-    """Transfer Hamiltonian on two copies of K = C^d x C^d x C^2 x C^2.
-
-    ``kappa`` is the 1-based layer index selecting the phase-imprinting cases;
-    ``None`` builds the uniform H0-type block used by the cost Hamiltonian.
-    Overlapping case clauses are resolved first-match, top to bottom.
-    """
-    dim_k = 4 * d * d
-    block = np.zeros((2 * dim_k, 2 * dim_k), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            for a in range(2):
-                for b in range(2):
-                    idx = ((i * d + j) * 2 + a) * 2 + b
-                    if kappa is None:
-                        two = _H0
-                    elif i == j or a == 0:
-                        two = _H1
-                    elif i == kappa - 1 or (j == kappa - 1 and b == 0):
-                        two = _H2
-                    elif j == kappa - 1 and b == 1:
-                        two = _H3
-                    else:
-                        two = _H1
-                    for x in range(2):
-                        for y in range(2):
-                            block[x * dim_k + idx, y * dim_k + idx] = two[x, y]
-    return block
-
-
 def _gs_vector(g: Graph) -> np.ndarray:
-    """Edge-superposition ground state of the mixer, in K."""
-    d = g.d
-    dim_k = 4 * d * d
-    psi = np.zeros(dim_k)
-    for i in range(d):
-        for j in range(d):
-            if g.adjacency[i, j]:
-                for a in range(2):
-                    for b in range(2):
-                        psi[((i * d + j) * 2 + a) * 2 + b] = 1.0
-    return psi / (2 * math.sqrt(g.adjacency.sum()))
+    """Edge-superposition ground state of the mixer, in K: uniform over the
+    states (i, j, a, b) with A_ij = 1."""
+    edges = np.repeat(g.adjacency.reshape(-1) != 0, 4)
+    return edges / (2 * math.sqrt(g.adjacency.sum()))
 
 
-def _penalty_block(d: int) -> np.ndarray:
-    """H_p on K: (1/2) sum over a != a~ and all b, b~ per vertex pair."""
-    dim_k = 4 * d * d
-    hp = np.zeros((dim_k, dim_k))
-    for i in range(d):
-        for j in range(d):
-            base = (i * d + j) * 4
-            for a in range(2):
-                for b in range(2):
-                    for a2 in range(2):
-                        for b2 in range(2):
-                            if a != a2:
-                                hp[base + a * 2 + b, base + a2 * 2 + b2] = 0.5
-    return hp.astype(complex)
+def _rung_pairs(lower: np.ndarray, dim_k: int) -> np.ndarray:
+    """(n, 2) indices pairing state x of K on each rung in ``lower`` with x on the rung above."""
+    lo = (lower[:, None] * dim_k + np.arange(dim_k)).reshape(-1)
+    return np.column_stack((lo, lo + dim_k))
 
 
 def qaoa_multilayer_instance(g: Graph) -> VqaInstance:
     """Bounded-norm multilayer QAOA whose optimum encodes the maximum cut.
 
-    The Hilbert space is a ladder of 2d+1 copies of K; the cost Hamiltonian
-    moves amplitude up on odd rungs, the mixer on even rungs while imprinting
-    cut-dependent phases, and a penalty block on the last rung reads out
-    1 - 2*MaxCut/|E| at the optimal parameters.
+    The Hilbert space is a ladder of 2d+1 copies of K = C^d x C^d x C^2 x C^2;
+    the cost Hamiltonian moves amplitude up on odd rungs, the mixer on even
+    rungs while imprinting cut-dependent phases, and a penalty block on the
+    last rung reads out 1 - 2*MaxCut/|E| at the optimal parameters.
+
+    Both are Blocks. The mixer is -3|gs><gs| on rung 0 and, for layer kappa,
+    a 2x2 transfer block between state x of rungs 2kappa-1 and 2kappa; the
+    case clauses choosing it are resolved first-match, top to bottom. The
+    cost is an H0 transfer block between rungs 2p and 2p+1, and on rung 2d
+    the penalty H_p = (1/2) sum over a != a~ and all b, b~ per vertex pair.
     """
     d = g.d
     dim_k = 4 * d * d
     dim = (2 * d + 1) * dim_k
     gs = _gs_vector(g)
-
-    hb = np.zeros((dim, dim), dtype=complex)
-    hb[:dim_k, :dim_k] = -3 * np.outer(gs, gs)
-    for kappa in range(1, d + 1):
-        off = (2 * kappa - 1) * dim_k
-        hb[off : off + 2 * dim_k, off : off + 2 * dim_k] = _transfer_block(d, kappa)
-
-    hc = np.zeros((dim, dim), dtype=complex)
-    transfer = _transfer_block(d, None)
-    for pair in range(d):
-        off = 2 * pair * dim_k
-        hc[off : off + 2 * dim_k, off : off + 2 * dim_k] = transfer
-    hc[2 * d * dim_k :, 2 * d * dim_k :] = _penalty_block(d)
-
+    # (i, j, a, b) of each state of K, in its index order ((i*d + j)*2 + a)*2 + b
+    i, j, a, b = (x.reshape(-1) for x in np.indices((d, d, 2, 2)))
+    kappa = np.arange(1, d + 1)[:, None]
+    case = np.select(
+        [(i == j) | (a == 0), (i == kappa - 1) | ((j == kappa - 1) & (b == 0)), (j == kappa - 1) & (b == 1)],
+        [0, 1, 2],
+        default=0,
+    )
+    hb = Blocks(
+        dim,
+        [
+            (np.arange(dim_k)[None], (-3 * np.outer(gs, gs))[None]),
+            (_rung_pairs(2 * np.arange(d) + 1, dim_k), np.stack((_H1, _H2, _H3))[case.reshape(-1)]),
+        ],
+    )
+    penalty = np.kron(np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones((2, 2)))
+    hc = Blocks(
+        dim,
+        [
+            (_rung_pairs(2 * np.arange(d), dim_k), np.broadcast_to(_H0, (d * dim_k, 2, 2))),
+            (2 * d * dim_k + np.arange(dim_k).reshape(-1, 4), np.broadcast_to(penalty, (d * d, 4, 4))),
+        ],
+    )
     psi0 = np.zeros(dim, dtype=complex)
     psi0[:dim_k] = gs
     return _qaoa_instance(hb, hc, d, psi0, None, "qaoa-multi", g)

@@ -1,9 +1,11 @@
 """Hermitian operators and exact state-vector simulation.
 
-Operators come in three forms: Diagonal (a real diagonal), SiteRotation
-(sigma_y/2 on chosen qubits, applied as 2x2 rotations) and Dense (a matrix
-diagonalised once and cached). Dense matrices of the structured forms are
-made only by ``to_dense()``, for export and as the test oracle.
+Operators come in four forms: Diagonal (a real diagonal), SiteRotation
+(sigma_y/2 on chosen qubits, applied as 2x2 rotations), Blocks (a
+block-diagonal matrix whose blocks are diagonalised once, in batches) and
+Dense (a matrix diagonalised once and cached). Dense matrices of the
+structured forms are made only by ``to_dense()``, for export and as the test
+oracle.
 """
 
 from __future__ import annotations
@@ -189,6 +191,79 @@ class Dense(Operator):
 
     def to_dense(self):
         return self.mat
+
+
+class Blocks(Operator):
+    """A block-diagonal Hermitian matrix on ``dim`` states.
+
+    ``groups`` is a sequence of (index, blocks) pairs: an (n, k) integer
+    array of state indices and an (n, k, k) stack of Hermitian blocks, block
+    b acting on the states index[b]. The groups' indices partition the
+    space. Each group is diagonalised by one batched eigh on first use and
+    cached, so no matrix larger than a block is ever decomposed.
+    """
+
+    def __init__(self, dim: int, groups):
+        self.dim = dim
+        self.groups = []
+        for index, blocks in groups:
+            index = np.asarray(index, dtype=np.intp)
+            blocks = np.asarray(blocks, dtype=complex)
+            n, k = index.shape
+            if blocks.shape != (n, k, k):
+                raise ValueError(f"expected {n} blocks of size {k}x{k}, got shape {blocks.shape}")
+            if not np.isfinite(blocks).all():
+                raise ValueError("operator entries must be finite")
+            if np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max() > HERMITIAN_TOL:
+                raise ValueError("operator is not Hermitian")
+            self.groups.append((index, blocks))
+        covered = np.sort(np.concatenate([index.ravel() for index, _ in self.groups]))
+        if not np.array_equal(covered, np.arange(dim)):
+            raise ValueError(f"block indices must partition the {dim} states")
+        self._eigh = None
+
+    def eigh(self) -> list:
+        """(eigenvalues, eigenvectors, their conjugate transpose) per group, cached."""
+        if self._eigh is None:
+            self._eigh = []
+            for _, blocks in self.groups:
+                vals, vecs = np.linalg.eigh(blocks)
+                self._eigh.append((vals, vecs, vecs.conj().transpose(0, 2, 1)))
+        return self._eigh
+
+    def _map(self, psi, per_group):
+        # psi[index] is (n, k, m) for m column states; per_group maps it to
+        # the same shape for each group
+        cols = psi.reshape(self.dim, -1)
+        out = np.empty(cols.shape, dtype=complex)
+        for g, (index, blocks) in enumerate(self.groups):
+            out[index] = per_group(g, blocks, cols[index])
+        return out.reshape(psi.shape)
+
+    def apply_exp(self, psi, theta):
+        spectra = self.eigh()
+
+        def per_group(g, blocks, x):
+            vals, vecs, vecs_h = spectra[g]
+            return vecs @ (np.exp(-1j * vals[..., None] * theta) * (vecs_h @ x))
+
+        return self._map(psi, per_group)
+
+    def apply(self, psi):
+        return self._map(psi, lambda g, blocks, x: blocks @ x)
+
+    def extremes(self):
+        spectra = self.eigh()
+        lo = min(float(vals.min()) for vals, _, _ in spectra)
+        hi = max(float(vals.max()) for vals, _, _ in spectra)
+        return lo, hi, hi - lo
+
+    def to_dense(self):
+        _check_dense_size(self.dim)
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for index, blocks in self.groups:
+            out[index[:, :, None], index[:, None, :]] = blocks
+        return out
 
 
 def _as_operator(h) -> Operator:

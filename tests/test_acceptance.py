@@ -2,6 +2,9 @@
 each printing a single pass/fail line.  Ordered so the summary reads as a
 checklist of every identity the package claims."""
 
+import contextlib
+import io
+import json
 import sys
 import time
 from itertools import product
@@ -36,6 +39,7 @@ from vqalab import (
     spectral_extremes,
 )
 from conftest import central_difference_gradient, central_difference_hessian
+from vqalab.cli import main
 from vqalab.fermions import FermionInstance, fock_bruteforce_expectation, fock_system
 from vqalab.graphs import Graph, cut_value
 from vqalab.landscape import (
@@ -316,3 +320,25 @@ def test_11_optimizer_behavior():
         flush=True,
     )
     _report(11, "optimizer trapping and error metrics", ok)
+
+
+def test_12_multilayer_qaoa_at_depth():
+    # the Blocks operators carry the theorem past the dense cap: verify runs
+    # at d = 6 (dim 1872) and d = 8 (dim 4352), while export, which needs the
+    # dense matrices, refuses d = 8 with a clear error
+    start = time.monotonic()
+    ok = True
+    for d in (6, 8):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["verify", "--family", "qaoa-multi", "--random-graph", f"{d}:0.5", "--seed", "1"])
+        doc = json.loads(out.getvalue())
+        residuals = doc["instances"][0]["max_residuals"]
+        ok &= rc == 0 and doc["pass"] is True and len(residuals) == 3
+        ok &= all(r <= 1e-12 for r in residuals.values())
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["export", "--family", "qaoa-multi", "--random-graph", "8:0.5"])
+    ok &= rc == 1 and "dense form" in err.getvalue() and "too large" in err.getvalue()
+    elapsed = time.monotonic() - start
+    _report(12, "multilayer QAOA verified at d = 6 and 8", ok and elapsed <= 30.0)

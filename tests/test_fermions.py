@@ -59,6 +59,25 @@ def fresh_fock_expectation(inst, phi):
     return float(np.trace(second_quantized(inst.observable.to_dense(), cs) @ rho).real)
 
 
+def loop_fock_system(inst):
+    """fock_system as it was, forming c_i^dag c_j anew for every matrix."""
+
+    def quadratic(h, cs):
+        h = np.asarray(h, dtype=complex)
+        out = np.zeros((cs[0].shape[0],) * 2, dtype=complex)
+        for i in range(h.shape[0]):
+            for j in range(h.shape[0]):
+                if h[i, j] != 0:
+                    out += h[i, j] * (cs[i].conj().T @ cs[j])
+        return out
+
+    cs = annihilation_operators(inst.dim)
+    rho = fock_ground_state(quadratic(inst.initial, cs))
+    obs = quadratic(inst.observable.to_dense(), cs)
+    spectra = tuple(np.linalg.eigh(quadratic(h.to_dense(), cs)) for h in inst.generators)
+    return rho, obs, spectra
+
+
 class TestGroundCovariance:
     def test_negative_mode_projector(self):
         h = np.diag([-2.0, 3.0, 5.0]).astype(complex)
@@ -151,6 +170,19 @@ class TestGaussianVsFock:
             for _ in range(4):
                 phi = rng.uniform(0, 2 * np.pi, inst.layers)
                 assert fock_bruteforce_expectation(fock, phi) == fresh_fock_expectation(inst, phi)
+
+
+    @settings(max_examples=10, deadline=None)
+    @given(d=st.integers(2, 4), p=st.sampled_from([0.3, 0.5, 1.0]), seed=st.integers(0, 999), random=st.booleans())
+    def test_fock_system_is_bit_identical_to_loop_build(self, d, p, seed, random):
+        # a random instance has every coefficient nonzero: 2d - 2 modes keep it small
+        rng = np.random.default_rng(seed)
+        inst = random_instance(2 * d - 2, d, rng) if random else fermionic_vqa_instance(random_graph(d, p, seed))
+        (rho, obs, spectra), (loop_rho, loop_obs, loop_spectra) = fock_system(inst), loop_fock_system(inst)
+        assert rho.tobytes() == loop_rho.tobytes() and obs.tobytes() == loop_obs.tobytes()
+        assert len(spectra) == len(loop_spectra)
+        for (vals, vecs), (loop_vals, loop_vecs) in zip(spectra, loop_spectra):
+            assert vals.tobytes() == loop_vals.tobytes() and vecs.tobytes() == loop_vecs.tobytes()
 
 
 class TestInstanceShape:

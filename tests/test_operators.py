@@ -30,7 +30,7 @@ from vqalab import (
 )
 from vqalab.cli import main
 from vqalab.landscape import phases_from_assignment
-from vqalab.sim import STATE_MAX_QUBITS, Dense, Diagonal, SiteRotation
+from vqalab.sim import STATE_MAX_QUBITS, Blocks, Dense, Diagonal, SiteRotation
 
 SETTINGS = settings(max_examples=25, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -136,16 +136,75 @@ def test_qaoa1_cached_spectra_are_bit_identical(d, p, seed):
 @settings(max_examples=8, deadline=None)
 @given(d=st.integers(2, 3), p=probs, seed=seeds)
 def test_qaoa_multi_cached_spectra_are_bit_identical(d, p, seed):
+    # the Blocks operators diagonalise small blocks, not the dense matrices
+    # fresh_qaoa_apply decomposes, so the two agree to rounding only
     g = random_graph(d, p, seed % 1000)
     if g.edge_count == 0:
         return
     inst = qaoa_multilayer_instance(g)
     beta, gamma = angles(seed, d), angles(seed + 1, d)
-    for _ in range(2):
-        psi, val = qaoa_apply(inst, beta, gamma)
-        fresh_psi, fresh_val = fresh_qaoa_apply(inst, beta, gamma)
-        assert np.array_equal(psi, fresh_psi)
-        assert val == fresh_val
+    psi, val = qaoa_apply(inst, beta, gamma)
+    for cached_psi, cached_val in (qaoa_apply(inst, beta, gamma), qaoa_apply(qaoa_multilayer_instance(g), beta, gamma)):
+        assert np.array_equal(cached_psi, psi)
+        assert cached_val == val
+    dense_psi, dense_val = fresh_qaoa_apply(inst, beta, gamma)
+    assert np.abs(psi - dense_psi).max() <= 1e-12
+    assert abs(val - dense_val) <= 1e-12
+
+
+def random_blocks(data):
+    """A Blocks operator on a shuffled space: 1-3 groups of 1-4 blocks of size 1-4."""
+    rng = np.random.default_rng(data.draw(seeds))
+    shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3))
+    dim = sum(n * k for n, k in shapes)
+    order = rng.permutation(dim)
+    groups, start = [], 0
+    for n, k in shapes:
+        a = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
+        groups.append((order[start : start + n * k].reshape(n, k), (a + a.conj().transpose(0, 2, 1)) / 2))
+        start += n * k
+    return Blocks(dim, groups), rng
+
+
+@SETTINGS
+@given(data=st.data())
+def test_blocks_match_dense_eigh(data):
+    op, rng = random_blocks(data)
+    dense = op.to_dense()
+    vals, vecs = np.linalg.eigh(dense)
+    assert np.array_equal(dense, dense.conj().T)
+    lo, hi, width = op.extremes()
+    assert abs(lo - vals[0]) <= 1e-12 and abs(hi - vals[-1]) <= 1e-12 and abs(width - (vals[-1] - vals[0])) <= 1e-12
+    theta = rng.uniform(-5, 5)
+    exp_dense = (vecs * np.exp(-1j * vals * theta)) @ vecs.conj().T
+    for shape in ((op.dim,), (op.dim, 3)):
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert op.apply(psi).shape == shape and op.apply_exp(psi, theta).shape == shape
+        assert np.abs(op.apply(psi) - dense @ psi).max() <= 1e-12
+        assert np.abs(op.apply_exp(psi, theta) - exp_dense @ psi).max() <= 1e-12
+
+
+@SETTINGS
+@given(data=st.data())
+def test_blocks_reject_bad_groups(data):
+    op, _ = random_blocks(data)
+    index, blocks = op.groups[0]
+    rest = op.groups[1:]
+    skewed = blocks.copy()
+    skewed[0, 0, -1] += 1e-6 if blocks.shape[1] > 1 else 1e-6j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Blocks(op.dim, [(index, skewed), *rest])
+    missing = index.copy()
+    missing[0, 0] = op.dim
+    with pytest.raises(ValueError, match="partition"):
+        Blocks(op.dim, [(missing, blocks), *rest])
+    if op.dim > 1:
+        overlap = index.copy()
+        overlap[0, 0] = (index[0, 0] + 1) % op.dim
+        with pytest.raises(ValueError, match="partition"):
+            Blocks(op.dim, [(overlap, blocks), *rest])
+    with pytest.raises(ValueError, match="partition"):
+        Blocks(op.dim + 1, op.groups)
 
 
 class TestSizeLimits:

@@ -156,6 +156,22 @@ class TestReferenceMinimum:
         assert self.reference("boosted", k3, 2, k=3) == -8.0
         assert self.reference("qaoa-multi", k3, 2) == pytest.approx(1 - 4 / 3)
 
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_qaoa_multi_spectrum_reads_the_operator(self, d):
+        # at d = 8 the cost (dimension 4352) is past the dense cap, so the
+        # spectrum must come from the operator; below it, eigvalsh is the oracle
+        g = random_graph(d, 0.7, d)
+        inst = FAMILIES["qaoa-multi"].build(g, SimpleNamespace())
+        lo, hi = FAMILIES["qaoa-multi"].spectrum(g, maxcut_bruteforce(g)[0], SimpleNamespace(), inst)
+        if d == 8:
+            with pytest.raises(ValueError, match="too large"):
+                inst.observable.to_dense()
+            dense_lo, dense_hi = -1.0, 1.0
+        else:
+            vals = np.linalg.eigvalsh(inst.observable.to_dense())
+            dense_lo, dense_hi = vals[0], vals[-1]
+        assert abs(lo - dense_lo) <= 1e-12 and abs(hi - dense_hi) <= 1e-12
+
     def test_grid_family(self):
         f = lambda t: (t - 1.0) ** 2 - 2.0
         ref = reference_minimum(f, f, (0.0, 2.0), 10_001)

@@ -1,7 +1,11 @@
+import math
 from itertools import product
+from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vqalab import (
     boosted_expectation,
@@ -23,6 +27,10 @@ from vqalab import (
     verify_certificate,
 )
 from vqalab.reductions import (
+    _H0,
+    _H1,
+    _H2,
+    _H3,
     _qaoa_instance,
     ergodic_phase_errors,
     logdim_observable,
@@ -237,6 +245,105 @@ class TestQaoaSingleLayer:
             qaoa_single_layer_instance(k3, 0.0, 16)
         with pytest.raises(ValueError, match="m="):
             qaoa_single_layer_instance(k3, 1e-3, 4)
+
+
+# The loop-built multilayer matrices that the Blocks operators replaced,
+# kept as the oracle for their dense forms.
+
+def _transfer_block(d: int, kappa: Optional[int]) -> np.ndarray:
+    """Transfer Hamiltonian on two copies of K = C^d x C^d x C^2 x C^2.
+
+    ``kappa`` is the 1-based layer index selecting the phase-imprinting cases;
+    ``None`` builds the uniform H0-type block used by the cost Hamiltonian.
+    Overlapping case clauses are resolved first-match, top to bottom.
+    """
+    dim_k = 4 * d * d
+    block = np.zeros((2 * dim_k, 2 * dim_k), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            for a in range(2):
+                for b in range(2):
+                    idx = ((i * d + j) * 2 + a) * 2 + b
+                    if kappa is None:
+                        two = _H0
+                    elif i == j or a == 0:
+                        two = _H1
+                    elif i == kappa - 1 or (j == kappa - 1 and b == 0):
+                        two = _H2
+                    elif j == kappa - 1 and b == 1:
+                        two = _H3
+                    else:
+                        two = _H1
+                    for x in range(2):
+                        for y in range(2):
+                            block[x * dim_k + idx, y * dim_k + idx] = two[x, y]
+    return block
+
+
+def _gs_vector(g) -> np.ndarray:
+    """Edge-superposition ground state of the mixer, in K."""
+    d = g.d
+    dim_k = 4 * d * d
+    psi = np.zeros(dim_k)
+    for i in range(d):
+        for j in range(d):
+            if g.adjacency[i, j]:
+                for a in range(2):
+                    for b in range(2):
+                        psi[((i * d + j) * 2 + a) * 2 + b] = 1.0
+    return psi / (2 * math.sqrt(g.adjacency.sum()))
+
+
+def _penalty_block(d: int) -> np.ndarray:
+    """H_p on K: (1/2) sum over a != a~ and all b, b~ per vertex pair."""
+    dim_k = 4 * d * d
+    hp = np.zeros((dim_k, dim_k))
+    for i in range(d):
+        for j in range(d):
+            base = (i * d + j) * 4
+            for a in range(2):
+                for b in range(2):
+                    for a2 in range(2):
+                        for b2 in range(2):
+                            if a != a2:
+                                hp[base + a * 2 + b, base + a2 * 2 + b2] = 0.5
+    return hp.astype(complex)
+
+
+def loop_built_multilayer(g) -> tuple:
+    """(hb, hc, psi0) of the multilayer instance, built entry by entry."""
+    d = g.d
+    dim_k = 4 * d * d
+    dim = (2 * d + 1) * dim_k
+    gs = _gs_vector(g)
+    hb = np.zeros((dim, dim), dtype=complex)
+    hb[:dim_k, :dim_k] = -3 * np.outer(gs, gs)
+    for kappa in range(1, d + 1):
+        off = (2 * kappa - 1) * dim_k
+        hb[off : off + 2 * dim_k, off : off + 2 * dim_k] = _transfer_block(d, kappa)
+    hc = np.zeros((dim, dim), dtype=complex)
+    transfer = _transfer_block(d, None)
+    for pair in range(d):
+        off = 2 * pair * dim_k
+        hc[off : off + 2 * dim_k, off : off + 2 * dim_k] = transfer
+    hc[2 * d * dim_k :, 2 * d * dim_k :] = _penalty_block(d)
+    psi0 = np.zeros(dim, dtype=complex)
+    psi0[:dim_k] = gs
+    return hb, hc, psi0
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(2, 4), p=st.sampled_from([0.3, 0.5, 0.8, 1.0]), seed=st.integers(0, 999))
+def test_multilayer_operators_equal_loop_built_matrices_byte_for_byte(d, p, seed):
+    # tobytes, not array_equal, so that every signed zero is compared too
+    g = random_graph(d, p, seed)
+    if g.edge_count == 0:
+        return
+    inst = qaoa_multilayer_instance(g)
+    hb, hc, psi0 = loop_built_multilayer(g)
+    assert inst.generators[1].to_dense().tobytes() == hb.tobytes()
+    assert inst.observable.to_dense().tobytes() == hc.tobytes()
+    assert inst.initial.tobytes() == psi0.tobytes()
 
 
 class TestQaoaMultilayer:
