@@ -56,7 +56,6 @@ from .fermions import (
 )
 from .optimize import (
     OptimizerConfig,
-    OptimizationReport,
     error_metrics,
     gradient_descent,
     multistart,

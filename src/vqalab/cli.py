@@ -80,7 +80,6 @@ def cmd_optimize(args) -> int:
     family = FAMILIES[args.family]
     cfg = OptimizerConfig(seed=args.seed, restarts=args.restarts)
     records = []
-    delta_os = []
     for g in _load_graphs(args):
         inst, (objective, gradient, n_params) = _landscape(family, g, args)
         mc, _ = maxcut_bruteforce(g)
@@ -88,14 +87,12 @@ def cmd_optimize(args) -> int:
         lam_min, lam_max = family.spectrum(g, mc, args, inst)
         result = multistart(objective, n_params, cfg, gradient)
         ref = family.reference(g, mc, args, objective, result.best_value)
-        report = build_report(result, ref, lam_min, lam_max)
-        delta_os.append(report.delta_o)
         records.append(
             {
                 "graph": graph_to_json(g),
                 "maxcut": mc,
                 "greedy_value": greedy_val,
-                **report.to_dict(),
+                **build_report(result, ref, lam_min, lam_max),
             }
         )
     doc = {
@@ -106,7 +103,7 @@ def cmd_optimize(args) -> int:
         "seed": args.seed,
         "restarts": args.restarts,
         "instances": records,
-        "aggregate_delta": max(delta_os),
+        "aggregate_delta": max(r["delta_o"] for r in records),
         "reference_constants": REFERENCE_CONSTANTS,
         "timestamp": time.time(),
     }
@@ -130,6 +127,11 @@ def _parse_axis(spec: str) -> tuple[int, float, float, int]:
     return idx, lo, hi, count
 
 
+def _check_index(idx: int, n_params: int, what: str) -> None:
+    if not (0 <= idx < n_params):
+        raise UsageError(f"{what} index {idx} outside 0..{n_params - 1}")
+
+
 def cmd_landscape(args) -> int:
     g = _load_graphs(args)[0]
     _, (objective, _, n_params) = _landscape(FAMILIES[args.family], g, args)
@@ -140,14 +142,15 @@ def cmd_landscape(args) -> int:
     for spec in args.fixed or []:
         try:
             idx, val = spec.split("=")
-            base[int(idx)] = float(val)
-        except (ValueError, IndexError):
+            idx, val = int(idx), float(val)
+        except ValueError:
             raise UsageError(f"--fixed expects IDX=VALUE, got {spec!r}")
+        _check_index(idx, n_params, "fixed")
+        base[idx] = val
     if not np.isfinite(base).all():
         raise UsageError("--fixed VALUE must be finite")
     for idx, _, _, _ in axes:
-        if not (0 <= idx < n_params):
-            raise UsageError(f"axis index {idx} outside 0..{n_params - 1}")
+        _check_index(idx, n_params, "axis")
     with np.errstate(over="ignore", invalid="ignore"):
         grids = [np.linspace(lo, hi, count) for _, lo, hi, count in axes]
     # finite ends whose span overflows give infinite or NaN points
@@ -189,14 +192,23 @@ def _emit(doc: dict, out_path) -> None:
         print(text)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int, kind: str):
+    """argparse type: an int of at least ``low``, described as a ``kind`` integer."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "positive")
+_non_negative_int = _int_at_least(0, "non-negative")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -204,7 +216,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", help="edge-list file")
     p.add_argument("--random-graph", metavar="d:p", help="seeded random graph")
     p.add_argument("--instances", type=_positive_int, default=1, help="number of random graphs")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--m", type=int, default=64, help="ergodic spectrum base")

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -21,24 +21,26 @@ GRID_BLOCK = 4096
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    max_iters: int = 10_000
-    grad_tol: float = 1e-8
-    initial_step: float = 0.5
+    """Seed and restart count of a multistart run.
+
+    The stop rule is fixed: at most ``max_iters`` iterations, stopping early
+    once the gradient norm is at most ``grad_tol``; each line search tries up
+    to MAX_BACKTRACKS steps, from ``initial_step`` halving each time, until
+    one meets the Armijo condition with ARMIJO_C; without an analytic
+    gradient, central differences use ``finite_diff_step``.
+    """
+
+    max_iters: ClassVar[int] = 10_000
+    grad_tol: ClassVar[float] = 1e-8
+    initial_step: ClassVar[float] = 0.5
+    finite_diff_step: ClassVar[float] = 1e-5
+
     seed: int = 0
     restarts: int = 1
-    finite_diff_step: float = 1e-5
 
     def __post_init__(self):
-        if not (
-            self.max_iters > 0
-            and self.grad_tol > 0
-            and self.initial_step > 0
-            and self.restarts > 0
-            and self.finite_diff_step > 0
-        ):
-            raise ValueError("all optimizer config fields must be positive")
-        if self.grad_tol >= self.initial_step:
-            raise ValueError("grad_tol must be smaller than initial_step")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be positive, got {self.restarts}")
 
 
 @dataclass
@@ -51,10 +53,12 @@ class DescentResult:
 
 @dataclass
 class MultistartResult:
+    """One DescentResult per restart, in restart order, and the lowest of them
+    (the first restart to reach it, on a tie)."""
+
+    runs: list[DescentResult]
     best_value: float
     best_params: np.ndarray
-    trajectories: list[list[float]]
-    converged: list[bool]
 
 
 def finite_difference_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
@@ -123,22 +127,13 @@ def multistart(
     Restart r draws from a fresh RNG seeded with seed + r, so runs are
     reproducible and order-independent.
     """
-    best: Optional[DescentResult] = None
-    trajectories, flags = [], []
+    runs = []
     for r in range(cfg.restarts):
         rng = np.random.default_rng(cfg.seed + r)
         init = rng.uniform(0.0, 2 * np.pi, size=n_params)
-        res = gradient_descent(objective, init, cfg, gradient)
-        trajectories.append(res.trajectory)
-        flags.append(res.converged)
-        if best is None or res.value < best.value:
-            best = res
-    return MultistartResult(
-        best_value=best.value,
-        best_params=best.params,
-        trajectories=trajectories,
-        converged=flags,
-    )
+        runs.append(gradient_descent(objective, init, cfg, gradient))
+    best = min(runs, key=lambda run: run.value)
+    return MultistartResult(runs=runs, best_value=best.value, best_params=best.params)
 
 
 def reference_minimum(
@@ -193,58 +188,28 @@ def error_metrics(
     return delta_m + delta_o, delta_m, delta_o
 
 
-@dataclass
-class OptimizationReport:
-    """Per-instance record of a multistart run against exact references."""
-
-    best_value: float
-    best_params: np.ndarray
-    reference_min: float
-    lambda_min: float
-    lambda_max: float
-    sw: float
-    delta: float
-    delta_m: float
-    delta_o: float
-    trajectories: list[list[float]]
-    converged: list[bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "best_value": self.best_value,
-            "best_params": list(map(float, self.best_params)),
-            "reference_min": self.reference_min,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "sw": self.sw,
-            "delta": self.delta,
-            "delta_m": self.delta_m,
-            "delta_o": self.delta_o,
-            "restarts": len(self.trajectories),
-            "iterations_per_restart": [len(t) for t in self.trajectories],
-            "converged": self.converged,
-        }
-
-
 def build_report(
     result: MultistartResult,
     reference_min: float,
     lambda_min: float,
     lambda_max: float,
-) -> OptimizationReport:
+) -> dict:
+    """Per-instance record of a multistart run against exact references, as
+    ``optimize`` writes it."""
     delta, delta_m, delta_o = error_metrics(
         result.best_value, reference_min, lambda_min, lambda_max
     )
-    return OptimizationReport(
-        best_value=result.best_value,
-        best_params=result.best_params,
-        reference_min=reference_min,
-        lambda_min=lambda_min,
-        lambda_max=lambda_max,
-        sw=lambda_max - lambda_min,
-        delta=delta,
-        delta_m=delta_m,
-        delta_o=delta_o,
-        trajectories=result.trajectories,
-        converged=result.converged,
-    )
+    return {
+        "best_value": result.best_value,
+        "best_params": list(map(float, result.best_params)),
+        "reference_min": reference_min,
+        "lambda_min": lambda_min,
+        "lambda_max": lambda_max,
+        "sw": lambda_max - lambda_min,
+        "delta": delta,
+        "delta_m": delta_m,
+        "delta_o": delta_o,
+        "restarts": len(result.runs),
+        "iterations_per_restart": [len(run.trajectory) for run in result.runs],
+        "converged": [run.converged for run in result.runs],
+    }

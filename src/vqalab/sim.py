@@ -19,7 +19,6 @@ import numpy as np
 from .graphs import Graph
 
 HERMITIAN_TOL = 1e-12
-UNITARITY_TOL = 1e-10
 NORM_TOL = 1e-10
 IMAG_TOL = 1e-10
 
@@ -324,7 +323,9 @@ def apply_circuit(inst: VqaInstance, phi) -> np.ndarray:
     psi = inst.initial
     for h, angle in zip(inst.generators, phi):
         psi = h.apply_exp(psi, angle)
-    assert abs(np.linalg.norm(psi) - 1.0) <= NORM_TOL
+    norm_error = abs(np.linalg.norm(psi) - 1.0)
+    if not norm_error <= NORM_TOL:
+        raise ValueError(f"circuit changed the state norm by {norm_error:.3e}")
     return psi
 
 

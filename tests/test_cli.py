@@ -220,6 +220,21 @@ class TestLandscapeCommand:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--axis=-1:0:1:5"], "axis index -1 outside 0..2"),
+            (["--axis", "0:0:1:5", "--fixed=-1=0.5"], "fixed index -1 outside 0..2"),
+            (["--axis", "0:0:1:5", "--fixed", "3=0.5"], "fixed index 3 outside 0..2"),
+        ],
+    )
+    def test_index_outside_parameters_is_usage_error(self, k3_file, flags, message, capsys):
+        rc = main(["landscape", "--family", "oracular", "--graph", k3_file, *flags])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_axis_count_below_one_is_usage_error(self, edge_file, count, capsys):
         rc = main(["landscape", "--family", "oracular", "--graph", edge_file, "--axis", f"0:0:1:{count}"])
@@ -359,3 +374,16 @@ class TestExitCodes:
             main(argv)
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "optimize", "landscape", "export"])
+    @pytest.mark.parametrize("value", ["-1", "-5"])
+    def test_seed_must_be_non_negative(self, command, value, capsys):
+        argv = [command, "--family", "oracular", "--random-graph", "3:0.5", "--seed", value]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--seed" in err and "non-negative integer" in err
+
+    def test_seed_zero_is_accepted(self, capsys):
+        assert main(["export", "--family", "oracular", "--random-graph", "3:0.5", "--seed", "0"]) == 0

@@ -159,8 +159,13 @@ def run_stdout(argv) -> str:
     return out.getvalue()
 
 
-def run_digest(argv) -> str:
-    text = run_stdout(argv)
+def raw_digest(argv, text: str) -> str:
+    if argv[0] == "optimize":
+        text = "".join(line for line in text.splitlines(True) if '"timestamp"' not in line)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def reencoded_digest(argv, text: str) -> str:
     if argv[0] != "landscape":
         doc = json.loads(text)
         doc.pop("timestamp", None)
@@ -170,12 +175,17 @@ def run_digest(argv) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_digest(name):
-    assert run_digest(CASES[name]) == DIGESTS[name]
+    argv = CASES[name]
+    text = run_stdout(argv)
+    # the re-encoded digest is a function of the raw bytes, so bytes that
+    # match their raw digest match the re-encoded one too; re-encoding a large
+    # export with the pure-Python encoder takes seconds
+    if name in RAW_DIGESTS and raw_digest(argv, text) == RAW_DIGESTS[name]:
+        return
+    assert reencoded_digest(argv, text) == DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(RAW_DIGESTS))
 def test_raw_output_matches_golden_digest(name):
-    text = run_stdout(CASES[name])
-    if CASES[name][0] == "optimize":
-        text = "".join(line for line in text.splitlines(True) if '"timestamp"' not in line)
-    assert hashlib.sha256(text.encode()).hexdigest() == RAW_DIGESTS[name]
+    argv = CASES[name]
+    assert raw_digest(argv, run_stdout(argv)) == RAW_DIGESTS[name]

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,19 +19,40 @@ from vqalab import (
 )
 from vqalab.families import FAMILIES
 from vqalab.landscape import is_discrete_local_min, phases_from_assignment
-from vqalab.optimize import build_report
+from vqalab.optimize import DescentResult, MultistartResult, build_report
 
 
 class TestConfig:
     def test_rejects_nonpositive_fields(self):
-        with pytest.raises(ValueError, match="positive"):
-            OptimizerConfig(max_iters=0)
-        with pytest.raises(ValueError, match="positive"):
-            OptimizerConfig(grad_tol=-1e-8)
+        with pytest.raises(ValueError, match="restarts must be positive"):
+            OptimizerConfig(restarts=0)
+        with pytest.raises(ValueError, match="restarts must be positive"):
+            OptimizerConfig(restarts=-1)
 
-    def test_rejects_tolerance_above_step(self):
-        with pytest.raises(ValueError, match="smaller"):
-            OptimizerConfig(grad_tol=1.0, initial_step=0.5)
+    def test_stop_rule_is_not_a_field(self):
+        assert [f.name for f in dataclasses.fields(OptimizerConfig)] == ["seed", "restarts"]
+        assert OptimizerConfig().max_iters == 10_000
+        with pytest.raises(TypeError):
+            OptimizerConfig(max_iters=5)
+
+
+class TestStopRule:
+    """The two ways gradient_descent stops short of the gradient tolerance;
+    TestGradientDescent.test_quadratic_bowl stops at it."""
+
+    def test_runs_to_the_iteration_cap(self):
+        # a linear objective always accepts the first step and never flattens
+        res = gradient_descent(lambda x: float(x[0]), np.zeros(1), OptimizerConfig(),
+                               gradient=lambda x: np.ones(1))
+        assert len(res.trajectory) == OptimizerConfig.max_iters + 1 == 10_001
+        assert res.converged is False
+
+    def test_stops_when_no_step_passes_armijo(self):
+        # the gradient points uphill, so every backtrack raises the value
+        res = gradient_descent(lambda x: float(x[0]), np.zeros(1), OptimizerConfig(),
+                               gradient=lambda x: -np.ones(1))
+        assert res.trajectory == [0.0]
+        assert res.converged is False
 
 
 class TestGradientDescent:
@@ -41,7 +63,8 @@ class TestGradientDescent:
             OptimizerConfig(),
             gradient=lambda x: 2 * x,
         )
-        assert res.converged
+        assert res.converged is True
+        assert len(res.trajectory) < OptimizerConfig.max_iters + 1
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(res.params) <= 1e-6
 
@@ -125,7 +148,7 @@ class TestMultistart:
     def test_best_is_minimum_over_restarts(self, c5):
         cfg = OptimizerConfig(seed=3, restarts=6)
         res = multistart(lambda x: mu(c5, x), 5, cfg, gradient=lambda x: mu_gradient(c5, x))
-        assert res.best_value == pytest.approx(min(t[-1] for t in res.trajectories))
+        assert res.best_value == pytest.approx(min(run.trajectory[-1] for run in res.runs))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_rounded_endpoints_are_discrete_local_minima(self, seed):
@@ -228,9 +251,20 @@ class TestReport:
         cfg = OptimizerConfig(seed=1, restarts=3)
         res = multistart(lambda x: mu(k3, x), 3, cfg, gradient=lambda x: mu_gradient(k3, x))
         rep = build_report(res, -2.0, -2.0, 0.0)
-        assert rep.sw == 2.0
-        assert rep.delta == pytest.approx(rep.delta_m + rep.delta_o)
-        d = rep.to_dict()
-        assert d["restarts"] == 3
-        assert len(d["iterations_per_restart"]) == 3
-        assert d["best_value"] == res.best_value
+        assert rep["sw"] == 2.0
+        assert rep["delta"] == pytest.approx(rep["delta_m"] + rep["delta_o"])
+        assert rep["restarts"] == 3
+        assert rep["iterations_per_restart"] == [len(run.trajectory) for run in res.runs]
+        assert rep["converged"] == [run.converged for run in res.runs]
+        assert rep["best_value"] == res.best_value
+
+    def test_per_restart_entries_follow_runs(self):
+        runs = [
+            DescentResult(value=-1.0, params=np.zeros(2), trajectory=[0.0, -1.0], converged=False),
+            DescentResult(value=-2.0, params=np.ones(2), trajectory=[0.0, -1.5, -2.0], converged=True),
+        ]
+        rep = build_report(MultistartResult(runs, -2.0, np.ones(2)), -2.0, -2.0, 0.0)
+        assert rep["restarts"] == 2
+        assert rep["iterations_per_restart"] == [2, 3]
+        assert rep["converged"] == [False, True]
+        assert rep["best_params"] == [1.0, 1.0]

@@ -10,9 +10,10 @@ from vqalab import (
     ising_observable,
     maxcut_bruteforce,
     random_graph,
+    simulate_expectation,
     spectral_extremes,
 )
-from vqalab.sim import Dense, Diagonal, assert_hermitian, assert_state
+from vqalab.sim import Dense, Diagonal, Operator, assert_hermitian, assert_state
 
 
 def random_hermitian(dim, rng):
@@ -111,6 +112,23 @@ class TestApplyCircuit:
         inst = self._instance(np.random.default_rng(3))
         with pytest.raises(ValueError, match="finite"):
             apply_circuit(inst, [0.1, x, 0.2])
+
+    def test_norm_change_raises(self):
+        class Doubling(Operator):
+            """A broken generator whose exponential scales the state by 2."""
+
+            dim = 2
+
+            def apply_exp(self, psi, theta):
+                return 2 * psi
+
+        inst = VqaInstance(
+            initial=np.array([1.0, 0.0], dtype=complex),
+            generators=(Doubling(),),
+            observable=Diagonal([1.0, -1.0]),
+        )
+        with pytest.raises(ValueError, match="norm by 1.000e"):
+            simulate_expectation(inst, [0.3])
 
 
 class TestExpectation:
