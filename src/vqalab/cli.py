@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -36,6 +37,10 @@ def _load_graphs(args) -> list[Graph]:
             d, p = int(d_str), float(p_str)
         except ValueError:
             raise UsageError(f"--random-graph expects d:p, got {args.random_graph!r}")
+        if d < 2:
+            raise UsageError(f"--random-graph d must be at least 2, got {args.random_graph!r}")
+        if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+            raise UsageError(f"--random-graph p must be finite and in [0, 1], got {args.random_graph!r}")
         return [random_graph(d, p, args.seed + i) for i in range(args.instances)]
     raise UsageError("provide either --graph FILE or --random-graph d:p")
 
@@ -193,7 +198,7 @@ def _emit(doc: dict, out_path) -> None:
 
 
 def _int_at_least(low: int, kind: str):
-    """argparse type: an int of at least ``low``, described as a ``kind`` integer."""
+    """argparse type: an int of at least ``low``, described as ``kind``."""
 
     def parse(text: str) -> int:
         try:
@@ -201,14 +206,26 @@ def _int_at_least(low: int, kind: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
         if value < low:
-            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {kind}, got {value}")
         return value
 
     return parse
 
 
-_positive_int = _int_at_least(1, "positive")
-_non_negative_int = _int_at_least(0, "non-negative")
+_positive_int = _int_at_least(1, "a positive integer")
+_non_negative_int = _int_at_least(0, "a non-negative integer")
+_base = _int_at_least(2, "an integer of at least 2")
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -217,14 +234,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--random-graph", metavar="d:p", help="seeded random graph")
     p.add_argument("--instances", type=_positive_int, default=1, help="number of random graphs")
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--m", type=int, default=64, help="ergodic spectrum base")
+    p.add_argument("--m", type=_base, default=64, help="ergodic spectrum base")
     p.add_argument("--tau", type=float, default=1e-3, help="single-layer QAOA coupling")
     p.add_argument("--k", type=_positive_int, default=1, help="boosting power")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves no state in it,
+    since every option defaults to an immutable value and ``--axis`` and
+    ``--fixed`` append to a new list on each parse."""
     parser = argparse.ArgumentParser(prog="vqalab")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -252,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (UsageError, GraphParseError, FileNotFoundError) as exc:

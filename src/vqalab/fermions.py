@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -108,48 +109,37 @@ def fermionic_vqa_instance(g: Graph) -> FermionInstance:
 # ---------------------------------------------------------------------------
 # Fock-space brute-force oracle
 
-def annihilation_operators(n: int) -> list[np.ndarray]:
-    """Dense 2^n annihilation operators with Jordan-Wigner sign bookkeeping."""
+def second_quantized_all(hs, n: int) -> list[np.ndarray]:
+    """2^n matrices of the quadratic operators sum h_ij c_i^dag c_j on n modes,
+    one per coefficient matrix h in ``hs``, read off the occupation bits of
+    the basis states; mode k is bit n-1-k, so the first mode is the most
+    significant.
+
+    c_i^dag c_j takes each state s with mode j occupied, and mode i empty once
+    j is emptied, to s ^ bit(j) | bit(i), with the Jordan-Wigner sign
+    (-1)^(occupied modes before j in s + occupied modes before i in
+    s ^ bit(j)). Each h_ij * sign is added in (i, j) order, so every entry is
+    the sum the dense products c_i^dag @ c_j would give, bit for bit.
+    """
     if n > FOCK_MAX_MODES:
         raise ValueError(f"{n} modes exceed the Fock oracle limit {FOCK_MAX_MODES}")
-    z = np.diag([1.0, -1.0])
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # |1> -> |0>
-    eye = np.eye(2)
-    ops = []
-    for j in range(n):
-        op = np.array([[1.0 + 0j]])
-        for k in range(n):
-            if k < j:
-                op = np.kron(op, z)
-            elif k == j:
-                op = np.kron(op, lower)
-            else:
-                op = np.kron(op, eye)
-        ops.append(op)
-    return ops
-
-
-def second_quantized_all(hs, cs: list[np.ndarray]) -> list[np.ndarray]:
-    """2^n matrices of the quadratic operators sum h_ij c_i^dag c_j, one per
-    coefficient matrix h in ``hs``; each product c_i^dag c_j is formed once
-    and added, in (i, j) order, to every matrix whose h_ij is nonzero."""
     hs = [np.asarray(h, dtype=complex) for h in hs]
-    dim = cs[0].shape[0]
-    outs = [np.zeros((dim, dim), dtype=complex) for _ in hs]
-    for i, ci in enumerate(cs):
-        ci_dag = ci.conj().T
-        for j, cj in enumerate(cs):
-            terms = [(h[i, j], out) for h, out in zip(hs, outs) if h[i, j] != 0]
-            if terms:
-                pair = ci_dag @ cj
-                for coeff, out in terms:
-                    out += coeff * pair
+    states = np.arange(1 << n)
+    bit = 1 << np.arange(n - 1, -1, -1)
+    occupied = (states[:, None] & bit) != 0
+    before = np.cumsum(occupied, axis=1) - occupied
+    outs = [np.zeros((1 << n, 1 << n), dtype=complex) for _ in hs]
+    for i, j in product(range(n), repeat=2):
+        terms = [(h[i, j], out) for h, out in zip(hs, outs) if h[i, j] != 0]
+        if not terms:
+            continue
+        moved = occupied[:, j] & ((i == j) | ~occupied[:, i])
+        src = states[moved]
+        dst = (src ^ bit[j]) | bit[i]
+        sign = 1.0 - 2.0 * ((before[moved, j] + before[moved, i] - (j < i)) & 1)
+        for coeff, out in terms:
+            out[dst, src] += coeff * sign
     return outs
-
-
-def second_quantized(h, cs: list[np.ndarray]) -> np.ndarray:
-    """2^n matrix of the quadratic operator sum h_ij c_i^dag c_j."""
-    return second_quantized_all([h], cs)[0]
 
 
 def fock_ground_state(h_full: np.ndarray, degeneracy_tol: float = 1e-10) -> np.ndarray:
@@ -161,16 +151,6 @@ def fock_ground_state(h_full: np.ndarray, degeneracy_tol: float = 1e-10) -> np.n
     return (p @ p.conj().T) / int(mask.sum())
 
 
-def fock_covariance(rho: np.ndarray, cs: list[np.ndarray]) -> np.ndarray:
-    """Correlation matrix Gamma_ij = Tr[c_j^dag c_i rho] from a Fock density matrix."""
-    n = len(cs)
-    gamma = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            gamma[i, j] = np.trace(cs[j].conj().T @ cs[i] @ rho)
-    return gamma
-
-
 def fock_system(inst: FermionInstance) -> tuple:
     """The instance on the 2^n Fock space, built once for the oracle:
     (rho, observable, spectra), where rho is the ground state of h0 and
@@ -179,9 +159,8 @@ def fock_system(inst: FermionInstance) -> tuple:
     Dense and independent of the coefficient pipeline: it reads the
     operators only through ``to_dense()``.
     """
-    cs = annihilation_operators(inst.dim)
     h0, obs, *gens = second_quantized_all(
-        [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)], cs
+        [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)], inst.dim
     )
     return fock_ground_state(h0), obs, tuple(np.linalg.eigh(h) for h in gens)
 

@@ -36,6 +36,10 @@ def edge_file(tmp_path):
     return str(path)
 
 
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
+
+
 class TestSerialize:
     def test_matrix_round_trip(self):
         rng = np.random.default_rng(0)
@@ -208,6 +212,20 @@ class TestLandscapeCommand:
         )
         assert rc == 0
 
+    def test_repeated_calls_share_no_append_state(self, k3_file, capsys):
+        # one parser serves every call in a process: --axis and --fixed must not carry over
+        first = ["landscape", "--family", "oracular", "--graph", k3_file,
+                 "--axis", "0:0:3:4", "--axis", "1:0:3:3", "--fixed", "2=1.5"]
+        second = ["landscape", "--family", "oracular", "--graph", k3_file, "--axis", "0:0:1:5"]
+        alone = []
+        for argv in (first, second):
+            args = build_parser.__wrapped__().parse_args(argv)
+            assert args.func(args) == 0
+            alone.append(capsys.readouterr().out)
+        for argv, expected in zip((first, second, first, second), alone * 2):
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected
+
     def test_missing_axis_is_usage_error(self, k3_file):
         assert main(["landscape", "--family", "oracular", "--graph", k3_file]) == 2
 
@@ -307,6 +325,40 @@ class TestExitCodes:
 
     def test_bad_random_graph_spec(self):
         assert main(["verify", "--family", "oracular", "--random-graph", "oops"]) == 2
+
+    @pytest.mark.parametrize("spec", ["0:0.5", "1:0.5"])
+    def test_random_graph_needs_two_vertices(self, spec, capsys):
+        assert main(["verify", "--family", "oracular", "--random-graph", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--random-graph d must be at least 2" in captured.err
+
+    @pytest.mark.parametrize("spec", ["3:1.5", "3:-0.1", "3:nan", "3:inf"])
+    def test_random_graph_probability_in_unit_interval(self, spec, capsys):
+        assert main(["verify", "--family", "oracular", "--random-graph", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--random-graph p must be finite and in [0, 1]" in captured.err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "-1e-300", "x"])
+    def test_tol_must_be_finite_and_non_negative(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--family", "oracular", "--random-graph", "3:0.5", "--tol", tol])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--tol" in captured.err
+
+    def test_tol_zero_is_accepted(self, capsys):
+        main(["verify", "--family", "oracular", "--random-graph", "3:0.5", "--samples", "2", "--tol", "0"])
+        assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
+
+    @pytest.mark.parametrize("command", ["verify", "optimize", "landscape", "export"])
+    @pytest.mark.parametrize("m", ["1", "0", "-2"])
+    def test_base_m_must_be_at_least_two(self, command, m, capsys):
+        argv = [command, "--family", "single-layer", "--random-graph", "3:1.0", "--m", m]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--m" in captured.err and "at least 2" in captured.err
 
     def test_invalid_parameter_value(self, k3_file):
         # m=4 makes the mixer energies leave (-1, 1), which is rejected

@@ -11,15 +11,13 @@ from vqalab import (
     random_graph,
 )
 from vqalab.fermions import (
+    FOCK_MAX_MODES,
     FermionInstance,
-    annihilation_operators,
     evolve_coefficient,
     fermion_expectation,
     fock_bruteforce_expectation,
-    fock_covariance,
     fock_ground_state,
     fock_system,
-    second_quantized,
 )
 
 
@@ -34,6 +32,37 @@ def random_instance(n, layers, rng):
         generators=tuple(random_hermitian(n, rng) for _ in range(layers)),
         observable=random_hermitian(n, rng),
     )
+
+
+def annihilation_operators(n):
+    """Dense 2^n annihilation operators as Jordan-Wigner kron chains."""
+    z = np.diag([1.0, -1.0])
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])  # |1> -> |0>
+    eye = np.eye(2)
+    ops = []
+    for j in range(n):
+        op = np.array([[1.0 + 0j]])
+        for k in range(n):
+            op = np.kron(op, z if k < j else lower if k == j else eye)
+        ops.append(op)
+    return ops
+
+
+def second_quantized(h, cs):
+    """2^n matrix of sum h_ij c_i^dag c_j from the dense operators."""
+    h = np.asarray(h, dtype=complex)
+    out = np.zeros((cs[0].shape[0],) * 2, dtype=complex)
+    for i in range(h.shape[0]):
+        for j in range(h.shape[0]):
+            if h[i, j] != 0:
+                out += h[i, j] * (cs[i].conj().T @ cs[j])
+    return out
+
+
+def fock_covariance(rho, cs):
+    """Correlation matrix Gamma_ij = Tr[c_j^dag c_i rho] from a Fock density matrix."""
+    n = len(cs)
+    return np.array([[np.trace(cs[j].conj().T @ cs[i] @ rho) for j in range(n)] for i in range(n)])
 
 
 def eigh_gaussian_expectation(inst, phi):
@@ -60,22 +89,38 @@ def fresh_fock_expectation(inst, phi):
 
 
 def loop_fock_system(inst):
-    """fock_system as it was, forming c_i^dag c_j anew for every matrix."""
-
-    def quadratic(h, cs):
-        h = np.asarray(h, dtype=complex)
-        out = np.zeros((cs[0].shape[0],) * 2, dtype=complex)
-        for i in range(h.shape[0]):
-            for j in range(h.shape[0]):
-                if h[i, j] != 0:
-                    out += h[i, j] * (cs[i].conj().T @ cs[j])
-        return out
-
+    """fock_system from the dense kron-chain operators, forming c_i^dag c_j
+    anew for every matrix."""
     cs = annihilation_operators(inst.dim)
-    rho = fock_ground_state(quadratic(inst.initial, cs))
-    obs = quadratic(inst.observable.to_dense(), cs)
-    spectra = tuple(np.linalg.eigh(quadratic(h.to_dense(), cs)) for h in inst.generators)
+    rho = fock_ground_state(second_quantized(inst.initial, cs))
+    obs = second_quantized(inst.observable.to_dense(), cs)
+    spectra = tuple(np.linalg.eigh(second_quantized(h.to_dense(), cs)) for h in inst.generators)
     return rho, obs, spectra
+
+
+def mixed_zero_hermitian(n, rng):
+    """A Hermitian matrix whose entries are drawn from zero, -0.0, purely
+    imaginary with a real part of 0.0 or -0.0, real with an imaginary part of
+    -0.0, and general complex values."""
+    h = random_hermitian(n, rng)
+    for i in range(n):
+        for j in range(i, n):
+            a, b = h[i, j].real, h[i, j].imag
+            zero = float(rng.choice([0.0, -0.0]))
+            if i == j:
+                h[i, i] = complex([0.0, -0.0, a][rng.integers(3)], zero)
+            else:
+                h[i, j] = [0j, complex(-0.0, -0.0), complex(zero, b), complex(a, -0.0), complex(a, b)][rng.integers(5)]
+                h[j, i] = np.conj(h[i, j])
+    return h
+
+
+def assert_same_fock_bytes(inst):
+    (rho, obs, spectra), (loop_rho, loop_obs, loop_spectra) = fock_system(inst), loop_fock_system(inst)
+    assert rho.tobytes() == loop_rho.tobytes() and obs.tobytes() == loop_obs.tobytes()
+    assert len(spectra) == len(loop_spectra)
+    for (vals, vecs), (loop_vals, loop_vecs) in zip(spectra, loop_spectra):
+        assert vals.tobytes() == loop_vals.tobytes() and vecs.tobytes() == loop_vecs.tobytes()
 
 
 class TestGroundCovariance:
@@ -178,11 +223,17 @@ class TestGaussianVsFock:
         # a random instance has every coefficient nonzero: 2d - 2 modes keep it small
         rng = np.random.default_rng(seed)
         inst = random_instance(2 * d - 2, d, rng) if random else fermionic_vqa_instance(random_graph(d, p, seed))
-        (rho, obs, spectra), (loop_rho, loop_obs, loop_spectra) = fock_system(inst), loop_fock_system(inst)
-        assert rho.tobytes() == loop_rho.tobytes() and obs.tobytes() == loop_obs.tobytes()
-        assert len(spectra) == len(loop_spectra)
-        for (vals, vecs), (loop_vals, loop_vecs) in zip(spectra, loop_spectra):
-            assert vals.tobytes() == loop_vals.tobytes() and vecs.tobytes() == loop_vecs.tobytes()
+        assert_same_fock_bytes(inst)
+
+    @pytest.mark.parametrize("n", range(1, FOCK_MAX_MODES + 1))
+    def test_fock_system_is_bit_identical_on_signed_zero_and_imaginary_coefficients(self, n):
+        rng = np.random.default_rng(400 + n)
+        inst = FermionInstance(
+            initial=mixed_zero_hermitian(n, rng),
+            generators=(mixed_zero_hermitian(n, rng),),
+            observable=mixed_zero_hermitian(n, rng),
+        )
+        assert_same_fock_bytes(inst)
 
 
 class TestInstanceShape:
