@@ -42,7 +42,6 @@ from .reductions import (
     qaoa_multilayer_instance,
     qaoa_single_layer_instance,
     single_layer_instance,
-    verify_certificate,
 )
 from .fermions import (
     FermionInstance,

@@ -7,6 +7,7 @@ Every subcommand is deterministic given --seed; exit codes are 0 (success),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -20,7 +21,7 @@ from . import __version__
 from .families import FAMILIES
 from .graphs import Graph, GraphParseError, maxcut_bruteforce, maxcut_greedy, parse_graph, random_graph
 from .optimize import OptimizerConfig, build_report, multistart
-from .serialize import REFERENCE_CONSTANTS, SCHEMA, dump_json, graph_to_json, instance_to_json
+from .serialize import REFERENCE_CONSTANTS, SCHEMA, dump_json, graph_to_json, instance_to_json, open_out
 
 
 class UsageError(ValueError):
@@ -162,12 +163,12 @@ def cmd_landscape(args) -> int:
     for spec, grid in zip(args.axis, grids):
         if not np.isfinite(grid).all():
             raise UsageError(f"--axis grid points must be finite, got {spec!r}")
-    out = open(args.out, "w", newline="") if args.out else sys.stdout
-    writer = csv.writer(out)
-    writer.writerow([f"param_{idx}" for idx, *_ in axes] + ["value"])
     # the unchecked objectives overflow at a few finite points (single-layer
     # phases E_i * t past the float range); the value check reports those
-    with np.errstate(over="ignore", invalid="ignore"):
+    sink = open_out(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout)
+    with sink as out, np.errstate(over="ignore", invalid="ignore"):
+        writer = csv.writer(out)
+        writer.writerow([f"param_{idx}" for idx, *_ in axes] + ["value"])
         for point in product(*grids):
             x = base.copy()
             for (idx, *_), t in zip(axes, point):
@@ -177,8 +178,6 @@ def cmd_landscape(args) -> int:
             if not math.isfinite(value):
                 raise ValueError(f"non-finite objective value {value} at ({', '.join(coords)})")
             writer.writerow(coords + [f"{value:.12g}"])
-    if args.out:
-        out.close()
     return 0
 
 

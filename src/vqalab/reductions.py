@@ -154,11 +154,6 @@ def logdim_vqa_instance(g: Graph) -> VqaInstance:
     )
 
 
-def verify_certificate(inst: VqaInstance, phi, a: float, tol: float = 1e-9) -> bool:
-    """Polynomial-time check of the decision version: <O>(phi) <= a."""
-    return expectation(apply_circuit(inst, phi), inst.observable) <= a + tol
-
-
 # ---------------------------------------------------------------------------
 # Ergodic spectra and the single-layer family
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 
 import numpy as np
 
@@ -77,6 +80,30 @@ def _array_text(a: np.ndarray, level: int) -> str:
     return _template(a.shape + (2,), level) % tuple(texts)
 
 
+@contextlib.contextmanager
+def open_out(path, newline=None):
+    """A text stream that rewrites ``path`` in place, as ``open(path, "w",
+    newline=newline)`` would write it.
+
+    The file is opened without ``O_TRUNC`` and, on exit (by an exception as
+    well), cut to the length written, if it is a regular file. Truncating a
+    just-written file at open makes ext4 wait for its writeback; cutting it
+    after the write does not. Nothing is synced, so a crash can leave a
+    partial file, as with ``open(path, "w")``.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        with open(fd, "w", newline=newline, closefd=False) as fh:
+            try:
+                yield fh
+            finally:
+                fh.flush()
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+    finally:
+        os.close(fd)
+
+
 def dump_json(doc: dict, path=None) -> str:
     """``doc`` as the text of ``json.dumps(doc, sort_keys=True, indent=2)``,
     each complex ndarray in it written as its nested ``[re, im]`` lists;
@@ -105,6 +132,6 @@ def dump_json(doc: dict, path=None) -> str:
         out.append(chunk)
     text = "".join(out)
     if path is not None:
-        with open(path, "w") as fh:
+        with open_out(path) as fh:
             fh.write(text + "\n")
     return text

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -309,6 +311,90 @@ class TestExportCommand:
         assert doc["graph"]["d"] == 3
         obs = matrix_from_json(doc["observable"])
         assert np.array_equal(obs, logdim_vqa_instance(k3).observable.to_dense())
+
+
+OUT_COMMANDS = {
+    "export": ["export", "--family", "boosted", "--k", "2", "--graph"],
+    "verify": ["verify", "--family", "logdim", "--samples", "3", "--graph"],
+    "optimize": ["optimize", "--family", "logdim", "--restarts", "2", "--graph"],
+    "landscape": ["landscape", "--family", "oracular", "--axis", "0:0:3:7", "--graph"],
+}
+
+
+def without_timestamp(text: str) -> str:
+    return "".join(line for line in text.splitlines(keepends=True) if not line.startswith('  "timestamp": '))
+
+
+class TestOutFile:
+    """`--out` rewrites the file in place: same bytes as stdout, the path's
+    symlink and mode kept, non-regular targets written without a cut."""
+
+    def stdout_and_file(self, command, k3_file, out, capsys) -> tuple[str, str]:
+        """What the command prints, and the file's bytes as text (line ends kept)."""
+        argv = OUT_COMMANDS[command] + [k3_file]
+        assert main(argv) == 0
+        # print() adds the newline the file gets after a JSON document
+        expected = capsys.readouterr().out
+        assert main(argv + ["--out", str(out)]) == 0
+        written = out.read_bytes().decode()
+        if command == "optimize":
+            return without_timestamp(expected), without_timestamp(written)
+        return expected, written
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_longer_file_is_cut_to_the_output(self, command, k3_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_bytes(b"stale bytes\n" * 100_000)
+        expected, written = self.stdout_and_file(command, k3_file, out, capsys)
+        assert written == expected
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_symlink_stays_and_target_gets_the_bytes(self, command, k3_file, tmp_path, capsys):
+        target = tmp_path / "target"
+        target.write_bytes(b"x" * 1_000_000)
+        out = tmp_path / "link"
+        out.symlink_to(target)
+        expected, written = self.stdout_and_file(command, k3_file, out, capsys)
+        assert out.is_symlink() and out.resolve() == target.resolve()
+        assert written == expected
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_existing_mode_is_kept(self, command, k3_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_bytes(b"x" * 1_000_000)
+        out.chmod(0o600)
+        self.stdout_and_file(command, k3_file, out, capsys)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_dev_null(self, command, k3_file, capsys):
+        assert main(OUT_COMMANDS[command] + [k3_file, "--out", os.devnull]) == 0
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_open_never_truncates(self, command, k3_file, tmp_path, monkeypatch):
+        flags = []
+        real_open = os.open
+
+        def recording_open(path, flag, *args, **kwargs):
+            flags.append(flag)
+            return real_open(path, flag, *args, **kwargs)
+
+        monkeypatch.setattr(os, "open", recording_open)
+        assert main(OUT_COMMANDS[command] + [k3_file, "--out", str(tmp_path / "out")]) == 0
+        assert flags and not any(flag & os.O_TRUNC for flag in flags)
+
+    def test_failed_landscape_keeps_the_rows_written(self, tmp_path, capsys):
+        # with m = 2 the phase E_1 * t = pi * t overflows at the third point, t = 1e308
+        argv = ["landscape", "--family", "single-layer", "--m", "2", "--random-graph", "3:1.0",
+                "--axis", "0:0:1e308:3"]
+        assert main(argv) == 1
+        rows = capsys.readouterr().out
+        assert rows.count("\n") == 3
+        out = tmp_path / "l.csv"
+        out.write_bytes(b"stale bytes\n" * 100_000)
+        assert main(argv + ["--out", str(out)]) == 1
+        assert out.read_bytes() == rows.encode()
 
 
 class TestExitCodes:

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vqalab import (
+    apply_circuit,
     boosted_expectation,
     boosted_vqa_instance,
     ergodic_energies,
     ergodic_time,
+    expectation,
     ising_observable,
     logdim_vqa_instance,
     maxcut_bruteforce,
@@ -24,7 +26,6 @@ from vqalab import (
     simulate_expectation,
     single_layer_instance,
     spectral_extremes,
-    verify_certificate,
 )
 from vqalab.reductions import (
     _H0,
@@ -124,6 +125,11 @@ class TestLogdimInstance:
         for _ in range(25):
             phi = rng.uniform(0, 2 * np.pi, d)
             assert simulate_expectation(inst, phi) == pytest.approx(mu(g, phi), abs=1e-9)
+
+
+def verify_certificate(inst, phi, a: float, tol: float = 1e-9) -> bool:
+    """Polynomial-time check of the decision version: <O>(phi) <= a."""
+    return expectation(apply_circuit(inst, phi), inst.observable) <= a + tol
 
 
 class TestCertificate:
