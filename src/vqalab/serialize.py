@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import stat
 
@@ -57,27 +58,41 @@ def instance_to_json(inst: VqaInstance) -> dict:
     return doc
 
 
-def _template(shape: tuple, level: int) -> str:
-    """``json.dumps(..., indent=2)`` text, ``level`` deep, of a nested list
-    of ``shape`` with a ``%s`` for each number."""
-    if not shape:
-        return "%s"
-    if not shape[0]:
-        return "[]"
-    inner = "\n" + "  " * (level + 1)
-    items = ("," + inner).join([_template(shape[1:], level + 1)] * shape[0])
-    return "[" + inner + items + "\n" + "  " * level + "]"
-
-
 def _array_text(a: np.ndarray, level: int) -> str:
     """The text ``json.dumps(..., indent=2)`` gives, ``level`` deep, for the
-    complex array ``a`` as nested lists of ``[x.real, x.imag]`` pairs."""
-    # complex128 memory holds re, im in turn: the pairs are the last axis
-    floats = np.ascontiguousarray(a, dtype=complex).view(float).ravel().tolist()
-    # float.__repr__ is the stdlib's text of a finite float; json.dumps also
-    # writes NaN and the infinities
-    texts = map(float.__repr__ if np.isfinite(a).all() else json.dumps, floats)
-    return _template(a.shape + (2,), level) % tuple(texts)
+    complex array ``a`` as nested lists of ``[x.real, x.imag]`` pairs.
+
+    Exported matrices hold few distinct entries, so each is formatted once:
+    entries are grouped by their 16 bytes (signed zeros and NaN payloads
+    apart), and the rows are joined from the texts of their groups."""
+    flat = np.ascontiguousarray(a, dtype=complex).reshape(-1)
+    # complex128 memory holds re, im in turn: one uint64 row per entry
+    bits = flat.view(np.uint64).reshape(-1, 2)
+    order = np.lexsort(bits.T)
+    ranked = bits[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    group = np.empty_like(order)
+    group[order] = np.cumsum(new) - 1
+    distinct = flat[order[new]]
+    floats = distinct.view(float).tolist()
+    # "%s" writes a float as float.__repr__, the stdlib's text of a finite
+    # float; json.dumps also writes NaN and the infinities
+    values = iter(floats if np.isfinite(distinct).all() else map(json.dumps, floats))
+    inner = "\n" + "  " * (level + a.ndim + 1)
+    pair = "[" + inner + "%s," + inner + "%s\n" + "  " * (level + a.ndim) + "]"
+    # zipped with itself, the one iterator gives each (re, im) in turn
+    pairs = list(map(pair.__mod__, zip(values, values)))
+    texts = np.array(pairs, dtype=object)[group].tolist()
+    for axis in range(a.ndim - 1, -1, -1):
+        n = a.shape[axis]
+        if not n:
+            texts = ["[]"] * math.prod(a.shape[:axis])
+            continue
+        inner = "\n" + "  " * (level + axis + 1)
+        sep, close = "," + inner, "\n" + "  " * (level + axis) + "]"
+        texts = [f"[{inner}{sep.join(texts[i : i + n])}{close}" for i in range(0, len(texts), n)]
+    return texts[0]
 
 
 @contextlib.contextmanager
