@@ -13,14 +13,13 @@ import functools
 import math
 import sys
 import time
-from itertools import product
 
 import numpy as np
 
 from . import __version__
 from .families import FAMILIES
 from .graphs import Graph, GraphParseError, maxcut_bruteforce, maxcut_greedy, parse_graph, random_graph
-from .optimize import OptimizerConfig, build_report, multistart
+from .optimize import GRID_BLOCK, OptimizerConfig, build_report, optimize
 from .serialize import REFERENCE_CONSTANTS, SCHEMA, dump_json, graph_to_json, instance_to_json, open_out
 
 
@@ -91,7 +90,7 @@ def cmd_optimize(args) -> int:
         mc, _ = maxcut_bruteforce(g)
         greedy_val, _, _ = maxcut_greedy(g, args.seed)
         lam_min, lam_max = family.spectrum(g, mc, args, inst)
-        result = multistart(objective, n_params, cfg, gradient)
+        result = optimize(objective, n_params, cfg, gradient)
         ref = family.reference(g, mc, args, objective, result.best_value)
         records.append(
             {
@@ -165,19 +164,24 @@ def cmd_landscape(args) -> int:
             raise UsageError(f"--axis grid points must be finite, got {spec!r}")
     # the unchecked objectives overflow at a few finite points (single-layer
     # phases E_i * t past the float range); the value check reports those
+    shape = [len(grid) for grid in grids]
+    total = math.prod(shape)
     sink = open_out(args.out, newline="") if args.out else contextlib.nullcontext(sys.stdout)
     with sink as out, np.errstate(over="ignore", invalid="ignore"):
         writer = csv.writer(out)
         writer.writerow([f"param_{idx}" for idx, *_ in axes] + ["value"])
-        for point in product(*grids):
-            x = base.copy()
-            for (idx, *_), t in zip(axes, point):
-                x[idx] = t
-            value = objective(x)
-            coords = [f"{t:.12g}" for t in point]
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite objective value {value} at ({', '.join(coords)})")
-            writer.writerow(coords + [f"{value:.12g}"])
+        # the grid points in row-major order, GRID_BLOCK rows per objective call
+        for start in range(0, total, GRID_BLOCK):
+            flat = np.arange(start, min(start + GRID_BLOCK, total))
+            columns = [grid[i] for grid, i in zip(grids, np.unravel_index(flat, shape))]
+            X = np.tile(base, (flat.size, 1))
+            for (idx, *_), column in zip(axes, columns):
+                X[:, idx] = column
+            for point, value in zip(zip(*(c.tolist() for c in columns)), objective(X).tolist()):
+                coords = [f"{t:.12g}" for t in point]
+                if not math.isfinite(value):
+                    raise ValueError(f"non-finite objective value {value} at ({', '.join(coords)})")
+                writer.writerow(coords + [f"{value:.12g}"])
     return 0
 
 

@@ -22,12 +22,11 @@ from .fermions import (
     gaussian_expectation,
 )
 from .graphs import maxcut_bruteforce
-from .landscape import _mu, _mu_gradient
-from .optimize import reference_minimum
+from .landscape import _mu_gradient_rows, _mu_rows
+from .optimize import RowWise, reference_minimum
 from .reductions import (
     _qaoa1_value,
     _qaoa1_values,
-    _single_layer_value,
     _single_layer_values,
     boosted_vqa_instance,
     ergodic_energies,
@@ -78,19 +77,24 @@ class Family:
 
     ``build(g, args)`` makes the instance. ``spectrum(g, maxcut, args, inst)``
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
-    is (objective, gradient or None, n_params); objective and gradient may
-    skip input checks, since their callers (descent from uniform start points,
-    the landscape command's checked grid) pass finite vectors of length
-    n_params and reject a non-finite value. ``reference(g, maxcut, args,
-    objective, best)`` is the ansatz minimum <O>_min; only a sampled
-    reference may be lowered to the descent's best value ``best``.
+    is (objective, gradient or None, n_params) as row kernels: objective maps
+    an (n, n_params) stack of points to their n values, gradient to their
+    (n, n_params) gradients, each row bit for bit the family's scalar kernel
+    at that point. They may skip input checks, since their callers (descent
+    from uniform start points, the landscape command's checked grid) pass
+    finite rows and reject a non-finite value. ``reference(g, maxcut, args,
+    objective, best)`` is the ansatz minimum <O>_min, given the row
+    objective; only a sampled reference may be lowered to the descent's best
+    value ``best``.
     ``verify(g, args, inst, rng)`` maps each identity to its max residual.
     Optimize and landscape build the instance only if ``needs_instance``.
     """
 
     build: Callable
     spectrum: Callable
-    landscape: Callable = lambda g, args, inst: ((lambda x: _mu(g, x)), (lambda x: _mu_gradient(g, x)), g.d)
+    landscape: Callable = lambda g, args, inst: (
+        (lambda X: _mu_rows(g, X)), (lambda X: _mu_gradient_rows(g, X)), g.d
+    )
     reference: Callable = lambda g, maxcut, args, objective, best: -float(maxcut)
     verify: Callable = _verify_mu
     needs_instance: bool = False
@@ -99,11 +103,12 @@ class Family:
 def _boosted_landscape(g, args, inst):
     k = args.k
 
-    def f(x):
-        return -((-_mu(g, x)) ** k)
+    # np.float_power is C pow, as Python's float ** int is
+    def f(X):
+        return -np.float_power(-_mu_rows(g, X), k)
 
-    def grad(x):
-        return k * (-_mu(g, x)) ** (k - 1) * _mu_gradient(g, x)
+    def grad(X):
+        return (k * np.float_power(-_mu_rows(g, X), k - 1))[:, None] * _mu_gradient_rows(g, X)
 
     return f, grad, g.d
 
@@ -144,13 +149,14 @@ def _energies(g, args):
 
 
 def _grid_reference(point, batch):
-    """reference: the grid minimum along t -> point(t, args), lowered to the
-    descent's best value where the grid missed the minimum. ``batch(g, args,
-    ts)`` is the objective at point(t, args) for each t in ts, up to rounding."""
+    """reference: the grid minimum along t -> point(t, args), a one-row stack,
+    lowered to the descent's best value where the grid missed the minimum.
+    ``batch(g, args, ts)`` is the objective at point(t, args) for each t in
+    ts, up to rounding."""
 
     def reference(g, maxcut, args, objective, best):
         grid = reference_minimum(
-            lambda t: objective(point(t, args)),
+            lambda t: float(objective(point(t, args))[0]),
             lambda ts: batch(g, args, ts),
             (0.0, _grid_span(g, args)),
             args.grid_samples,
@@ -162,12 +168,12 @@ def _grid_reference(point, batch):
 
 def _single_layer_landscape(g, args, inst):
     energies = _energies(g, args)
-    return (lambda x: _single_layer_value(g, energies, x[0])), None, 1
+    return (lambda X: _mu_rows(g, X[:, :1] * energies)), None, 1
 
 
 def _qaoa1_landscape(g, args, inst):
     energies, tau = _energies(g, args), args.tau
-    return (lambda x: _qaoa1_value(g, energies, tau, x[0], x[1])), None, 2
+    return RowWise(lambda x: _qaoa1_value(g, energies, tau, x[0], x[1])), None, 2
 
 
 def _verify_qaoa1(g, args, inst, rng):
@@ -183,7 +189,7 @@ def _verify_qaoa1(g, args, inst, rng):
 
 def _qaoa_multi_landscape(g, args, inst):
     L = len(inst.generators) // 2
-    return (lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
+    return RowWise(lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
 
 
 def _verify_qaoa_multi(g, args, inst, rng):
@@ -235,7 +241,7 @@ FAMILIES = {
         spectrum=_logdim_spectrum,
         landscape=_single_layer_landscape,
         reference=_grid_reference(
-            lambda t, args: np.array([t]),
+            lambda t, args: np.array([[t]]),
             lambda g, args, ts: _single_layer_values(g, _energies(g, args), ts),
         ),
         verify=_closed_form_check(lambda g, args, rng: rng.uniform(0, _grid_span(g, args), 1)),
@@ -245,7 +251,7 @@ FAMILIES = {
         spectrum=_qaoa1_spectrum,
         landscape=_qaoa1_landscape,
         reference=_grid_reference(
-            lambda b, args: np.array([b, np.pi / (2 * args.tau)]),
+            lambda b, args: np.array([[b, np.pi / (2 * args.tau)]]),
             lambda g, args, bs: _qaoa1_values(g, _energies(g, args), args.tau, bs, np.pi / (2 * args.tau)),
         ),
         verify=_verify_qaoa1,

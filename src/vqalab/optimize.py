@@ -1,5 +1,6 @@
-"""Gradient descent with multistart, the sampled reference minimum, and the
-normalized error metrics (delta, delta_m, delta_o)."""
+"""Gradient descent with multistart, every restart of a run in lock step on
+row kernels, the sampled reference minimum, and the normalized error metrics
+(delta, delta_m, delta_o)."""
 
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ MAX_BACKTRACKS = 60
 METRIC_SLACK = 1e-9
 # reference_minimum confirms with the scalar objective every grid point whose
 # batched value lies within GRID_SCREEN_RTOL * (1 + |batched minimum|) of that
-# minimum, and evaluates the batch GRID_BLOCK points at a time
+# minimum, and evaluates the batch GRID_BLOCK points at a time, as the
+# landscape command evaluates its grid
 GRID_SCREEN_RTOL = 1e-9
 GRID_BLOCK = 4096
 
@@ -61,13 +63,162 @@ class MultistartResult:
     best_params: np.ndarray
 
 
-def finite_difference_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.empty_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
+# rung k of every Armijo ladder: the step initial_step / 2**k, as the scalar
+# loop's repeated halving gives it, and ARMIJO_C times that step
+_STEPS = [OptimizerConfig.initial_step / 2**k for k in range(MAX_BACKTRACKS)]
+_SLOPES = [ARMIJO_C * step for step in _STEPS]
+_STEP_COLUMN = np.array(_STEPS)[:, None]
+
+
+class RowWise:
+    """The row kernel of a scalar kernel: ``f`` of each row of a stack, in row
+    order. Since it makes one call of ``f`` per row anyway, descend's line
+    search calls ``f`` itself, rung by rung, as a loop over single restarts
+    does."""
+
+    def __init__(self, f: Callable):
+        self.f = f
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        return np.array([self.f(x) for x in X], dtype=float)
+
+
+def finite_difference_gradient(objective: Callable, X: np.ndarray, h: float) -> np.ndarray:
+    """Central differences of a row objective at each row of X: the 2 * L
+    shifted copies of every row go through one objective call."""
+    n, L = X.shape
+    shift = h * np.eye(L)
+    shifted = np.concatenate([X[:, None, :] + shift, X[:, None, :] - shift]).reshape(-1, L)
+    values = objective(shifted)
+    return (values[: n * L] - values[n * L :]).reshape(n, L) / (2 * h)
+
+
+def descend(
+    objective: Callable,
+    starts,
+    cfg: OptimizerConfig,
+    gradient: Optional[Callable] = None,
+) -> list[DescentResult]:
+    """Backtracking-line-search descent from each row of ``starts``, all rows
+    in lock step; each trajectory is monotone non-increasing.
+
+    ``objective`` maps an (n, L) stack of points to their n values and
+    ``gradient`` to their (n, L) gradients; without a gradient, central
+    differences stand in. A row leaves the stack once its gradient norm is at
+    most grad_tol (converged), when no step meets the Armijo condition, or
+    after max_iters iterations; each iteration makes one gradient call on the
+    rows left. A row's line search is a ladder of rungs k = 0, 1, ... with
+    steps initial_step / 2**k, and the row takes the first rung that meets
+    the Armijo condition; a non-finite value before that rung raises, as one
+    at a start point does. The rungs are evaluated in blocks, one objective
+    call per block for all rows: rungs 0..b first, where b is the rung the
+    row took last time, then blocks twice as wide as the one before. A
+    RowWise objective is evaluated one rung at a time instead. Each row's
+    descent is thus, bit for bit, the one a loop over single restarts makes,
+    and where several rows would raise, the error is the first row's.
+    """
+    if gradient is None:
+        gradient = lambda X: finite_difference_gradient(objective, X, cfg.finite_diff_step)
+    x = np.array(starts, dtype=float)
+    fx = objective(x).tolist()
+    trajectories = [[v] for v in fx]
+    results: list[Optional[DescentResult]] = [None] * len(fx)
+    rungs = [0] * len(fx)
+    # the first row whose objective went non-finite, and its error; rows after
+    # it leave the stack, since a loop over single restarts never reaches them
+    first_failed, error = len(fx), None
+
+    def fail(j: int, value: float, where: str) -> None:
+        nonlocal first_failed, error
+        if ids[j] < first_failed:
+            first_failed, error = ids[j], f"non-finite objective value {value!r} {where}"
+
+    def finish(j: int, converged: bool) -> None:
+        results[ids[j]] = DescentResult(fx[j], x[j].copy(), trajectories[ids[j]], converged)
+
+    def take(j: int, k: int, value: float) -> None:
+        fx[j] = value
+        rungs[ids[j]] = k
+        trajectories[ids[j]].append(value)
+        stays[j] = True
+
+    def search_by_rung(searching, g, gnorms) -> None:
+        # the scalar line search, row by row: RowWise calls f once per row anyway
+        for j in searching:
+            gsq = gnorms[j] ** 2
+            for k in range(MAX_BACKTRACKS):
+                cand = x[j] - _STEPS[k] * g[j]
+                v = float(objective.f(cand))
+                if not math.isfinite(v):
+                    fail(j, v, "during line search")
+                    break
+                if v <= fx[j] - _SLOPES[k] * gsq:
+                    x[j] = cand
+                    take(j, k, v)
+                    break
+            else:  # step underflow: no Armijo decrease available
+                finish(j, False)
+
+    def search_by_block(searching, g, gnorms) -> None:
+        blocks = [(j, 0, rungs[ids[j]] + 1) for j in searching]  # (row, first rung, end rung)
+        while blocks:
+            pos = [j for j, lo, hi in blocks for _ in range(lo, hi)]
+            rung_of = [k for _, lo, hi in blocks for k in range(lo, hi)]
+            cand = x[pos] - _STEP_COLUMN[rung_of] * g[pos]
+            values = objective(cand).tolist()
+            later, took, took_from = [], [], []
+            i = 0
+            for j, lo, hi in blocks:
+                gsq = gnorms[j] ** 2
+                for k in range(lo, hi):
+                    v = values[i + k - lo]
+                    if not math.isfinite(v):
+                        fail(j, v, "during line search")
+                        break
+                    if v <= fx[j] - _SLOPES[k] * gsq:
+                        take(j, k, v)
+                        took.append(j)
+                        took_from.append(i + k - lo)
+                        break
+                else:
+                    if hi < MAX_BACKTRACKS:
+                        later.append((j, hi, min(MAX_BACKTRACKS, 3 * hi - 2 * lo)))
+                    else:  # step underflow: no Armijo decrease available
+                        finish(j, False)
+                i += hi - lo
+            x[took] = cand[took_from]
+            blocks = later
+
+    search = search_by_rung if isinstance(objective, RowWise) else search_by_block
+    ids = list(range(len(fx)))
+    for j, v in enumerate(fx):
+        if not math.isfinite(v):
+            fail(j, v, "at the initial point")
+    ids = ids[:first_failed]
+    x, fx = x[:first_failed], fx[:first_failed]
+    for _ in range(cfg.max_iters):
+        if not ids:
+            break
+        g = gradient(x)
+        gnorms = [math.sqrt(row.dot(row)) for row in g]  # np.linalg.norm of each row
+        stays = [False] * len(ids)
+        searching = []
+        for j, gnorm in enumerate(gnorms):
+            if gnorm <= cfg.grad_tol:
+                finish(j, True)
+            else:
+                searching.append(j)
+        search(searching, g, gnorms)
+        if not all(stays) or ids[-1] >= first_failed:
+            keep = [j for j, s in enumerate(stays) if s and ids[j] < first_failed]
+            x, ids, fx = x[keep], [ids[j] for j in keep], [fx[j] for j in keep]
+    if ids:
+        g = gradient(x)
+        for j, row in enumerate(g):
+            finish(j, math.sqrt(row.dot(row)) <= cfg.grad_tol)
+    if error is not None:
+        raise ValueError(error)
+    return results
 
 
 def gradient_descent(
@@ -76,44 +227,31 @@ def gradient_descent(
     cfg: OptimizerConfig,
     gradient: Optional[Callable] = None,
 ) -> DescentResult:
-    """Backtracking-line-search descent; trajectory is monotone non-increasing.
+    """``descend`` from the one start ``init``, on a scalar objective and
+    gradient; without a gradient, central differences stand in."""
+    start = np.asarray(init, dtype=float)[None]
+    return descend(RowWise(objective), start, cfg, None if gradient is None else RowWise(gradient))[0]
 
-    Falls back to central finite differences when no analytic gradient is
-    supplied.  Converged means the final gradient norm is below grad_tol.
+
+def optimize(
+    objective: Callable,
+    n_params: int,
+    cfg: OptimizerConfig,
+    gradient: Optional[Callable] = None,
+) -> MultistartResult:
+    """Multistart descent on row kernels: ``descend`` from cfg.restarts
+    uniform-random initializations in [0, 2*pi)^L.
+
+    Restart r draws from a fresh RNG seeded with seed + r, so runs are
+    reproducible and order-independent.
     """
-    if gradient is None:
-        gradient = lambda x: finite_difference_gradient(objective, x, cfg.finite_diff_step)
-    x = np.asarray(init, dtype=float).copy()
-    fx = objective(x)
-    if not math.isfinite(fx):
-        raise ValueError(f"non-finite objective value {fx!r} at the initial point")
-    trajectory = [float(fx)]
-    converged = False
-    for _ in range(cfg.max_iters):
-        g = gradient(x)
-        gnorm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a real vector
-        if gnorm <= cfg.grad_tol:
-            converged = True
-            break
-        step = cfg.initial_step
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = x - step * g
-            fc = objective(cand)
-            if not math.isfinite(fc):
-                raise ValueError(f"non-finite objective value {fc!r} during line search")
-            if fc <= fx - ARMIJO_C * step * gnorm**2:
-                x, fx = cand, fc
-                accepted = True
-                break
-            step /= 2
-        if not accepted:
-            break  # step underflow: no Armijo decrease available
-        trajectory.append(float(fx))
-    else:
-        g = gradient(x)
-        converged = math.sqrt(g.dot(g)) <= cfg.grad_tol
-    return DescentResult(value=float(fx), params=x, trajectory=trajectory, converged=converged)
+    starts = [
+        np.random.default_rng(cfg.seed + r).uniform(0.0, 2 * np.pi, size=n_params)
+        for r in range(cfg.restarts)
+    ]
+    runs = descend(objective, np.array(starts), cfg, gradient)
+    best = min(runs, key=lambda run: run.value)
+    return MultistartResult(runs=runs, best_value=best.value, best_params=best.params)
 
 
 def multistart(
@@ -122,18 +260,8 @@ def multistart(
     cfg: OptimizerConfig,
     gradient: Optional[Callable] = None,
 ) -> MultistartResult:
-    """Descent from cfg.restarts uniform-random initializations in [0, 2*pi)^L.
-
-    Restart r draws from a fresh RNG seeded with seed + r, so runs are
-    reproducible and order-independent.
-    """
-    runs = []
-    for r in range(cfg.restarts):
-        rng = np.random.default_rng(cfg.seed + r)
-        init = rng.uniform(0.0, 2 * np.pi, size=n_params)
-        runs.append(gradient_descent(objective, init, cfg, gradient))
-    best = min(runs, key=lambda run: run.value)
-    return MultistartResult(runs=runs, best_value=best.value, best_params=best.params)
+    """``optimize`` on a scalar objective and gradient."""
+    return optimize(RowWise(objective), n_params, cfg, None if gradient is None else RowWise(gradient))
 
 
 def reference_minimum(

@@ -227,8 +227,10 @@ def ergodic_phase_errors(phi, spec: ErgodicSpectrum, t: int) -> np.ndarray:
     return errs
 
 
-def _mu_rows(g: Graph, c: np.ndarray) -> np.ndarray:
-    """landscape._mu of each row of phases, given the rows' cosines c."""
+def _mu_screen(g: Graph, c: np.ndarray) -> np.ndarray:
+    """landscape._mu of each row of phases, given the rows' cosines c, up to
+    rounding: one matrix product for the whole grid screen, where
+    landscape._mu_rows gives the per-row bits."""
     return (np.einsum("ij,ij->i", c @ g.float_adjacency, c) - g.adjacency_sum) / 4
 
 
@@ -239,7 +241,7 @@ def _single_layer_value(g: Graph, energies: np.ndarray, t: float) -> float:
 
 def _single_layer_values(g: Graph, energies: np.ndarray, ts: np.ndarray) -> np.ndarray:
     # unchecked: _single_layer_value at each time in ts, up to rounding
-    return _mu_rows(g, np.cos(np.multiply.outer(ts, energies)))
+    return _mu_screen(g, np.cos(np.multiply.outer(ts, energies)))
 
 
 def single_layer_instance(g: Graph, m: int) -> VqaInstance:
@@ -331,7 +333,7 @@ def _qaoa1_values(g: Graph, energies: np.ndarray, tau: float, betas: np.ndarray,
     c = np.cos(np.multiply.outer(betas, energies))
     gfun = -np.sin(betas) / g.d * c.sum(axis=1)
     s, co = math.sin(tau * gamma), math.cos(tau * gamma)
-    return s**2 * _mu_rows(g, c) + 2 * tau * co * s * gfun
+    return s**2 * _mu_screen(g, c) + 2 * tau * co * s * gfun
 
 
 def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:

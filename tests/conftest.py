@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from vqalab import Graph, parse_graph
+from vqalab import Graph, ergodic_energies, parse_graph, qaoa_apply
+from vqalab.landscape import _mu, _mu_gradient
+from vqalab.reductions import _qaoa1_value, _single_layer_value
 
 
 @pytest.fixture
@@ -53,3 +55,26 @@ def central_difference_hessian(f, x, h=1e-4):
                 f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
             ) / (4 * h * h)
     return hess
+
+
+def scalar_landscape(family, g, args, inst):
+    """The oracle of the row kernels: the family's (objective, gradient or
+    None, n_params) on single points, as ``Family.landscape`` gave them
+    before it returned row kernels."""
+    if family == "boosted":
+        k = args.k
+        return (
+            (lambda x: -((-_mu(g, x)) ** k)),
+            (lambda x: k * (-_mu(g, x)) ** (k - 1) * _mu_gradient(g, x)),
+            g.d,
+        )
+    if family == "single-layer":
+        energies = ergodic_energies(g.d, args.m).energies
+        return (lambda x: _single_layer_value(g, energies, x[0])), None, 1
+    if family == "qaoa1":
+        energies = ergodic_energies(g.d, args.m).energies
+        return (lambda x: _qaoa1_value(g, energies, args.tau, x[0], x[1])), None, 2
+    if family == "qaoa-multi":
+        L = len(inst.generators) // 2
+        return (lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
+    return (lambda x: _mu(g, x)), (lambda x: _mu_gradient(g, x)), g.d

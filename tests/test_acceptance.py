@@ -21,14 +21,12 @@ from vqalab import (
     error_metrics,
     fermionic_vqa_instance,
     gaussian_expectation,
-    gradient_descent,
     ising_observable,
     logdim_vqa_instance,
     maxcut_bruteforce,
     mu,
     mu_gradient,
     mu_hessian,
-    multistart,
     oracular_vqa_instance,
     qaoa_apply,
     qaoa_multilayer_instance,
@@ -40,12 +38,14 @@ from vqalab import (
 )
 from conftest import central_difference_gradient, central_difference_hessian
 from vqalab.cli import main
+from vqalab.families import FAMILIES
 from vqalab.fermions import FermionInstance, fock_bruteforce_expectation, fock_system
 from vqalab.graphs import Graph, cut_value
 from vqalab.landscape import (
     is_discrete_local_min,
     phases_from_assignment,
 )
+from vqalab.optimize import descend, optimize
 from vqalab.reductions import (
     ergodic_phase_errors,
     multilayer_encoding,
@@ -273,15 +273,16 @@ def test_10_landscape_structure():
 
 
 def test_11_optimizer_behavior():
+    # descent on the oracular row kernels, every restart of a graph in lock step
     start = time.monotonic()
     ok = True
+    oracular = FAMILIES["oracular"]
     # descent endpoints round to single-flip local optima
     for seed in range(10):
         g = random_graph(8, 0.5, 11_000 + seed)
         cfg = OptimizerConfig(seed=seed, restarts=3)
-        res = multistart(
-            lambda x: mu(g, x), 8, cfg, gradient=lambda x: mu_gradient(g, x)
-        )
+        objective, gradient, n_params = oracular.landscape(g, None, None)
+        res = optimize(objective, n_params, cfg, gradient)
         ok &= is_discrete_local_min(g, round_to_discrete(g, res.best_params))
     # persistence: a strict suboptimal discrete local minimum traps descent
     from vqalab import parse_graph
@@ -290,12 +291,8 @@ def test_11_optimizer_behavior():
     phi0 = phases_from_assignment(np.array([1, -1, -1, 1, -1, -1]))
     assert is_discrete_local_min(trap, phi0)
     assert maxcut_bruteforce(trap)[0] == 5 and mu(trap, phi0) == -4.0
-    res = gradient_descent(
-        lambda x: mu(trap, x),
-        phi0,
-        OptimizerConfig(),
-        gradient=lambda x: mu_gradient(trap, x),
-    )
+    objective, gradient, _ = oracular.landscape(trap, None, None)
+    (res,) = descend(objective, phi0[None], OptimizerConfig(), gradient)
     ok &= abs(res.value + 4.0) <= 1e-9
     # delta_o distribution and aggregate over 100 random d=8 graphs
     delta_os = []
@@ -303,9 +300,8 @@ def test_11_optimizer_behavior():
         g = random_graph(8, 0.5, 12_000 + seed)
         mc, _ = maxcut_bruteforce(g)
         cfg = OptimizerConfig(seed=seed, restarts=3)
-        res = multistart(
-            lambda x: mu(g, x), 8, cfg, gradient=lambda x: mu_gradient(g, x)
-        )
+        objective, gradient, n_params = oracular.landscape(g, None, None)
+        res = optimize(objective, n_params, cfg, gradient)
         lo, hi, _ = spectral_extremes(ising_observable(g))
         _, _, delta_o = error_metrics(res.best_value, -float(mc), lo, hi)
         delta_os.append(delta_o)

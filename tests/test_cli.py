@@ -3,11 +3,14 @@ import json
 import os
 import stat
 import warnings
+from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from vqalab import logdim_vqa_instance
+from conftest import scalar_landscape
+from vqalab import logdim_vqa_instance, random_graph
 from vqalab.cli import build_parser, main
 from vqalab.families import FAMILIES
 from vqalab.serialize import (
@@ -170,6 +173,32 @@ class TestOptimizeCommand:
 
 
 class TestLandscapeCommand:
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_rows_match_the_scalar_path(self, family, capsys):
+        # the CSV that a loop over single points through the scalar kernels writes
+        args = SimpleNamespace(k=3, m=8, tau=0.5)
+        g = random_graph(3, 1.0, 0)
+        inst = FAMILIES[family].build(g, args)
+        objective, _, n_params = scalar_landscape(family, g, args, inst)
+        axes = [(0, -3.0, 7.0, 13)] if n_params == 1 else [(0, -3.0, 7.0, 13), (1, 0.0, 6.3, 11)]
+        base = np.zeros(n_params)
+        flags = []
+        if n_params > 2:
+            base[2] = 0.3
+            flags = ["--fixed", "2=0.3"]
+        for idx, lo, hi, count in axes:
+            flags += ["--axis", f"{idx}:{lo}:{hi}:{count}"]
+        lines = [",".join(f"param_{idx}" for idx, *_ in axes) + ",value"]
+        for point in product(*(np.linspace(lo, hi, count) for _, lo, hi, count in axes)):
+            x = base.copy()
+            for (idx, *_), t in zip(axes, point):
+                x[idx] = t
+            lines.append(",".join([f"{t:.12g}" for t in point] + [f"{objective(x):.12g}"]))
+        argv = ["landscape", "--family", family, "--random-graph", "3:1.0", "--seed", "0",
+                "--k", "3", "--m", "8", "--tau", "0.5", *flags]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == lines
+
     def test_single_axis_csv_shape(self, edge_file, tmp_path):
         out = tmp_path / "l.csv"
         rc = main(

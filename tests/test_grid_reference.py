@@ -14,10 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vqalab import ergodic_energies, mu, random_graph
+from conftest import scalar_landscape
+from vqalab import ergodic_energies, maxcut_bruteforce, mu, random_graph
 from vqalab import optimize
 from vqalab.families import FAMILIES, _grid_span
-from vqalab.optimize import GRID_SCREEN_RTOL, reference_minimum
+from vqalab.optimize import GRID_SCREEN_RTOL, RowWise, reference_minimum
 from vqalab.reductions import _qaoa1_values, _single_layer_values
 
 GRID_FAMILIES = ("single-layer", "qaoa1")
@@ -88,9 +89,10 @@ class TestScreenedReference:
         inst = fam.build(g, args)
         objective, _, n_params = fam.landscape(g, args, inst)
         x = np.array(x[:n_params])
+        value = objective(x[None])[0]
         energies = ergodic_energies(g.d, args.m).energies
         if family == "single-layer":
-            assert objective(x) == inst.closed_form(x[0]) == mu(g, energies * x[0])
+            assert value == inst.closed_form(x[0]) == mu(g, energies * x[0])
         else:
             beta, gamma, tau = x[0], x[1], args.tau
             # the closed form as it was written before the kernels
@@ -99,7 +101,27 @@ class TestScreenedReference:
                 + 2 * tau * math.cos(tau * gamma) * math.sin(tau * gamma)
                 * (-math.sin(beta) / g.d * float(np.cos(energies * beta).sum()))
             )
-            assert objective(x) == inst.closed_form(beta, gamma) == written_out
+            assert value == inst.closed_form(beta, gamma) == written_out
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_reference_from_row_objective_matches_the_scalar_path(family):
+    # the single-layer and qaoa1 references confirm their near-minimum grid
+    # points through the row objective; the rest ignore the objective
+    g = random_graph(4, 0.7, 3)
+    args = SimpleNamespace(k=2, m=8, tau=0.5, grid_samples=500)
+    fam = FAMILIES[family]
+    inst = fam.build(g, args)
+    objective, _, _ = fam.landscape(g, args, inst)
+    scalar, _, _ = scalar_landscape(family, g, args, inst)
+    maxcut = maxcut_bruteforce(g)[0]
+    for best in (-100.0, 100.0):
+        expected = fam.reference(g, maxcut, args, RowWise(scalar), best)
+        assert fam.reference(g, maxcut, args, objective, best) == expected
+        if family in GRID_FAMILIES and best > 0:
+            ts = np.linspace(0.0, _grid_span(g, args), args.grid_samples)
+            gamma = [] if family == "single-layer" else [np.pi / (2 * args.tau)]
+            assert expected == min(scalar(np.array([t, *gamma])) for t in ts)
 
 
 def wavy(t):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference_gradient, central_difference_hessian
+from conftest import central_difference_gradient, central_difference_hessian, scalar_landscape
 from vqalab import (
     is_discrete_local_min,
     maxcut_bruteforce,
@@ -22,11 +22,13 @@ from vqalab.families import FAMILIES
 from vqalab.landscape import (
     _mu,
     _mu_gradient,
+    _mu_gradient_rows,
+    _mu_rows,
     _sin_exact,
     discrete_signs,
     phases_from_assignment,
 )
-from vqalab.optimize import OptimizerConfig, gradient_descent
+from vqalab.optimize import OptimizerConfig, descend, finite_difference_gradient
 
 
 class TestMu:
@@ -235,10 +237,10 @@ class TestUncheckedKernels:
     @pytest.mark.parametrize("family", ["oracular", "boosted"])
     def test_descent_from_non_finite_start_raises(self, family, c5):
         objective, gradient, n = FAMILIES[family].landscape(c5, SimpleNamespace(k=2), None)
-        start = np.zeros(n)
-        start[2] = np.nan
+        start = np.zeros((1, n))
+        start[0, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite objective"):
-            gradient_descent(objective, start, OptimizerConfig(), gradient)
+            descend(objective, start, OptimizerConfig(), gradient)
 
     @pytest.mark.parametrize("public", [mu, mu_gradient, mu_hessian, round_to_discrete, is_discrete_local_min])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -247,3 +249,78 @@ class TestUncheckedKernels:
             public(k3, [0.0, bad, np.pi])
         with pytest.raises(ValueError, match="does not match"):
             public(k3, [0.0, np.pi])
+
+
+@st.composite
+def graphs_and_stacks(draw):
+    """A graph with d in 2..20 and a stack of phase rows: up to five drawn
+    rows, then the all-zero and all-pi rows, where mu is exactly 0."""
+    g, first = draw(graphs_and_phases())
+    rows = draw(st.lists(st.lists(phase, min_size=g.d, max_size=g.d), max_size=4))
+    return g, np.array([first, *rows, np.zeros(g.d), np.full(g.d, np.pi)], dtype=float)
+
+
+class TestRowKernels:
+    """Each family's row kernels against its scalar kernels (conftest's
+    scalar_landscape), row by row, bit for bit."""
+
+    @KERNEL_SETTINGS
+    @given(case=graphs_and_stacks())
+    def test_mu_rows(self, case):
+        g, X = case
+        values, gradients = _mu_rows(g, X), _mu_gradient_rows(g, X)
+        for x, value, gradient in zip(X, values, gradients):
+            assert bits(value) == bits(_mu(g, x))
+            assert bits(gradient) == bits(_mu_gradient(g, x))
+        for family in ("oracular", "logdim", "fermion"):
+            objective, gradient, n_params = FAMILIES[family].landscape(g, None, None)
+            assert bits(objective(X)) == bits(values) and bits(gradient(X)) == bits(gradients)
+            assert n_params == g.d
+
+    @KERNEL_SETTINGS
+    @given(case=graphs_and_stacks(), k=st.integers(1, 5))
+    def test_boosted_rows_are_python_powers(self, case, k):
+        g, X = case
+        args = SimpleNamespace(k=k)
+        objective, gradient, _ = FAMILIES["boosted"].landscape(g, args, None)
+        f, grad, _ = scalar_landscape("boosted", g, args, None)
+        for x, value, row in zip(X, objective(X), gradient(X)):
+            assert bits(value) == bits(f(x))
+            assert bits(row) == bits(grad(x))
+
+    @KERNEL_SETTINGS
+    @given(case=graphs_and_stacks(), m=st.sampled_from([7, 8, 64]), tau=st.floats(1e-3, 10.0))
+    def test_grid_family_rows(self, case, m, tau):
+        g, X = case
+        args = SimpleNamespace(m=m, tau=tau)
+        for family in ("single-layer", "qaoa1"):
+            objective, gradient, n_params = FAMILIES[family].landscape(g, args, None)
+            f, _, _ = scalar_landscape(family, g, args, None)
+            T = X[:, :n_params]
+            assert gradient is None
+            for t, value in zip(T, objective(T)):
+                assert bits(value) == bits(f(t))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_qaoa_multi_rows(self, d):
+        g = random_graph(d, 1.0, 0)
+        inst = FAMILIES["qaoa-multi"].build(g, None)
+        objective, gradient, n_params = FAMILIES["qaoa-multi"].landscape(g, None, inst)
+        f, _, _ = scalar_landscape("qaoa-multi", g, None, inst)
+        X = np.random.default_rng(d).uniform(-7.0, 7.0, (4, n_params))
+        X[0] = 0.0
+        assert gradient is None
+        for x, value in zip(X, objective(X)):
+            assert bits(value) == bits(f(x))
+
+    @KERNEL_SETTINGS
+    @given(case=graphs_and_stacks())
+    def test_finite_differences_on_rows(self, case):
+        g, X = case
+        rows = finite_difference_gradient(lambda Y: _mu_rows(g, Y), X, 1e-5)
+        args, T = SimpleNamespace(m=8), X[:, :1]
+        single_layer = finite_difference_gradient(FAMILIES["single-layer"].landscape(g, args, None)[0], T, 1e-5)
+        f, _, _ = scalar_landscape("single-layer", g, args, None)
+        for x, row, t, sl_row in zip(X, rows, T, single_layer):
+            assert bits(row) == bits(central_difference_gradient(lambda y: _mu(g, y), x, 1e-5))
+            assert bits(sl_row) == bits(central_difference_gradient(f, t, 1e-5))

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import central_difference_gradient, scalar_landscape
 from vqalab import (
     OptimizerConfig,
     error_metrics,
@@ -19,7 +21,70 @@ from vqalab import (
 )
 from vqalab.families import FAMILIES
 from vqalab.landscape import is_discrete_local_min, phases_from_assignment
-from vqalab.optimize import DescentResult, MultistartResult, build_report
+from vqalab.optimize import (
+    ARMIJO_C,
+    MAX_BACKTRACKS,
+    DescentResult,
+    MultistartResult,
+    RowWise,
+    build_report,
+    descend,
+    optimize,
+)
+
+
+def scalar_gradient_descent(objective, init, cfg, gradient=None) -> DescentResult:
+    """The oracle: descent from one start, one restart at a time, as the
+    package ran it before restarts descended in lock step."""
+    if gradient is None:
+        gradient = lambda x: central_difference_gradient(objective, x, cfg.finite_diff_step)
+    x = np.asarray(init, dtype=float).copy()
+    fx = objective(x)
+    if not math.isfinite(fx):
+        raise ValueError(f"non-finite objective value {fx!r} at the initial point")
+    trajectory = [float(fx)]
+    converged = False
+    for _ in range(cfg.max_iters):
+        g = gradient(x)
+        gnorm = math.sqrt(g.dot(g))  # what np.linalg.norm computes for a real vector
+        if gnorm <= cfg.grad_tol:
+            converged = True
+            break
+        step = cfg.initial_step
+        accepted = False
+        for _ in range(MAX_BACKTRACKS):
+            cand = x - step * g
+            fc = objective(cand)
+            if not math.isfinite(fc):
+                raise ValueError(f"non-finite objective value {fc!r} during line search")
+            if fc <= fx - ARMIJO_C * step * gnorm**2:
+                x, fx = cand, fc
+                accepted = True
+                break
+            step /= 2
+        if not accepted:
+            break  # step underflow: no Armijo decrease available
+        trajectory.append(float(fx))
+    else:
+        g = gradient(x)
+        converged = math.sqrt(g.dot(g)) <= cfg.grad_tol
+    return DescentResult(value=float(fx), params=x, trajectory=trajectory, converged=converged)
+
+
+def scalar_starts(n_params, cfg):
+    return [
+        np.random.default_rng(cfg.seed + r).uniform(0.0, 2 * np.pi, size=n_params)
+        for r in range(cfg.restarts)
+    ]
+
+
+def assert_same_runs(runs, expected):
+    assert len(runs) == len(expected)
+    for run, want in zip(runs, expected):
+        assert run.trajectory == want.trajectory
+        assert run.params.tobytes() == want.params.tobytes()
+        assert run.converged is want.converged
+        assert run.value == want.value
 
 
 class TestConfig:
@@ -268,3 +333,115 @@ class TestReport:
         assert rep["iterations_per_restart"] == [2, 3]
         assert rep["converged"] == [False, True]
         assert rep["best_params"] == [1.0, 1.0]
+
+
+LOCK_STEP_CASES = [
+    *[(family, 1) for family in ("oracular", "logdim", "fermion", "single-layer")],
+    *[("boosted", k) for k in range(1, 6)],
+]
+
+
+class TestLockStep:
+    """Lock-step descent against the scalar loop, one restart at a time."""
+
+    @pytest.mark.parametrize("family, k", LOCK_STEP_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_row_kernels_match_the_scalar_loop(self, family, k, seed):
+        # boosted runs to the iteration cap on most graphs past d = 3
+        d = 2 + seed % 2 if family == "boosted" else 3 + 2 * seed
+        g = random_graph(d, 0.6, 100 * seed + k)
+        args = SimpleNamespace(k=k, m=8)
+        objective, gradient, n_params = FAMILIES[family].landscape(g, args, None)
+        cfg = OptimizerConfig(seed=seed, restarts=4)
+        f, grad, _ = scalar_landscape(family, g, args, None)
+        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
+        assert_same_runs(optimize(objective, n_params, cfg, gradient).runs, expected)
+        assert_same_runs(multistart(f, n_params, cfg, grad).runs, expected)
+
+    def test_one_stack_mixes_every_stop_reason(self):
+        # x[1] picks the landscape and its gradient component is zero, so it
+        # never moves: a bowl that converges, a linear slope that runs to the
+        # cap, and an uphill gradient that no step satisfies (TestStopRule)
+        def objective(X):
+            t, kind = X[:, 0], X[:, 1]
+            return np.where(kind == 0.0, t * t, t)
+
+        def gradient(X):
+            t, kind = X[:, 0], X[:, 1]
+            slope = np.select([kind == 0.0, kind == 1.0], [2 * t, np.ones_like(t)], -np.ones_like(t))
+            return np.column_stack([slope, np.zeros_like(t)])
+
+        starts = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 2.0], [-4.0, 0.0]])
+        cfg = OptimizerConfig()
+        runs = descend(objective, starts, cfg, gradient)
+        expected = [
+            scalar_gradient_descent(lambda x: float(objective(x[None])[0]), x0, cfg,
+                                    lambda x: gradient(x[None])[0])
+            for x0 in starts
+        ]
+        assert_same_runs(runs, expected)
+        assert [run.converged for run in runs] == [True, False, False, True]
+        assert len(runs[1].trajectory) == cfg.max_iters + 1
+        assert runs[2].trajectory == [0.0]
+
+    @staticmethod
+    def ladder_objective(values):
+        """A one-parameter row objective: 0 at the start 0, values[k] at the
+        candidate of rung k (step 0.5 / 2**k along the gradient -1), 1 elsewhere;
+        the gradient vanishes off the start."""
+        at = {0.5 / 2**k: v for k, v in enumerate(values)}
+
+        def objective(X):
+            return np.array([0.0 if x[0] == 0.0 else at.get(x[0], 1.0) for x in X])
+
+        def gradient(X):
+            return np.where(X == 0.0, -1.0, 0.0)
+
+        return objective, gradient
+
+    @pytest.mark.parametrize("row_wise", [False, True], ids=["stacked", "row-wise"])
+    def test_nan_past_the_accepted_rung_does_not_raise(self, row_wise):
+        # rung 0 fails, so the next stacked block holds rungs 1 and 2; rung 1
+        # passes, and a RowWise ladder never evaluates rung 2
+        stacked, gradient = self.ladder_objective([1.0, -1.0, np.nan])
+        objective = RowWise(lambda x: stacked(x[None])[0]) if row_wise else stacked
+        (run,) = descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
+        assert run.trajectory == [0.0, -1.0] and run.converged is True
+        assert run.params.tolist() == [0.25]
+
+    @pytest.mark.parametrize("values", [[np.nan, -1.0], [1.0, np.nan, -1.0], [1.0, -np.inf]])
+    def test_non_finite_before_the_accepted_rung_raises(self, values):
+        objective, gradient = self.ladder_objective(values)
+        with pytest.raises(ValueError, match="non-finite objective value .* during line search"):
+            descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
+
+    def test_first_failing_restart_gives_the_error(self):
+        # row 0 fails in its first line search, row 1 at its start point: a
+        # loop over single restarts stops at row 0
+        objective, gradient = self.ladder_objective([np.nan])
+        stacked = lambda X: np.where(X[:, 0] == 7.0, np.nan, objective(X))
+        with pytest.raises(ValueError, match="during line search"):
+            descend(stacked, np.array([[0.0], [7.0]]), OptimizerConfig(), gradient)
+        with pytest.raises(ValueError, match="at the initial point"):
+            descend(stacked, np.array([[7.0], [0.0]]), OptimizerConfig(), gradient)
+
+    @pytest.mark.parametrize("row_wise", [False, True], ids=["stacked", "row-wise"])
+    def test_armijo_squares_the_norm_with_pow(self, row_wise):
+        # a gradient norm whose Python square (C pow) is one unit below the
+        # product gnorm * gnorm, and a first step that lands exactly on the
+        # Armijo threshold made with the former: the scalar loop takes it
+        draws = np.random.default_rng(0).uniform(0.5, 2.0, 100_000).tolist()
+        slope = ARMIJO_C * OptimizerConfig.initial_step
+        gnorm = next(
+            (v for v in draws if v**2 < v * v and -slope * v**2 != -slope * (v * v)), draws[0]
+        )
+        threshold = 0.0 - slope * gnorm**2
+        cand = 0.0 - OptimizerConfig.initial_step * gnorm
+        objective = lambda X: np.select([X[:, 0] == 0.0, X[:, 0] == cand], [0.0, threshold], 1.0)
+        gradient = lambda X: np.where(X == 0.0, gnorm, 0.0)
+        scalar = lambda x: float(objective(x[None])[0])
+        cfg = OptimizerConfig()
+        (run,) = descend(RowWise(scalar) if row_wise else objective, np.zeros((1, 1)), cfg, gradient)
+        want = scalar_gradient_descent(scalar, np.zeros(1), cfg, lambda x: gradient(x[None])[0])
+        assert_same_runs([run], [want])
+        assert run.trajectory == [0.0, threshold]
