@@ -25,9 +25,7 @@ from .graphs import maxcut_bruteforce
 from .landscape import _mu_gradient_rows, _mu_rows
 from .optimize import RowWise, reference_minimum
 from .reductions import (
-    _qaoa1_value,
-    _qaoa1_values,
-    _single_layer_values,
+    _qaoa1_rows,
     boosted_vqa_instance,
     ergodic_energies,
     logdim_observable,
@@ -81,11 +79,12 @@ class Family:
     an (n, n_params) stack of points to their n values, gradient to their
     (n, n_params) gradients, each row bit for bit the family's scalar kernel
     at that point. They may skip input checks, since their callers (descent
-    from uniform start points, the landscape command's checked grid) pass
-    finite rows and reject a non-finite value. ``reference(g, maxcut, args,
-    objective, best)`` is the ansatz minimum <O>_min, given the row
-    objective; only a sampled reference may be lowered to the descent's best
-    value ``best``.
+    from uniform start points, the landscape command's checked grid, the
+    grid reference) pass finite rows and reject a non-finite value.
+    ``reference(g, maxcut, args, objective, best)`` is the ansatz minimum
+    <O>_min; a sampled reference evaluates its grid through the row
+    objective, and only it may be lowered to the descent's best value
+    ``best``.
     ``verify(g, args, inst, rng)`` maps each identity to its max residual.
     Optimize and landscape build the instance only if ``needs_instance``.
     """
@@ -148,18 +147,15 @@ def _energies(g, args):
     return ergodic_energies(g.d, args.m).energies
 
 
-def _grid_reference(point, batch):
-    """reference: the grid minimum along t -> point(t, args), a one-row stack,
-    lowered to the descent's best value where the grid missed the minimum.
-    ``batch(g, args, ts)`` is the objective at point(t, args) for each t in
-    ts, up to rounding."""
+def _grid_reference(points):
+    """reference: the row objective's minimum over the grid rows
+    points(ts, args), for args.grid_samples times ts spanning [0,
+    _grid_span], lowered to the descent's best value where the grid missed
+    the minimum."""
 
     def reference(g, maxcut, args, objective, best):
         grid = reference_minimum(
-            lambda t: float(objective(point(t, args))[0]),
-            lambda ts: batch(g, args, ts),
-            (0.0, _grid_span(g, args)),
-            args.grid_samples,
+            objective, lambda ts: points(ts, args), (0.0, _grid_span(g, args)), args.grid_samples
         )
         return min(grid, best)
 
@@ -173,7 +169,7 @@ def _single_layer_landscape(g, args, inst):
 
 def _qaoa1_landscape(g, args, inst):
     energies, tau = _energies(g, args), args.tau
-    return RowWise(lambda x: _qaoa1_value(g, energies, tau, x[0], x[1])), None, 2
+    return (lambda X: _qaoa1_rows(g, energies, tau, X)), None, 2
 
 
 def _verify_qaoa1(g, args, inst, rng):
@@ -240,10 +236,7 @@ FAMILIES = {
         build=lambda g, args: single_layer_instance(g, args.m),
         spectrum=_logdim_spectrum,
         landscape=_single_layer_landscape,
-        reference=_grid_reference(
-            lambda t, args: np.array([[t]]),
-            lambda g, args, ts: _single_layer_values(g, _energies(g, args), ts),
-        ),
+        reference=_grid_reference(lambda ts, args: ts[:, None]),
         verify=_closed_form_check(lambda g, args, rng: rng.uniform(0, _grid_span(g, args), 1)),
     ),
     "qaoa1": Family(
@@ -251,8 +244,7 @@ FAMILIES = {
         spectrum=_qaoa1_spectrum,
         landscape=_qaoa1_landscape,
         reference=_grid_reference(
-            lambda b, args: np.array([[b, np.pi / (2 * args.tau)]]),
-            lambda g, args, bs: _qaoa1_values(g, _energies(g, args), args.tau, bs, np.pi / (2 * args.tau)),
+            lambda bs, args: np.column_stack([bs, np.full_like(bs, np.pi / (2 * args.tau))])
         ),
         verify=_verify_qaoa1,
         needs_instance=True,

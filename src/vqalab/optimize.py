@@ -13,11 +13,8 @@ import numpy as np
 ARMIJO_C = 1e-4
 MAX_BACKTRACKS = 60
 METRIC_SLACK = 1e-9
-# reference_minimum confirms with the scalar objective every grid point whose
-# batched value lies within GRID_SCREEN_RTOL * (1 + |batched minimum|) of that
-# minimum, and evaluates the batch GRID_BLOCK points at a time, as the
-# landscape command evaluates its grid
-GRID_SCREEN_RTOL = 1e-9
+# reference_minimum evaluates its grid GRID_BLOCK rows per objective call, as
+# the landscape command evaluates its grid
 GRID_BLOCK = 4096
 
 
@@ -72,9 +69,10 @@ _STEP_COLUMN = np.array(_STEPS)[:, None]
 
 class RowWise:
     """The row kernel of a scalar kernel: ``f`` of each row of a stack, in row
-    order. Since it makes one call of ``f`` per row anyway, descend's line
-    search calls ``f`` itself, rung by rung, as a loop over single restarts
-    does."""
+    order. It serves the scalar API (``gradient_descent``, ``multistart``) and
+    qaoa-multi, whose circuit runs one row at a time. Since it makes one call
+    of ``f`` per row anyway, descend's line search calls ``f`` itself, rung by
+    rung, as a loop over single restarts does."""
 
     def __init__(self, f: Callable):
         self.f = f
@@ -265,28 +263,25 @@ def multistart(
 
 
 def reference_minimum(
-    objective: Callable, batch: Callable, bounds: tuple[float, float], samples: int = 100_000
+    objective: Callable, points: Callable, bounds: tuple[float, float], samples: int = 100_000
 ) -> float:
-    """Minimum of a one-parameter objective over ``samples`` evenly spaced
-    points of [lo, hi]: a sampled stand-in for the landscape minimum, which
-    can lie above it when the grid misses a narrow well.
+    """Minimum of a row objective over the rows ``points(ts)`` of ``samples``
+    evenly spaced times ts in [lo, hi]: a sampled stand-in for the landscape
+    minimum, which can lie above it when the grid misses a narrow well.
 
-    ``batch(ts)`` returns the objective at each point of an array, up to
-    rounding; it screens the grid, and ``objective(t)`` is evaluated only at
-    the points whose batched value is within the screening margin of the
-    batched minimum. Where batch and objective differ by less than half that
-    margin, the result is the scalar minimum over the whole grid, bit for bit.
+    The rows go through the objective GRID_BLOCK at a time. The result is the
+    grid's first lowest value, as a loop over the grid keeps it; a non-finite
+    value on the grid raises.
     """
     lo, hi = bounds
     ts = np.linspace(lo, hi, samples)
-    values = np.empty(samples)
+    low = math.inf
     for start in range(0, samples, GRID_BLOCK):
-        values[start : start + GRID_BLOCK] = batch(ts[start : start + GRID_BLOCK])
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite objective value on the reference grid")
-    low = values.min()
-    near = ts[values <= low + GRID_SCREEN_RTOL * (1 + abs(low))]
-    return min(objective(t) for t in near)
+        values = objective(points(ts[start : start + GRID_BLOCK]))
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite objective value on the reference grid")
+        low = min(low, float(values[values.argmin()]))
+    return low
 
 
 def error_metrics(

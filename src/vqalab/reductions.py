@@ -227,21 +227,9 @@ def ergodic_phase_errors(phi, spec: ErgodicSpectrum, t: int) -> np.ndarray:
     return errs
 
 
-def _mu_screen(g: Graph, c: np.ndarray) -> np.ndarray:
-    """landscape._mu of each row of phases, given the rows' cosines c, up to
-    rounding: one matrix product for the whole grid screen, where
-    landscape._mu_rows gives the per-row bits."""
-    return (np.einsum("ij,ij->i", c @ g.float_adjacency, c) - g.adjacency_sum) / 4
-
-
 def _single_layer_value(g: Graph, energies: np.ndarray, t: float) -> float:
     # unchecked: energies * t must be finite
     return _mu(g, energies * t)
-
-
-def _single_layer_values(g: Graph, energies: np.ndarray, ts: np.ndarray) -> np.ndarray:
-    # unchecked: _single_layer_value at each time in ts, up to rounding
-    return _mu_screen(g, np.cos(np.multiply.outer(ts, energies)))
 
 
 def single_layer_instance(g: Graph, m: int) -> VqaInstance:
@@ -328,12 +316,16 @@ def _qaoa1_value(g: Graph, energies: np.ndarray, tau: float, beta: float, gamma:
     )
 
 
-def _qaoa1_values(g: Graph, energies: np.ndarray, tau: float, betas: np.ndarray, gamma: float) -> np.ndarray:
-    # unchecked: _qaoa1_value at each beta in betas and one gamma, up to rounding
-    c = np.cos(np.multiply.outer(betas, energies))
-    gfun = -np.sin(betas) / g.d * c.sum(axis=1)
-    s, co = math.sin(tau * gamma), math.cos(tau * gamma)
-    return s**2 * _mu_screen(g, c) + 2 * tau * co * s * gfun
+def _qaoa1_rows(g: Graph, energies: np.ndarray, tau: float, X: np.ndarray) -> np.ndarray:
+    # _qaoa1_value of each row (beta, gamma) of X, bit for bit: f is
+    # landscape._mu_rows' stacked products on the cosines, and np.float_power
+    # squares with C pow, as Python's float ** 2 does, where numpy's s ** 2
+    # multiplies s * s
+    C = np.cos(X[:, :1] * energies)
+    f = (((C[:, None, :] @ g.float_adjacency) @ C[:, :, None])[:, 0, 0] - g.adjacency_sum) / 4
+    gfun = -np.sin(X[:, 0]) / g.d * C.sum(axis=1)
+    s, co = np.sin(tau * X[:, 1]), np.cos(tau * X[:, 1])
+    return np.float_power(s, 2) * f + 2 * tau * co * s * gfun
 
 
 def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:

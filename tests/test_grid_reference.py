@@ -1,9 +1,10 @@
-"""The screened grid reference of single-layer and qaoa1 against the scalar
-loop it replaces, and their unchecked kernels against the checked closed forms.
+"""The grid reference of single-layer and qaoa1 against the scalar loop over
+the whole grid, and their unchecked kernels against the checked closed forms.
 
 The oracle is the scalar loop ``min(objective(point(t)) for t in linspace)``
-over the checked ``closed_form``; the screened reference must give the same
-float, bit for bit.
+over the checked ``closed_form``; the reference, which evaluates the same
+grid through the family's row objective, must give the same float, bit for
+bit.
 """
 
 import math
@@ -18,8 +19,7 @@ from conftest import scalar_landscape
 from vqalab import ergodic_energies, maxcut_bruteforce, mu, random_graph
 from vqalab import optimize
 from vqalab.families import FAMILIES, _grid_span
-from vqalab.optimize import GRID_SCREEN_RTOL, RowWise, reference_minimum
-from vqalab.reductions import _qaoa1_values, _single_layer_values
+from vqalab.optimize import RowWise, reference_minimum
 
 GRID_FAMILIES = ("single-layer", "qaoa1")
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
@@ -47,19 +47,9 @@ def scalar_oracle(family, g, args):
     return lambda b: inst.closed_form(b, np.pi / (2 * args.tau))
 
 
-def batch_kernel(family, g, args):
-    energies = ergodic_energies(g.d, args.m).energies
-    if family == "single-layer":
-        return lambda ts: _single_layer_values(g, energies, ts)
-    return lambda bs: _qaoa1_values(g, energies, args.tau, bs, np.pi / (2 * args.tau))
-
-
-def margin(values):
-    low = float(np.min(values))
-    return GRID_SCREEN_RTOL * (1 + abs(low))
-
-
 class TestScreenedReference:
+    """The reference of each grid family, on random cases."""
+
     @ORACLE_SETTINGS
     @given(case=grid_cases(), best=st.floats(-20.0, 20.0))
     def test_equals_scalar_loop(self, case, best):
@@ -70,16 +60,6 @@ class TestScreenedReference:
         ts = np.linspace(0.0, _grid_span(g, args), args.grid_samples)
         expected = min(min(scalar(t) for t in ts), best)
         assert fam.reference(g, 0, args, objective, best) == expected
-
-    @ORACLE_SETTINGS
-    @given(case=grid_cases())
-    def test_batch_within_a_thousandth_of_the_margin(self, case):
-        family, g, args = case
-        scalar = scalar_oracle(family, g, args)
-        ts = np.linspace(0.0, _grid_span(g, args), args.grid_samples)
-        values = batch_kernel(family, g, args)(ts)
-        worst = max(abs(v - scalar(t)) for t, v in zip(ts, values))
-        assert worst < margin(values) / 1000
 
     @ORACLE_SETTINGS
     @given(case=grid_cases(), x=st.tuples(st.floats(-1e4, 1e4), st.floats(-1e6, 1e6)))
@@ -106,8 +86,8 @@ class TestScreenedReference:
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_reference_from_row_objective_matches_the_scalar_path(family):
-    # the single-layer and qaoa1 references confirm their near-minimum grid
-    # points through the row objective; the rest ignore the objective
+    # the single-layer and qaoa1 references evaluate their grid through the
+    # row objective; the rest ignore the objective
     g = random_graph(4, 0.7, 3)
     args = SimpleNamespace(k=2, m=8, tau=0.5, grid_samples=500)
     fam = FAMILIES[family]
@@ -124,66 +104,50 @@ def test_reference_from_row_objective_matches_the_scalar_path(family):
             assert expected == min(scalar(np.array([t, *gamma])) for t in ts)
 
 
-def wavy(t):
-    return math.cos(3.0 * t) + 0.1 * t
+def wavy(X):
+    return np.cos(3.0 * X[:, 0]) + 0.1 * X[:, 0]
 
 
-def wavy_batch(ts):
-    return np.cos(3.0 * ts) + 0.1 * ts
+def column(ts):
+    return ts[:, None]
+
+
+def wavy_loop(ts):
+    """The scalar loop's minimum of wavy over the grid ts."""
+    return min(float(wavy(np.array([[t]]))[0]) for t in ts)
 
 
 class TestScreening:
-    @settings(max_examples=100, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), samples=st.sampled_from([1, 2, 11, 2000]))
-    def test_batch_perturbed_below_half_the_margin(self, seed, samples):
-        # any two points then keep their batched order within the margin
-        ts = np.linspace(-4.0, 9.0, samples)
-        noise = np.random.default_rng(seed).uniform(-0.499, 0.499, samples) * margin(wavy_batch(ts))
-        ref = reference_minimum(wavy, lambda x: wavy_batch(x) + noise, (-4.0, 9.0), samples)
-        assert ref == min(wavy(t) for t in ts)
-
-    def test_batch_overstating_the_minimum_by_less_than_the_margin(self):
-        ts = np.linspace(-4.0, 9.0, 2000)
-        lifted = wavy_batch(ts)
-        i = int(np.argmin(lifted))
-        second = np.partition(lifted, 1)[1]
-        lifted[i] = second + 0.99 * margin(lifted)  # the true minimum, ranked above the runner-up
-        ref = reference_minimum(wavy, lambda x: lifted, (-4.0, 9.0), 2000)
-        assert ref == min(wavy(t) for t in ts) == wavy(ts[i])
-
-    @pytest.mark.parametrize(
-        "scalar_low, batch_low",
-        [(-1.0 - 1e-15, -1.0), (-1.0 - 1e-15, -1.0 - 2e-16), (-1.0, -1.0)],
-        ids=["batch-tie", "batch-reversed", "both-tie"],
-    )
-    def test_two_tied_minima(self, scalar_low, batch_low):
-        # t = 0.5 and t = 1.5 read -1.0 in the scalar objective and in the
-        # batch, except that the scalar puts scalar_low at t = 1.5 and the
-        # batch puts batch_low at t = 0.5
-        ts = np.linspace(0.0, 2.0, 5)
-        scalar = dict(zip(ts, [1.0, -1.0, 0.0, scalar_low, 1.0]))
-        batched = np.array([1.0, batch_low, 0.0, -1.0, 1.0])
-        ref = reference_minimum(scalar.__getitem__, lambda x: batched, (0.0, 2.0), 5)
-        assert ref == min(scalar.values()) == scalar_low
+    """reference_minimum on a row objective of one's own."""
 
     def test_blocks_bound_the_batch_and_keep_the_result(self, monkeypatch):
         sizes = []
 
-        def batch(x):
-            sizes.append(x.size)
-            return wavy_batch(x)
+        def objective(X):
+            sizes.append(len(X))
+            return wavy(X)
 
         monkeypatch.setattr(optimize, "GRID_BLOCK", 7)
-        ref = reference_minimum(wavy, batch, (-4.0, 9.0), 2000)
+        ref = reference_minimum(objective, column, (-4.0, 9.0), 2000)
         assert max(sizes) == 7 and sum(sizes) == 2000
-        assert ref == min(wavy(t) for t in np.linspace(-4.0, 9.0, 2000))
+        assert ref == wavy_loop(np.linspace(-4.0, 9.0, 2000))
+
+    @pytest.mark.parametrize("block", [2, 4096])
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_tied_minima_keep_the_first(self, monkeypatch, block, first):
+        # 0.0 and -0.0 tie; the scalar loop keeps the first, within a block
+        # and across blocks alike
+        values = np.array([1.0, first, -first, 1.0])
+        monkeypatch.setattr(optimize, "GRID_BLOCK", block)
+        ref = reference_minimum(lambda X: values[X[:, 0].astype(int)], column, (0.0, 3.0), 4)
+        assert math.copysign(1.0, ref) == math.copysign(1.0, first)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_batch_value_raises(self, bad):
-        def batch(x):
-            out = wavy_batch(x)
+        def objective(X):
+            out = wavy(X)
             out[-1] = bad
             return out
 
         with pytest.raises(ValueError, match="non-finite"):
-            reference_minimum(wavy, batch, (-4.0, 9.0), 11)
+            reference_minimum(objective, column, (-4.0, 9.0), 11)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import central_difference_gradient, central_difference_hessian, scalar_landscape
 from vqalab import (
+    ergodic_energies,
     is_discrete_local_min,
     maxcut_bruteforce,
     mu,
@@ -29,6 +30,7 @@ from vqalab.landscape import (
     phases_from_assignment,
 )
 from vqalab.optimize import OptimizerConfig, descend, finite_difference_gradient
+from vqalab.reductions import _qaoa1_rows, _qaoa1_value
 
 
 class TestMu:
@@ -300,6 +302,33 @@ class TestRowKernels:
             assert gradient is None
             for t, value in zip(T, objective(T)):
                 assert bits(value) == bits(f(t))
+
+    @KERNEL_SETTINGS
+    @given(
+        case=graphs_and_phases(),
+        gammas=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=6),
+        m=st.sampled_from([7, 8, 16, 64]),
+        tau=st.sampled_from([0.5, 0.05, 1e-3]) | st.floats(1e-3, 10.0),
+    )
+    def test_qaoa1_rows_equal_the_scalar_kernel(self, case, gammas, m, tau):
+        g, phi = case
+        energies = ergodic_energies(g.d, m).energies
+        X = np.column_stack([np.resize(phi, len(gammas)), gammas])
+        scalar = np.array([_qaoa1_value(g, energies, tau, beta, gamma) for beta, gamma in X])
+        assert _qaoa1_rows(g, energies, tau, X).view(np.int64).tolist() == scalar.view(np.int64).tolist()
+
+    def test_qaoa1_rows_square_with_pow(self, k3):
+        # the scalar kernel squares s = sin(tau * gamma) with Python's ** (C
+        # pow); at this row pow(s, 2) lies one unit below s * s, numpy's
+        # s ** 2, and the value follows it
+        energies, tau, beta, gamma = ergodic_energies(3, 8).energies, 0.5, 1.0, 2.516
+        s, co = math.sin(tau * gamma), math.cos(tau * gamma)
+        assert s**2 == np.float_power(s, 2) != np.square(s) == s * s
+        gfun = -math.sin(beta) / 3 * float(np.cos(energies * beta).sum())
+        with_pow = s**2 * mu(k3, energies * beta) + 2 * tau * co * s * gfun
+        assert with_pow != s * s * mu(k3, energies * beta) + 2 * tau * co * s * gfun
+        (value,) = _qaoa1_rows(k3, energies, tau, np.array([[beta, gamma]]))
+        assert bits(value) == bits(with_pow) == bits(_qaoa1_value(k3, energies, tau, beta, gamma))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_qaoa_multi_rows(self, d):

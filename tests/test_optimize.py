@@ -261,8 +261,8 @@ class TestReferenceMinimum:
         assert abs(lo - dense_lo) <= 1e-12 and abs(hi - dense_hi) <= 1e-12
 
     def test_grid_family(self):
-        f = lambda t: (t - 1.0) ** 2 - 2.0
-        ref = reference_minimum(f, f, (0.0, 2.0), 10_001)
+        f = lambda X: (X[:, 0] - 1.0) ** 2 - 2.0
+        ref = reference_minimum(f, lambda ts: ts[:, None], (0.0, 2.0), 10_001)
         assert ref == pytest.approx(-2.0, abs=1e-6)
 
     @pytest.mark.parametrize("family", ["single-layer", "qaoa1"])
@@ -338,6 +338,7 @@ class TestReport:
 LOCK_STEP_CASES = [
     *[(family, 1) for family in ("oracular", "logdim", "fermion", "single-layer")],
     *[("boosted", k) for k in range(1, 6)],
+    *[("qaoa1", tau) for tau in (0.5, 1e-3)],
 ]
 
 
@@ -347,10 +348,11 @@ class TestLockStep:
     @pytest.mark.parametrize("family, k", LOCK_STEP_CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_row_kernels_match_the_scalar_loop(self, family, k, seed):
-        # boosted runs to the iteration cap on most graphs past d = 3
+        # k is boosted's power and qaoa1's coupling tau; boosted runs to the
+        # iteration cap on most graphs past d = 3
         d = 2 + seed % 2 if family == "boosted" else 3 + 2 * seed
-        g = random_graph(d, 0.6, 100 * seed + k)
-        args = SimpleNamespace(k=k, m=8)
+        g = random_graph(d, 0.6, 100 * seed + (k if family == "boosted" else 1))
+        args = SimpleNamespace(k=k, m=8, tau=k)
         objective, gradient, n_params = FAMILIES[family].landscape(g, args, None)
         cfg = OptimizerConfig(seed=seed, restarts=4)
         f, grad, _ = scalar_landscape(family, g, args, None)
