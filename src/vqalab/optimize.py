@@ -64,7 +64,13 @@ class MultistartResult:
 # loop's repeated halving gives it, and ARMIJO_C times that step
 _STEPS = [OptimizerConfig.initial_step / 2**k for k in range(MAX_BACKTRACKS)]
 _SLOPES = [ARMIJO_C * step for step in _STEPS]
-_STEP_COLUMN = np.array(_STEPS)[:, None]
+_STEP_ARRAY = np.array(_STEPS)
+
+
+def _row_norms(g: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each row, bit for bit: a stacked vector @ vector is
+    one row.dot(row) per row, and np.sqrt is the correctly rounded sqrt."""
+    return np.sqrt((g[:, None, :] @ g[:, :, None]).ravel())
 
 
 class RowWise:
@@ -108,9 +114,10 @@ def descend(
     rows left. A row's line search is a ladder of rungs k = 0, 1, ... with
     steps initial_step / 2**k, and the row takes the first rung that meets
     the Armijo condition; a non-finite value before that rung raises, as one
-    at a start point does. The rungs are evaluated in blocks, one objective
-    call per block for all rows: rungs 0..b first, where b is the rung the
-    row took last time, then blocks twice as wide as the one before. A
+    at a start point does. The rungs are evaluated in blocks that every row
+    still searching shares, one objective call per block: rungs 0..b first,
+    where b is the highest rung any of those rows took last time, then, for
+    the rows without a step yet, blocks twice as wide as the one before. A
     RowWise objective is evaluated one rung at a time instead. Each row's
     descent is thus, bit for bit, the one a loop over single restarts makes,
     and where several rows would raise, the error is the first row's.
@@ -158,34 +165,40 @@ def descend(
                 finish(j, False)
 
     def search_by_block(searching, g, gnorms) -> None:
-        blocks = [(j, 0, rungs[ids[j]] + 1) for j in searching]  # (row, first rung, end rung)
-        while blocks:
-            pos = [j for j, lo, hi in blocks for _ in range(lo, hi)]
-            rung_of = [k for _, lo, hi in blocks for k in range(lo, hi)]
-            cand = x[pos] - _STEP_COLUMN[rung_of] * g[pos]
+        # every row still searching evaluates the same rungs lo..hi-1, so the
+        # candidates are one broadcast; the common iteration, where every row
+        # searches and takes rung 0, neither gathers nor scatters rows. A row
+        # takes its first rung that passes, and values past it go unread
+        lo, hi = 0, max((rungs[ids[j]] for j in searching), default=0) + 1
+        while searching:
+            rows = searching if len(searching) < len(x) else slice(None)
+            w = hi - lo
+            cand = (x[rows, None, :] - _STEP_ARRAY[lo:hi, None] * g[rows, None, :]).reshape(-1, x.shape[1])
             values = objective(cand).tolist()
             later, took, took_from = [], [], []
-            i = 0
-            for j, lo, hi in blocks:
+            for i, j in enumerate(searching):
                 gsq = gnorms[j] ** 2
+                at = i * w - lo  # rung k of row j is values[at + k]
                 for k in range(lo, hi):
-                    v = values[i + k - lo]
+                    v = values[at + k]
                     if not math.isfinite(v):
                         fail(j, v, "during line search")
                         break
                     if v <= fx[j] - _SLOPES[k] * gsq:
                         take(j, k, v)
                         took.append(j)
-                        took_from.append(i + k - lo)
+                        took_from.append(at + k)
                         break
                 else:
                     if hi < MAX_BACKTRACKS:
-                        later.append((j, hi, min(MAX_BACKTRACKS, 3 * hi - 2 * lo)))
+                        later.append(j)
                     else:  # step underflow: no Armijo decrease available
                         finish(j, False)
-                i += hi - lo
-            x[took] = cand[took_from]
-            blocks = later
+            if w == 1 and len(took) == len(x):
+                x[:] = cand
+            else:
+                x[took] = cand[took_from]
+            searching, lo, hi = later, hi, min(MAX_BACKTRACKS, 3 * hi - 2 * lo)
 
     search = search_by_rung if isinstance(objective, RowWise) else search_by_block
     ids = list(range(len(fx)))
@@ -198,7 +211,7 @@ def descend(
         if not ids:
             break
         g = gradient(x)
-        gnorms = [math.sqrt(row.dot(row)) for row in g]  # np.linalg.norm of each row
+        gnorms = _row_norms(g).tolist()
         stays = [False] * len(ids)
         searching = []
         for j, gnorm in enumerate(gnorms):
@@ -211,9 +224,8 @@ def descend(
             keep = [j for j, s in enumerate(stays) if s and ids[j] < first_failed]
             x, ids, fx = x[keep], [ids[j] for j in keep], [fx[j] for j in keep]
     if ids:
-        g = gradient(x)
-        for j, row in enumerate(g):
-            finish(j, math.sqrt(row.dot(row)) <= cfg.grad_tol)
+        for j, gnorm in enumerate(_row_norms(gradient(x)).tolist()):
+            finish(j, gnorm <= cfg.grad_tol)
     if error is not None:
         raise ValueError(error)
     return results

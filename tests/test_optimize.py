@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import central_difference_gradient, scalar_landscape
 from vqalab import (
@@ -27,6 +29,7 @@ from vqalab.optimize import (
     DescentResult,
     MultistartResult,
     RowWise,
+    _row_norms,
     build_report,
     descend,
     optimize,
@@ -342,6 +345,28 @@ LOCK_STEP_CASES = [
 ]
 
 
+# oracular and logdim on one G(6, 0.5) with 6 restarts: at seeds 0-2 the
+# restarts searching in an iteration took different rungs in the one before
+# (3 iterations each), and the shared blocks evaluate 9-13 more rows than
+# per-row blocks would
+DIVERGING_RUNG_CASES = ["oracular", "logdim"]
+
+
+@st.composite
+def gradient_stacks(draw):
+    """An (n, L) stack, n in 1..64 and L in 1..20, of signed magnitudes from
+    1e-300 to 1e150, multiples of pi and zeros, with some rows all zero."""
+    n, L = draw(st.integers(1, 64)), draw(st.integers(1, 20))
+    low, high = sorted(draw(st.lists(st.integers(-300, 150), min_size=2, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.choice([-1.0, 1.0], (n, L)) * 10.0 ** rng.uniform(low, high, (n, L))
+    kind = rng.integers(0, 4, (n, L))
+    G[kind == 1] = rng.integers(-300, 301, int((kind == 1).sum())) * np.pi
+    G[kind == 2] = 0.0
+    G[rng.random(n) < draw(st.sampled_from([0.0, 0.25, 1.0]))] = 0.0
+    return G
+
+
 class TestLockStep:
     """Lock-step descent against the scalar loop, one restart at a time."""
 
@@ -359,6 +384,58 @@ class TestLockStep:
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
         assert_same_runs(optimize(objective, n_params, cfg, gradient).runs, expected)
         assert_same_runs(multistart(f, n_params, cfg, grad).runs, expected)
+
+    @pytest.mark.parametrize("family", DIVERGING_RUNG_CASES)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_diverging_rungs_match_the_scalar_loop(self, family, seed):
+        g = random_graph(6, 0.5, 133)
+        objective, gradient, n_params = FAMILIES[family].landscape(g, None, None)
+        cfg = OptimizerConfig(seed=seed, restarts=6)
+        f, grad, _ = scalar_landscape(family, g, None, None)
+        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
+        assert_same_runs(optimize(objective, n_params, cfg, gradient).runs, expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(G=gradient_stacks())
+    def test_stacked_norms_are_row_dots(self, G):
+        # descend squares its gradient norms from one stacked product: numpy
+        # computes each (1, L) @ (L, 1) as the row's own dot
+        stacked = (G[:, None, :] @ G[:, :, None]).ravel()
+        dots = np.array([row.dot(row) for row in G])
+        assert stacked.view(np.int64).tolist() == dots.view(np.int64).tolist()
+        norms = np.array([math.sqrt(row.dot(row)) for row in G])
+        assert _row_norms(G).view(np.int64).tolist() == norms.view(np.int64).tolist()
+
+    def test_rows_with_different_last_rungs_share_a_block(self):
+        # x[1] names the row. Row A takes rung 2 in its first line search and
+        # row B rung 0, so both evaluate rungs 0..2 in the second; B takes
+        # rung 0 there, and its rungs 1 and 2 are NaN
+        values = {
+            (0.0, 0.5): 1.0, (0.0, 0.25): 1.0, (0.0, 0.125): -1.0, (0.0, 0.625): -2.0,
+            (1.0, 0.5): -1.0, (1.0, 1.0): -2.0, (1.0, 0.75): np.nan, (1.0, 0.625): np.nan,
+        }
+        moving = {(0.0, 0.0), (0.0, 0.125), (1.0, 0.0), (1.0, 0.5)}
+        evaluated = set()
+
+        def objective(X):
+            evaluated.update((kind, t) for t, kind in X.tolist())
+            return np.array([0.0 if t == 0.0 else values.get((kind, t), 1.0) for t, kind in X.tolist()])
+
+        def gradient(X):
+            return np.array([[-1.0 if (kind, t) in moving else 0.0, 0.0] for t, kind in X.tolist()])
+
+        starts = np.array([[0.0, 0.0], [0.0, 1.0]])
+        cfg = OptimizerConfig()
+        runs = descend(objective, starts, cfg, gradient)
+        assert {(1.0, 0.75), (1.0, 0.625)} <= evaluated
+        expected = [
+            scalar_gradient_descent(lambda x: float(objective(x[None])[0]), x0, cfg,
+                                    lambda x: gradient(x[None])[0])
+            for x0 in starts
+        ]
+        assert_same_runs(runs, expected)
+        assert [run.trajectory for run in runs] == [[0.0, -1.0, -2.0], [0.0, -1.0, -2.0]]
+        assert [run.params.tolist() for run in runs] == [[0.625, 0.0], [1.0, 1.0]]
 
     def test_one_stack_mixes_every_stop_reason(self):
         # x[1] picks the landscape and its gradient component is zero, so it
