@@ -214,7 +214,7 @@ def _verify_fermion(g, args, inst, rng):
     if inst.dim <= FOCK_MAX_MODES:
         fock = fock_system(inst)
         residuals["covariance-vs-fock-oracle"] = _max_residual(
-            min(args.samples, 10), draw, gaussian, lambda phi: fock_bruteforce_expectation(fock, phi)
+            args.samples, draw, gaussian, lambda phi: fock_bruteforce_expectation(fock, phi)
         )
     return residuals
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -118,8 +117,11 @@ def second_quantized_all(hs, n: int) -> list[np.ndarray]:
     c_i^dag c_j takes each state s with mode j occupied, and mode i empty once
     j is emptied, to s ^ bit(j) | bit(i), with the Jordan-Wigner sign
     (-1)^(occupied modes before j in s + occupied modes before i in
-    s ^ bit(j)). Each h_ij * sign is added in (i, j) order, so every entry is
-    the sum the dense products c_i^dag @ c_j would give, bit for bit.
+    s ^ bit(j)). One ``nonzero`` over the (n^2, 2^n) mask of moved states,
+    laid out (i, j)-major, lists every move; each matrix is then one
+    ``np.add.at`` scatter of its nonzero h_ij * sign. ``add.at`` adds in index
+    order, so every entry is the sum the dense products c_i^dag @ c_j would
+    give in (i, j) order, bit for bit.
     """
     if n > FOCK_MAX_MODES:
         raise ValueError(f"{n} modes exceed the Fock oracle limit {FOCK_MAX_MODES}")
@@ -128,33 +130,28 @@ def second_quantized_all(hs, n: int) -> list[np.ndarray]:
     bit = 1 << np.arange(n - 1, -1, -1)
     occupied = (states[:, None] & bit) != 0
     before = np.cumsum(occupied, axis=1) - occupied
-    outs = [np.zeros((1 << n, 1 << n), dtype=complex) for _ in hs]
-    for i, j in product(range(n), repeat=2):
-        terms = [(h[i, j], out) for h, out in zip(hs, outs) if h[i, j] != 0]
-        if not terms:
-            continue
-        moved = occupied[:, j] & ((i == j) | ~occupied[:, i])
-        src = states[moved]
-        dst = (src ^ bit[j]) | bit[i]
-        sign = 1.0 - 2.0 * ((before[moved, j] + before[moved, i] - (j < i)) & 1)
-        for coeff, out in terms:
-            out[dst, src] += coeff * sign
+    pair_i, pair_j = np.divmod(np.arange(n * n), n)
+    moved = occupied.T[pair_j] & ((pair_i == pair_j)[:, None] | ~occupied.T[pair_i])
+    pair, src = np.nonzero(moved)
+    i, j = pair_i[pair], pair_j[pair]
+    dst = (src ^ bit[j]) | bit[i]
+    sign = 1.0 - 2.0 * ((before[src, j] + before[src, i] - (j < i)) & 1)
+    outs = []
+    for h in hs:
+        coeff = h[i, j]
+        keep = coeff != 0
+        out = np.zeros((1 << n, 1 << n), dtype=complex)
+        np.add.at(out, (dst[keep], src[keep]), coeff[keep] * sign[keep])
+        outs.append(out)
     return outs
-
-
-def fock_ground_state(h_full: np.ndarray, degeneracy_tol: float = 1e-10) -> np.ndarray:
-    """Density matrix of the zero-temperature state: uniform mixture over the
-    lowest eigenspace (the beta -> infinity limit of the Gibbs state)."""
-    vals, vecs = np.linalg.eigh(h_full)
-    mask = vals <= vals[0] + degeneracy_tol
-    p = vecs[:, mask]
-    return (p @ p.conj().T) / int(mask.sum())
 
 
 def fock_system(inst: FermionInstance) -> tuple:
     """The instance on the 2^n Fock space, built once for the oracle:
-    (rho, observable, spectra), where rho is the ground state of h0 and
-    spectra holds the (eigenvalues, eigenvectors) of each generator.
+    (ground, observable, spectra). ``ground`` holds, as columns, the
+    eigenvectors of h0's lowest eigenspace (every eigenvalue within 1e-10 of
+    the lowest), whose uniform mixture is the zero-temperature state; spectra
+    holds the (eigenvalues, eigenvectors) of each generator.
 
     Dense and independent of the coefficient pipeline: it reads the
     operators only through ``to_dense()``.
@@ -162,27 +159,29 @@ def fock_system(inst: FermionInstance) -> tuple:
     h0, obs, *gens = second_quantized_all(
         [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)], inst.dim
     )
-    return fock_ground_state(h0), obs, tuple(np.linalg.eigh(h) for h in gens)
+    vals, vecs = np.linalg.eigh(h0)
+    return vecs[:, vals <= vals[0] + 1e-10], obs, tuple(np.linalg.eigh(h) for h in gens)
 
 
 def fock_bruteforce_expectation(fock: tuple, phi) -> float:
     """Independent oracle: exact 2^n simulation of the circuit on the Fock
     space of ``fock = fock_system(inst)``.
 
-    The circuit is applied so that Tr[O rho(phi)] matches the Heisenberg
-    coefficient evolution order of :func:`evolve_coefficient`.
+    Schroedinger picture: every ground column is evolved by
+    U = U_1(phi_1) ... U_L(phi_L), U_L first, each U_k = e^{-i H_k phi_k}
+    applied in its eigenbasis, so that the value matches the Heisenberg
+    coefficient evolution of :func:`evolve_coefficient`. The mean of
+    <psi|O|psi> over the k columns is Tr[O U rho U^dag] for rho their uniform
+    mixture; only matrix-vector products are made.
     """
-    rho, obs, spectra = fock
+    ground, obs, spectra = fock
     phi = np.asarray(phi, dtype=float)
     if phi.shape != (len(spectra),):
         raise ValueError("angle count does not match generator count")
-    # U = U_1(phi_1) ... U_L(phi_L): U_L hits the state first, which is the
-    # adjoint of the coefficient-level product used by evolve_coefficient.
-    u = np.eye(rho.shape[0], dtype=complex)
-    for (vals, vecs), angle in zip(spectra, phi):
-        u = u @ ((vecs * np.exp(-1j * vals * angle)) @ vecs.conj().T)
-    rho = u @ rho @ u.conj().T
-    val = np.trace(obs @ rho)
+    psi = ground
+    for (vals, vecs), angle in zip(reversed(spectra), phi[::-1]):
+        psi = vecs @ (np.exp(-1j * vals * angle)[:, None] * (vecs.conj().T @ psi))
+    val = np.vdot(psi, obs @ psi) / ground.shape[1]
     if abs(val.imag) > IMAG_TOL:
         raise ValueError(f"imaginary residue {val.imag:.3e} in Fock expectation")
     return float(val.real)

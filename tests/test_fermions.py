@@ -16,7 +16,6 @@ from vqalab.fermions import (
     evolve_coefficient,
     fermion_expectation,
     fock_bruteforce_expectation,
-    fock_ground_state,
     fock_system,
 )
 
@@ -76,26 +75,59 @@ def eigh_gaussian_expectation(inst, phi):
     return fermion_expectation(o_phi, ground_covariance(inst.initial))
 
 
-def fresh_fock_expectation(inst, phi):
-    """The Fock oracle with every 2^n matrix built on the spot."""
-    cs = annihilation_operators(inst.dim)
-    rho = fock_ground_state(second_quantized(inst.initial, cs))
-    u = np.eye(1 << inst.dim, dtype=complex)
-    for h, angle in zip(inst.generators, phi):
-        vals, vecs = np.linalg.eigh(second_quantized(h.to_dense(), cs))
+def fock_ground_columns(h_full, degeneracy_tol=1e-10):
+    """Eigenvectors of the lowest eigenspace of a 2^n matrix, as columns."""
+    vals, vecs = np.linalg.eigh(h_full)
+    return vecs[:, vals <= vals[0] + degeneracy_tol]
+
+
+def fock_ground_state(ground):
+    """Density matrix of the zero-temperature state: the uniform mixture of
+    the ground columns (the beta -> infinity limit of the Gibbs state)."""
+    return (ground @ ground.conj().T) / ground.shape[1]
+
+
+def unitary_fock_expectation(fock, phi):
+    """The Fock oracle as a density-matrix product: Tr[O u rho u^dag] with
+    u = U_1(phi_1) ... U_L(phi_L) multiplied out as 2^n x 2^n unitaries."""
+    ground, obs, spectra = fock
+    rho = fock_ground_state(ground)
+    u = np.eye(rho.shape[0], dtype=complex)
+    for (vals, vecs), angle in zip(spectra, phi):
         u = u @ ((vecs * np.exp(-1j * vals * angle)) @ vecs.conj().T)
     rho = u @ rho @ u.conj().T
-    return float(np.trace(second_quantized(inst.observable.to_dense(), cs) @ rho).real)
+    return float(np.trace(obs @ rho).real)
+
+
+def fresh_fock_expectation(inst, phi):
+    """The Fock oracle with every 2^n matrix built on the spot: the ground
+    columns of h0 evolved by U_L first, then U_{L-1}, ..., U_1."""
+    cs = annihilation_operators(inst.dim)
+    psi = ground = fock_ground_columns(second_quantized(inst.initial, cs))
+    for h, angle in zip(reversed(inst.generators), phi[::-1]):
+        vals, vecs = np.linalg.eigh(second_quantized(h.to_dense(), cs))
+        psi = vecs @ (np.exp(-1j * vals * angle)[:, None] * (vecs.conj().T @ psi))
+    obs = second_quantized(inst.observable.to_dense(), cs)
+    return float((np.vdot(psi, obs @ psi) / ground.shape[1]).real)
 
 
 def loop_fock_system(inst):
     """fock_system from the dense kron-chain operators, forming c_i^dag c_j
     anew for every matrix."""
     cs = annihilation_operators(inst.dim)
-    rho = fock_ground_state(second_quantized(inst.initial, cs))
+    ground = fock_ground_columns(second_quantized(inst.initial, cs))
     obs = second_quantized(inst.observable.to_dense(), cs)
     spectra = tuple(np.linalg.eigh(second_quantized(h.to_dense(), cs)) for h in inst.generators)
-    return rho, obs, spectra
+    return ground, obs, spectra
+
+
+def zero_mode_hermitian(n, rng):
+    """A random Hermitian matrix with one zero eigenvalue: its many-body
+    ground space is two-fold, the zero mode empty or filled."""
+    vals = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    vals[0] = 0.0
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return (q * vals) @ q.conj().T
 
 
 def mixed_zero_hermitian(n, rng):
@@ -116,8 +148,8 @@ def mixed_zero_hermitian(n, rng):
 
 
 def assert_same_fock_bytes(inst):
-    (rho, obs, spectra), (loop_rho, loop_obs, loop_spectra) = fock_system(inst), loop_fock_system(inst)
-    assert rho.tobytes() == loop_rho.tobytes() and obs.tobytes() == loop_obs.tobytes()
+    (ground, obs, spectra), (loop_ground, loop_obs, loop_spectra) = fock_system(inst), loop_fock_system(inst)
+    assert ground.tobytes() == loop_ground.tobytes() and obs.tobytes() == loop_obs.tobytes()
     assert len(spectra) == len(loop_spectra)
     for (vals, vecs), (loop_vals, loop_vecs) in zip(spectra, loop_spectra):
         assert vals.tobytes() == loop_vals.tobytes() and vecs.tobytes() == loop_vecs.tobytes()
@@ -141,11 +173,13 @@ class TestGroundCovariance:
         assert np.allclose(ground_covariance(h), (vecs * fermi_dirac) @ vecs.conj().T, atol=1e-8)
 
     def test_matches_fock_ground_state(self):
+        # the zero mode is half filled in both: weight 1/2 in the covariance,
+        # empty in one ground column and filled in the other
         rng = np.random.default_rng(7)
-        h = random_hermitian(3, rng)
         cs = annihilation_operators(3)
-        rho = fock_ground_state(second_quantized(h, cs))
-        assert np.allclose(ground_covariance(h), fock_covariance(rho, cs), atol=1e-10)
+        for h in (random_hermitian(3, rng), zero_mode_hermitian(3, rng)):
+            rho = fock_ground_state(fock_ground_columns(second_quantized(h, cs)))
+            assert np.allclose(ground_covariance(h), fock_covariance(rho, cs), atol=1e-10)
 
 
 class TestEvolution:
@@ -234,6 +268,38 @@ class TestGaussianVsFock:
             observable=mixed_zero_hermitian(n, rng),
         )
         assert_same_fock_bytes(inst)
+
+
+class TestFockOracle:
+    @pytest.mark.parametrize("zero_mode", [False, True])
+    @pytest.mark.parametrize("n", range(1, FOCK_MAX_MODES + 1))
+    def test_column_evolution_matches_unitary_product(self, n, zero_mode):
+        rng = np.random.default_rng(500 + n)
+        inst = FermionInstance(
+            initial=(zero_mode_hermitian if zero_mode else random_hermitian)(n, rng),
+            generators=tuple(random_hermitian(n, rng) for _ in range(3)),
+            observable=random_hermitian(n, rng),
+        )
+        fock = fock_system(inst)
+        assert fock[0].shape == (1 << n, 2 if zero_mode else 1)
+        for _ in range(3):
+            phi = rng.uniform(0, 2 * np.pi, 3)
+            assert fock_bruteforce_expectation(fock, phi) == pytest.approx(unitary_fock_expectation(fock, phi), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_gaussian_pipeline_at_the_mode_limit(self, seed):
+        inst = fermionic_vqa_instance(random_graph(4, 0.5, 700 + seed))
+        assert inst.dim == FOCK_MAX_MODES
+        fock = fock_system(inst)
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(20):
+            phi = rng.uniform(0, 2 * np.pi, 4)
+            assert fock_bruteforce_expectation(fock, phi) == pytest.approx(gaussian_expectation(inst, phi), abs=1e-12)
+
+    def test_angle_count_mismatch(self):
+        fock = fock_system(random_instance(2, 2, np.random.default_rng(8)))
+        with pytest.raises(ValueError, match="angle count"):
+            fock_bruteforce_expectation(fock, np.zeros(3))
 
 
 class TestInstanceShape:
