@@ -41,11 +41,10 @@ from .reductions import (
 from .sim import simulate_expectation, spectral_extremes
 
 
-def _max_residual(samples: int, draw, lhs, rhs) -> float:
-    """max |lhs(x) - rhs(x)| over ``samples`` points x = draw()."""
+def _max_residual(points, lhs, rhs) -> float:
+    """max |lhs(x) - rhs(x)| over the points x."""
     worst = 0.0
-    for _ in range(samples):
-        x = draw()
+    for x in points:
         worst = max(worst, abs(lhs(x) - rhs(x)))
     return worst
 
@@ -56,8 +55,7 @@ def _closed_form_check(draw):
     def verify(g, args, inst, rng):
         return {
             "closed-form-vs-simulation": _max_residual(
-                args.samples,
-                lambda: draw(g, args, rng),
+                (draw(g, args, rng) for _ in range(args.samples)),
                 lambda x: simulate_expectation(inst, x),
                 inst.closed_form,
             )
@@ -175,8 +173,7 @@ def _qaoa1_landscape(g, args, inst):
 def _verify_qaoa1(g, args, inst, rng):
     return {
         "closed-form-vs-simulation": _max_residual(
-            args.samples,
-            lambda: (rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi / args.tau)),
+            ((rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi / args.tau)) for _ in range(args.samples)),
             lambda bg: qaoa_apply(inst, np.array([bg[0]]), np.array([bg[1]]))[1],
             lambda bg: inst.closed_form(*bg),
         )
@@ -208,13 +205,19 @@ def _fermion_spectrum(g, maxcut, args, inst):
 
 
 def _verify_fermion(g, args, inst, rng):
-    draw = lambda: rng.uniform(0, 2 * np.pi, g.d)
-    gaussian = lambda phi: gaussian_expectation(inst, phi)
-    residuals = {"closed-form-vs-covariance-pipeline": _max_residual(args.samples, draw, gaussian, inst.closed_form)}
+    # one set of draws, one pipeline value per draw, checked against both
+    draws = [rng.uniform(0, 2 * np.pi, g.d) for _ in range(args.samples)]
+    pipeline = [gaussian_expectation(inst, phi) for phi in draws]
+    samples = range(args.samples)
+    residuals = {
+        "closed-form-vs-covariance-pipeline": _max_residual(
+            samples, pipeline.__getitem__, lambda i: inst.closed_form(draws[i])
+        )
+    }
     if inst.dim <= FOCK_MAX_MODES:
         fock = fock_system(inst)
         residuals["covariance-vs-fock-oracle"] = _max_residual(
-            args.samples, draw, gaussian, lambda phi: fock_bruteforce_expectation(fock, phi)
+            samples, pipeline.__getitem__, lambda i: fock_bruteforce_expectation(fock, draws[i])
         )
     return residuals
 

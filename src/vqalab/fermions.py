@@ -8,6 +8,7 @@ that level except for the independent 2^n Fock-space oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .graphs import Graph
 from .landscape import mu
-from .sim import IMAG_TOL, VqaInstance, _as_operator, assert_hermitian
+from .sim import IMAG_TOL, Blocks, Diagonal, Operator, VqaInstance, _as_operator, assert_hermitian
 
 FOCK_MAX_MODES = 8
 
@@ -146,21 +147,78 @@ def second_quantized_all(hs, n: int) -> list[np.ndarray]:
     return outs
 
 
+def _sector_operator(mat: np.ndarray, n: int) -> Operator:
+    """The 2^n matrix ``mat`` of a quadratic operator as a sim Operator.
+
+    With no off-diagonal entry it is a ``Diagonal``, its own eigenbasis.
+    Otherwise it is a ``Blocks`` on the particle-number sectors, the states
+    of each popcount in ascending order, sectors of equal size (popcounts k
+    and n - k) batched into one group. Raises ValueError if an entry couples
+    two sectors, so that nothing of the matrix is dropped.
+    """
+    diag = mat.diagonal().real
+    herm = mat.copy()
+    np.fill_diagonal(herm, 0)
+    if not herm.any():
+        return Diagonal(diag)
+    states = np.arange(1 << n)
+    count = ((states[:, None] >> np.arange(n)) & 1).sum(axis=1)
+    if herm[count[:, None] != count].any():
+        raise ValueError("Fock matrix couples particle-number sectors")
+    # each diagonal entry sums up to n coefficient diagonals, whose imaginary
+    # residues can add up past Blocks' Hermitian check; eigh reads only the
+    # real part of a diagonal
+    np.fill_diagonal(herm, diag)
+    groups = []
+    for size in sorted({math.comb(n, k) for k in range(n + 1)}):
+        index = np.stack([states[count == k] for k in range(n + 1) if math.comb(n, k) == size])
+        groups.append((index, herm[index[:, :, None], index[:, None, :]]))
+    return Blocks(1 << n, groups)
+
+
+def _ground_columns(h0: Operator, degeneracy_tol: float = 1e-10) -> np.ndarray:
+    """Every eigenvector of a ``_sector_operator`` whose eigenvalue lies
+    within ``degeneracy_tol`` of the lowest over all sectors, as 2^n
+    columns, sector by sector."""
+    if isinstance(h0, Diagonal):
+        return np.eye(h0.dim, dtype=complex)[:, h0.vec <= h0.vec.min() + degeneracy_tol]
+    spectra = h0.eigh()
+    lowest = min(vals.min() for vals, _, _ in spectra)
+    columns = []
+    for (index, _), (vals, vecs, _) in zip(h0.groups, spectra):
+        for b, c in zip(*np.nonzero(vals <= lowest + degeneracy_tol)):
+            column = np.zeros(h0.dim, dtype=complex)
+            column[index[b]] = vecs[b, :, c]
+            columns.append(column)
+    return np.column_stack(columns)
+
+
+def _fock_system(mats, n: int) -> tuple:
+    """:func:`fock_system` from the 2^n matrices of h0, the observable and
+    the generators, in that order."""
+    h0, obs, *gens = mats
+    return _ground_columns(_sector_operator(h0, n)), obs, tuple(_sector_operator(h, n) for h in gens)
+
+
 def fock_system(inst: FermionInstance) -> tuple:
     """The instance on the 2^n Fock space, built once for the oracle:
-    (ground, observable, spectra). ``ground`` holds, as columns, the
-    eigenvectors of h0's lowest eigenspace (every eigenvalue within 1e-10 of
-    the lowest), whose uniform mixture is the zero-temperature state; spectra
-    holds the (eigenvalues, eigenvectors) of each generator.
+    (ground, observable, generators).
 
-    Dense and independent of the coefficient pipeline: it reads the
-    operators only through ``to_dense()``.
+    Each quadratic operator conserves particle number, so its Fock matrix
+    splits into sectors of at most C(n, n/2) states. A generator with a
+    diagonal Fock matrix (a sum of number operators) becomes a ``Diagonal``;
+    any other becomes a ``Blocks`` over the sectors, diagonalised sector by
+    sector on first use. ``ground`` holds, as columns, every sector
+    eigenvector of h0 within 1e-10 of its lowest eigenvalue over all
+    sectors, whose uniform mixture is the zero-temperature state; a zero
+    mode gives two columns, in two sectors. The observable stays a dense
+    matrix.
+
+    Independent of the coefficient pipeline: it reads the operators only
+    through ``to_dense()``.
     """
-    h0, obs, *gens = second_quantized_all(
-        [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)], inst.dim
-    )
-    vals, vecs = np.linalg.eigh(h0)
-    return vecs[:, vals <= vals[0] + 1e-10], obs, tuple(np.linalg.eigh(h) for h in gens)
+    mats = [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)]
+    return _fock_system(second_quantized_all(mats, inst.dim), inst.dim)
 
 
 def fock_bruteforce_expectation(fock: tuple, phi) -> float:
@@ -169,18 +227,18 @@ def fock_bruteforce_expectation(fock: tuple, phi) -> float:
 
     Schroedinger picture: every ground column is evolved by
     U = U_1(phi_1) ... U_L(phi_L), U_L first, each U_k = e^{-i H_k phi_k}
-    applied in its eigenbasis, so that the value matches the Heisenberg
-    coefficient evolution of :func:`evolve_coefficient`. The mean of
-    <psi|O|psi> over the k columns is Tr[O U rho U^dag] for rho their uniform
-    mixture; only matrix-vector products are made.
+    applied by the generator's ``apply_exp``, so that the value matches the
+    Heisenberg coefficient evolution of :func:`evolve_coefficient`. The mean
+    of <psi|O|psi> over the k columns is Tr[O U rho U^dag] for rho their
+    uniform mixture; no 2^n x 2^n unitary is formed.
     """
-    ground, obs, spectra = fock
+    ground, obs, gens = fock
     phi = np.asarray(phi, dtype=float)
-    if phi.shape != (len(spectra),):
+    if phi.shape != (len(gens),):
         raise ValueError("angle count does not match generator count")
     psi = ground
-    for (vals, vecs), angle in zip(reversed(spectra), phi[::-1]):
-        psi = vecs @ (np.exp(-1j * vals * angle)[:, None] * (vecs.conj().T @ psi))
+    for op, angle in zip(reversed(gens), phi[::-1]):
+        psi = op.apply_exp(psi, angle)
     val = np.vdot(psi, obs @ psi) / ground.shape[1]
     if abs(val.imag) > IMAG_TOL:
         raise ValueError(f"imaginary residue {val.imag:.3e} in Fock expectation")

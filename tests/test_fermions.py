@@ -13,11 +13,15 @@ from vqalab import (
 from vqalab.fermions import (
     FOCK_MAX_MODES,
     FermionInstance,
+    _fock_system,
+    _sector_operator,
     evolve_coefficient,
     fermion_expectation,
     fock_bruteforce_expectation,
     fock_system,
+    second_quantized_all,
 )
+from vqalab.sim import Blocks, Diagonal
 
 
 def random_hermitian(n, rng):
@@ -58,6 +62,14 @@ def second_quantized(h, cs):
     return out
 
 
+def kron_fock_matrices(inst):
+    """2^n matrices of h0, the observable and every generator from the
+    kron-chain operators, forming c_i^dag c_j anew for every matrix."""
+    cs = annihilation_operators(inst.dim)
+    hs = [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)]
+    return [second_quantized(h, cs) for h in hs]
+
+
 def fock_covariance(rho, cs):
     """Correlation matrix Gamma_ij = Tr[c_j^dag c_i rho] from a Fock density matrix."""
     n = len(cs)
@@ -87,21 +99,24 @@ def fock_ground_state(ground):
     return (ground @ ground.conj().T) / ground.shape[1]
 
 
-def unitary_fock_expectation(fock, phi):
-    """The Fock oracle as a density-matrix product: Tr[O u rho u^dag] with
-    u = U_1(phi_1) ... U_L(phi_L) multiplied out as 2^n x 2^n unitaries."""
-    ground, obs, spectra = fock
-    rho = fock_ground_state(ground)
+def unitary_fock_expectation(inst, phi):
+    """The slow-path Fock oracle as a density-matrix product: Tr[O u rho u^dag]
+    with u = U_1(phi_1) ... U_L(phi_L) multiplied out as 2^n x 2^n unitaries,
+    each from a full 2^n eigh of the kron-chain matrix."""
+    h0, obs, *gens = kron_fock_matrices(inst)
+    rho = fock_ground_state(fock_ground_columns(h0))
     u = np.eye(rho.shape[0], dtype=complex)
-    for (vals, vecs), angle in zip(spectra, phi):
+    for h, angle in zip(gens, phi):
+        vals, vecs = np.linalg.eigh(h)
         u = u @ ((vecs * np.exp(-1j * vals * angle)) @ vecs.conj().T)
     rho = u @ rho @ u.conj().T
     return float(np.trace(obs @ rho).real)
 
 
 def fresh_fock_expectation(inst, phi):
-    """The Fock oracle with every 2^n matrix built on the spot: the ground
-    columns of h0 evolved by U_L first, then U_{L-1}, ..., U_1."""
+    """The slow-path Fock oracle with every 2^n matrix built on the spot and
+    diagonalised by a full 2^n eigh: the ground columns of h0 evolved by U_L
+    first, then U_{L-1}, ..., U_1."""
     cs = annihilation_operators(inst.dim)
     psi = ground = fock_ground_columns(second_quantized(inst.initial, cs))
     for h, angle in zip(reversed(inst.generators), phi[::-1]):
@@ -111,14 +126,9 @@ def fresh_fock_expectation(inst, phi):
     return float((np.vdot(psi, obs @ psi) / ground.shape[1]).real)
 
 
-def loop_fock_system(inst):
-    """fock_system from the dense kron-chain operators, forming c_i^dag c_j
-    anew for every matrix."""
-    cs = annihilation_operators(inst.dim)
-    ground = fock_ground_columns(second_quantized(inst.initial, cs))
-    obs = second_quantized(inst.observable.to_dense(), cs)
-    spectra = tuple(np.linalg.eigh(second_quantized(h.to_dense(), cs)) for h in inst.generators)
-    return ground, obs, spectra
+def popcounts(n):
+    """Particle number of each of the 2^n basis states."""
+    return np.array([bin(s).count("1") for s in range(1 << n)])
 
 
 def zero_mode_hermitian(n, rng):
@@ -148,11 +158,13 @@ def mixed_zero_hermitian(n, rng):
 
 
 def assert_same_fock_bytes(inst):
-    (ground, obs, spectra), (loop_ground, loop_obs, loop_spectra) = fock_system(inst), loop_fock_system(inst)
-    assert ground.tobytes() == loop_ground.tobytes() and obs.tobytes() == loop_obs.tobytes()
-    assert len(spectra) == len(loop_spectra)
-    for (vals, vecs), (loop_vals, loop_vecs) in zip(spectra, loop_spectra):
-        assert vals.tobytes() == loop_vals.tobytes() and vecs.tobytes() == loop_vecs.tobytes()
+    """second_quantized_all's matrices equal the kron-chain products byte for
+    byte, signed zeros included."""
+    hs = [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)]
+    mats, loop_mats = second_quantized_all(hs, inst.dim), kron_fock_matrices(inst)
+    assert len(mats) == len(loop_mats)
+    for mat, loop_mat in zip(mats, loop_mats):
+        assert mat.tobytes() == loop_mat.tobytes()
 
 
 class TestGroundCovariance:
@@ -245,10 +257,12 @@ class TestGaussianVsFock:
     def test_built_once_equals_fresh(self, seed):
         rng = np.random.default_rng(300 + seed)
         for inst in (random_instance(3 + seed, 2, rng), fermionic_vqa_instance(random_graph(2 + seed, 0.7, seed))):
-            fock = fock_system(inst)
+            fock, kron = fock_system(inst), kron_fock_matrices(inst)
             for _ in range(4):
                 phi = rng.uniform(0, 2 * np.pi, inst.layers)
-                assert fock_bruteforce_expectation(fock, phi) == fresh_fock_expectation(inst, phi)
+                value = fock_bruteforce_expectation(fock, phi)
+                assert value == fock_bruteforce_expectation(_fock_system(kron, inst.dim), phi)
+                assert value == pytest.approx(fresh_fock_expectation(inst, phi), abs=1e-12)
 
 
     @settings(max_examples=10, deadline=None)
@@ -281,10 +295,14 @@ class TestFockOracle:
             observable=random_hermitian(n, rng),
         )
         fock = fock_system(inst)
-        assert fock[0].shape == (1 << n, 2 if zero_mode else 1)
+        ground = fock[0]
+        assert ground.shape == (1 << n, 2 if zero_mode else 1)
+        # each column lies in one particle-number sector, a zero mode's two in two
+        sectors = {frozenset(popcounts(n)[np.abs(col) > 0]) for col in ground.T}
+        assert all(len(sector) == 1 for sector in sectors) and len(sectors) == ground.shape[1]
         for _ in range(3):
             phi = rng.uniform(0, 2 * np.pi, 3)
-            assert fock_bruteforce_expectation(fock, phi) == pytest.approx(unitary_fock_expectation(fock, phi), abs=1e-12)
+            assert fock_bruteforce_expectation(fock, phi) == pytest.approx(unitary_fock_expectation(inst, phi), abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(2))
     def test_gaussian_pipeline_at_the_mode_limit(self, seed):
@@ -295,6 +313,41 @@ class TestFockOracle:
         for _ in range(20):
             phi = rng.uniform(0, 2 * np.pi, 4)
             assert fock_bruteforce_expectation(fock, phi) == pytest.approx(gaussian_expectation(inst, phi), abs=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_maxcut_generators_are_diagonal_and_h0_splits_by_popcount(self, d):
+        inst = fermionic_vqa_instance(random_graph(d, 0.5, 900 + d))
+        n = inst.dim
+        _, _, gens = fock_system(inst)
+        assert all(isinstance(op, Diagonal) for op in gens)
+        h0 = _sector_operator(second_quantized_all([inst.initial], n)[0], n)
+        assert isinstance(h0, Blocks)
+        # popcounts k and n - k share a sector size and so one group
+        assert len(h0.groups) == n // 2 + 1
+        count = popcounts(n)
+        rows = sorted(tuple(row) for index, _ in h0.groups for row in index)
+        assert rows == sorted(tuple(np.flatnonzero(count == k)) for k in range(n + 1))
+
+    @pytest.mark.parametrize("src, dst", [(0, 1), (0, 3), (1, 7)])
+    def test_sector_coupling_entry_raises(self, src, dst):
+        # a hopping term inside the one-particle sector, plus one entry that
+        # changes the particle number (a pairing term for (0, 3))
+        mat = np.zeros((8, 8), dtype=complex)
+        mat[1, 2] = mat[2, 1] = 0.5
+        mat[dst, src] = mat[src, dst] = 1.0
+        with pytest.raises(ValueError, match="particle-number sectors"):
+            _sector_operator(mat, 3)
+
+    def test_imaginary_residue_on_the_diagonal_is_accepted(self):
+        # each coefficient diagonal is within the Hermitian tolerance, but a
+        # Fock diagonal entry sums up to n of them
+        rng = np.random.default_rng(950)
+        h = random_hermitian(6, rng)
+        h[np.diag_indices(6)] += 4e-13j
+        inst = FermionInstance(initial=h, generators=(h, random_hermitian(6, rng)), observable=random_hermitian(6, rng))
+        fock = fock_system(inst)
+        phi = rng.uniform(0, 2 * np.pi, 2)
+        assert fock_bruteforce_expectation(fock, phi) == pytest.approx(unitary_fock_expectation(inst, phi), abs=1e-12)
 
     def test_angle_count_mismatch(self):
         fock = fock_system(random_instance(2, 2, np.random.default_rng(8)))

@@ -115,7 +115,7 @@ DIGESTS.update({
     "optimize-fermion-k4": "e710ede421882dd46aef47a061741aea5e57f26ab6aef65ec6e51dc0e723ec30",
     "optimize-logdim-k4": "843bceb4cb3ab7ae9ae9f62714c1a2b8b23e9fd5f669adef5475a0d438f8dfc4",
     "verify-boosted": "d512cd4fea46b4ee5960fc569279bb4c8f3590991d058a93a62ab0498a3067c0",
-    "verify-fermion": "3ea8c51d7044035d1d55ed9afa05272f8c961cd210a6189bcadccca7869660a9",
+    "verify-fermion": "fd4e7ec9a081f815428fcf1bcc3bbdfc0ec96399b6cd0b9ae62c990ac601b6c6",
     "verify-logdim": "cce664a7651e6d1464a65f6735aabe63f3cf87b4ffe299d4e96e3140b818e005",
     "verify-oracular": "17530c4512bf246589dcf5485ede17be38e0dc8e415584279cbc748132bb79dc",
     "verify-qaoa-multi": "56a8c96b19df279f7cdcd617abb13810b1e63a3363b45cd65e185e2e5f431fd0",
