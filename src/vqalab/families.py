@@ -207,17 +207,16 @@ def _fermion_spectrum(g, maxcut, args, inst):
 def _verify_fermion(g, args, inst, rng):
     # one set of draws, one pipeline value per draw, checked against both
     draws = [rng.uniform(0, 2 * np.pi, g.d) for _ in range(args.samples)]
-    pipeline = [gaussian_expectation(inst, phi) for phi in draws]
-    samples = range(args.samples)
+    pairs = [(phi, gaussian_expectation(inst, phi)) for phi in draws]
     residuals = {
         "closed-form-vs-covariance-pipeline": _max_residual(
-            samples, pipeline.__getitem__, lambda i: inst.closed_form(draws[i])
+            pairs, lambda p: p[1], lambda p: inst.closed_form(p[0])
         )
     }
     if inst.dim <= FOCK_MAX_MODES:
         fock = fock_system(inst)
         residuals["covariance-vs-fock-oracle"] = _max_residual(
-            samples, pipeline.__getitem__, lambda i: fock_bruteforce_expectation(fock, draws[i])
+            pairs, lambda p: p[1], lambda p: fock_bruteforce_expectation(fock, p[0])
         )
     return residuals
 

@@ -176,17 +176,17 @@ def _sector_operator(mat: np.ndarray, n: int) -> Operator:
     return Blocks(1 << n, groups)
 
 
-def _ground_columns(h0: Operator, degeneracy_tol: float = 1e-10) -> np.ndarray:
+def _ground_columns(h0: Operator) -> np.ndarray:
     """Every eigenvector of a ``_sector_operator`` whose eigenvalue lies
-    within ``degeneracy_tol`` of the lowest over all sectors, as 2^n
-    columns, sector by sector."""
+    within 1e-10 of the lowest over all sectors, as 2^n columns, sector by
+    sector."""
     if isinstance(h0, Diagonal):
-        return np.eye(h0.dim, dtype=complex)[:, h0.vec <= h0.vec.min() + degeneracy_tol]
+        return np.eye(h0.dim, dtype=complex)[:, h0.vec <= h0.vec.min() + 1e-10]
     spectra = h0.eigh()
     lowest = min(vals.min() for vals, _, _ in spectra)
     columns = []
     for (index, _), (vals, vecs, _) in zip(h0.groups, spectra):
-        for b, c in zip(*np.nonzero(vals <= lowest + degeneracy_tol)):
+        for b, c in zip(*np.nonzero(vals <= lowest + 1e-10)):
             column = np.zeros(h0.dim, dtype=complex)
             column[index[b]] = vecs[b, :, c]
             columns.append(column)

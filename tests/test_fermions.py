@@ -159,7 +159,12 @@ def mixed_zero_hermitian(n, rng):
 
 def assert_same_fock_bytes(inst):
     """second_quantized_all's matrices equal the kron-chain products byte for
-    byte, signed zeros included."""
+    byte, signed zeros included.
+
+    The tests built on this pin only the matrix builder, not fock_system's
+    output: that is checked exactly against a fresh sector build by
+    test_built_once_equals_fresh, and within 1e-12 against the slow-path
+    oracle."""
     hs = [inst.initial, inst.observable.to_dense(), *(h.to_dense() for h in inst.generators)]
     mats, loop_mats = second_quantized_all(hs, inst.dim), kron_fock_matrices(inst)
     assert len(mats) == len(loop_mats)
