@@ -63,6 +63,8 @@ def cmd_verify(args) -> int:
         rng = np.random.default_rng(args.seed)
         residuals = family.verify(g, args, family.build(g, args), rng)
         ok &= all(r <= args.tol for r in residuals.values())
+        # a non-finite residual fails and is written as null: bare NaN is not JSON
+        residuals = {name: r if math.isfinite(r) else None for name, r in residuals.items()}
         records.append({"graph": graph_to_json(g), "max_residuals": residuals})
     doc = {
         "schema": SCHEMA,

@@ -76,9 +76,7 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
 class RowWise:
     """The row kernel of a scalar kernel: ``f`` of each row of a stack, in row
     order. It serves the scalar API (``gradient_descent``, ``multistart``) and
-    qaoa-multi, whose circuit runs one row at a time. Since it makes one call
-    of ``f`` per row anyway, descend's line search calls ``f`` itself, rung by
-    rung, as a loop over single restarts does."""
+    qaoa-multi, whose circuit runs one row at a time."""
 
     def __init__(self, f: Callable):
         self.f = f
@@ -118,8 +116,8 @@ def descend(
     still searching shares, one objective call per block: rungs 0..b first,
     where b is the highest rung any of those rows took last time, then, for
     the rows without a step yet, blocks twice as wide as the one before. A
-    RowWise objective is evaluated one rung at a time instead. Each row's
-    descent is thus, bit for bit, the one a loop over single restarts makes,
+    row's values past the rung it took are computed but never read, so each
+    row's descent is, bit for bit, the one a loop over single restarts makes,
     and where several rows would raise, the error is the first row's.
     """
     if gradient is None:
@@ -147,24 +145,7 @@ def descend(
         trajectories[ids[j]].append(value)
         stays[j] = True
 
-    def search_by_rung(searching, g, gnorms) -> None:
-        # the scalar line search, row by row: RowWise calls f once per row anyway
-        for j in searching:
-            gsq = gnorms[j] ** 2
-            for k in range(MAX_BACKTRACKS):
-                cand = x[j] - _STEPS[k] * g[j]
-                v = float(objective.f(cand))
-                if not math.isfinite(v):
-                    fail(j, v, "during line search")
-                    break
-                if v <= fx[j] - _SLOPES[k] * gsq:
-                    x[j] = cand
-                    take(j, k, v)
-                    break
-            else:  # step underflow: no Armijo decrease available
-                finish(j, False)
-
-    def search_by_block(searching, g, gnorms) -> None:
+    def search(searching, g, gnorms) -> None:
         # every row still searching evaluates the same rungs lo..hi-1, so the
         # candidates are one broadcast; the common iteration, where every row
         # searches and takes rung 0, neither gathers nor scatters rows. A row
@@ -200,7 +181,6 @@ def descend(
                 x[took] = cand[took_from]
             searching, lo, hi = later, hi, min(MAX_BACKTRACKS, 3 * hi - 2 * lo)
 
-    search = search_by_rung if isinstance(objective, RowWise) else search_by_block
     ids = list(range(len(fx)))
     for j, v in enumerate(fx):
         if not math.isfinite(v):

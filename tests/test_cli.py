@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import stat
 import warnings
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import scalar_landscape
-from vqalab import logdim_vqa_instance, random_graph
+from vqalab import families, logdim_vqa_instance, random_graph
 from vqalab.cli import build_parser, main
 from vqalab.families import FAMILIES
 from vqalab.serialize import (
@@ -25,6 +26,11 @@ def matrix_from_json(data: list) -> np.ndarray:
     """Inverse of `dump_json` on a complex matrix, read back by `json.loads`:
     nested [re, im] pairs to a complex array."""
     return np.array([[complex(re, im) for re, im in row] for row in data])
+
+
+def _reject_constant(name):
+    """`json.loads` hook for NaN, Infinity and -Infinity, which are not JSON."""
+    raise ValueError(f"bare {name} in the JSON document")
 
 
 @pytest.fixture
@@ -121,6 +127,21 @@ class TestVerifyCommand:
             ]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize("nan_at", [0, 1, 2])
+    def test_nan_residual_fails(self, nan_at, k3_file, monkeypatch, capsys):
+        # the simulation reads NaN at one of three draws: the residual is NaN
+        # wherever the NaN falls, so no tolerance passes it
+        calls = iter(range(3))
+        real = families.simulate_expectation
+        monkeypatch.setattr(
+            families, "simulate_expectation",
+            lambda inst, x: math.nan if next(calls) == nan_at else real(inst, x),
+        )
+        assert main(["verify", "--family", "oracular", "--graph", k3_file, "--samples", "3"]) == 1
+        doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert doc["pass"] is False
+        assert doc["instances"][0]["max_residuals"]["closed-form-vs-simulation"] is None
 
 
 class TestOptimizeCommand:

@@ -17,6 +17,7 @@ from vqalab import (
     mu,
     mu_gradient,
     multistart,
+    parse_graph,
     random_graph,
     reference_minimum,
     round_to_discrete,
@@ -395,6 +396,22 @@ class TestLockStep:
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
         assert_same_runs(optimize(objective, n_params, cfg, gradient).runs, expected)
 
+    @pytest.mark.parametrize("text", ["2\n1 2", "3\n1 2\n2 3\n1 3"], ids=["K2", "K3"])
+    def test_qaoa_multi_matches_the_scalar_loop(self, text):
+        # qaoa-multi's circuit runs one row at a time through RowWise, on
+        # finite differences; 40 iterations keep the circuit count small
+        class Short(OptimizerConfig):
+            max_iters = 40
+
+        g = parse_graph(text)
+        family = FAMILIES["qaoa-multi"]
+        inst = family.build(g, None)
+        objective, gradient, n_params = family.landscape(g, None, inst)
+        cfg = Short(seed=1, restarts=3)
+        f, grad, _ = scalar_landscape("qaoa-multi", g, None, inst)
+        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
+        assert_same_runs(optimize(objective, n_params, cfg, gradient).runs, expected)
+
     @settings(max_examples=200, deadline=None)
     @given(G=gradient_stacks())
     def test_stacked_norms_are_row_dots(self, G):
@@ -480,11 +497,18 @@ class TestLockStep:
 
     @pytest.mark.parametrize("row_wise", [False, True], ids=["stacked", "row-wise"])
     def test_nan_past_the_accepted_rung_does_not_raise(self, row_wise):
-        # rung 0 fails, so the next stacked block holds rungs 1 and 2; rung 1
-        # passes, and a RowWise ladder never evaluates rung 2
-        stacked, gradient = self.ladder_objective([1.0, -1.0, np.nan])
+        # rung 0 fails, so the next block holds rungs 1 and 2; rung 1 passes,
+        # and the NaN of rung 2 is evaluated but never read
+        ladder, gradient = self.ladder_objective([1.0, -1.0, np.nan])
+        evaluated = []
+
+        def stacked(X):
+            evaluated.extend(X[:, 0].tolist())
+            return ladder(X)
+
         objective = RowWise(lambda x: stacked(x[None])[0]) if row_wise else stacked
         (run,) = descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
+        assert 0.5 / 2**2 in evaluated  # the candidate of rung 2
         assert run.trajectory == [0.0, -1.0] and run.converged is True
         assert run.params.tolist() == [0.25]
 
