@@ -56,7 +56,5 @@ from .fermions import (
 from .optimize import (
     OptimizerConfig,
     error_metrics,
-    gradient_descent,
-    multistart,
     reference_minimum,
 )

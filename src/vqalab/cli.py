@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=100, help="random parameter draws")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("optimize", help="multistart descent with error metrics")
+    p = sub.add_parser("optimize", help="descent from random restarts, with error metrics")
     _add_common(p)
     p.add_argument("--restarts", type=_positive_int, default=10)
     p.add_argument("--grid-samples", type=_positive_int, default=100_000)

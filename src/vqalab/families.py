@@ -23,9 +23,10 @@ from .fermions import (
 )
 from .graphs import maxcut_bruteforce
 from .landscape import _mu_gradient_rows, _mu_rows
-from .optimize import RowWise, reference_minimum
+from .optimize import reference_minimum
 from .reductions import (
     _qaoa1_rows,
+    _qaoa_rows,
     boosted_vqa_instance,
     ergodic_energies,
     logdim_observable,
@@ -74,7 +75,9 @@ class Family:
     is (objective, gradient or None, n_params) as row kernels: objective maps
     an (n, n_params) stack of points to their n values, gradient to their
     (n, n_params) gradients, each row bit for bit the family's scalar kernel
-    at that point. They may skip input checks, since their callers (descent
+    at that point; qaoa-multi's rows, one stacked circuit, match its scalar
+    kernel ``qaoa_apply`` within round-off, not bit for bit (a one-row stack
+    is bit for bit). They may skip input checks, since their callers (descent
     from uniform start points, the landscape command's checked grid, the
     grid reference) pass finite rows and reject a non-finite value.
     ``reference(g, maxcut, args, objective, best)`` is the ansatz minimum
@@ -179,8 +182,7 @@ def _verify_qaoa1(g, args, inst, rng):
 
 
 def _qaoa_multi_landscape(g, args, inst):
-    L = len(inst.generators) // 2
-    return RowWise(lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
+    return (lambda X: _qaoa_rows(inst, X)), None, len(inst.generators)
 
 
 def _verify_qaoa_multi(g, args, inst, rng):

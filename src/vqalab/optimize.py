@@ -1,6 +1,6 @@
-"""Gradient descent with multistart, every restart of a run in lock step on
-row kernels, the sampled reference minimum, and the normalized error metrics
-(delta, delta_m, delta_o)."""
+"""Gradient descent from random restarts, all restarts of a run in lock step
+on row kernels, the sampled reference minimum, and the normalized error
+metrics (delta, delta_m, delta_o)."""
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ GRID_BLOCK = 4096
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Seed and restart count of a multistart run.
+    """Seed and restart count of an optimize run.
 
     The stop rule is fixed: at most ``max_iters`` iterations, stopping early
     once the gradient norm is at most ``grad_tol``; each line search tries up
@@ -73,18 +73,6 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt((g[:, None, :] @ g[:, :, None]).ravel())
 
 
-class RowWise:
-    """The row kernel of a scalar kernel: ``f`` of each row of a stack, in row
-    order. It serves the scalar API (``gradient_descent``, ``multistart``) and
-    qaoa-multi, whose circuit runs one row at a time."""
-
-    def __init__(self, f: Callable):
-        self.f = f
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.f(x) for x in X], dtype=float)
-
-
 def finite_difference_gradient(objective: Callable, X: np.ndarray, h: float) -> np.ndarray:
     """Central differences of a row objective at each row of X: the 2 * L
     shifted copies of every row go through one objective call."""
@@ -118,7 +106,10 @@ def descend(
     the rows without a step yet, blocks twice as wide as the one before. A
     row's values past the rung it took are computed but never read, so each
     row's descent is, bit for bit, the one a loop over single restarts makes,
-    and where several rows would raise, the error is the first row's.
+    and where several rows would raise, the error is the first row's. That
+    holds where a row's value does not depend on the other rows of the stack;
+    qaoa-multi's kernel rounds a row differently in the last bits with the
+    stack around it, so its rows match that loop within round-off only.
     """
     if gradient is None:
         gradient = lambda X: finite_difference_gradient(objective, X, cfg.finite_diff_step)
@@ -211,26 +202,14 @@ def descend(
     return results
 
 
-def gradient_descent(
-    objective: Callable,
-    init,
-    cfg: OptimizerConfig,
-    gradient: Optional[Callable] = None,
-) -> DescentResult:
-    """``descend`` from the one start ``init``, on a scalar objective and
-    gradient; without a gradient, central differences stand in."""
-    start = np.asarray(init, dtype=float)[None]
-    return descend(RowWise(objective), start, cfg, None if gradient is None else RowWise(gradient))[0]
-
-
 def optimize(
     objective: Callable,
     n_params: int,
     cfg: OptimizerConfig,
     gradient: Optional[Callable] = None,
 ) -> MultistartResult:
-    """Multistart descent on row kernels: ``descend`` from cfg.restarts
-    uniform-random initializations in [0, 2*pi)^L.
+    """Descent on row kernels: ``descend`` from cfg.restarts uniform-random
+    initializations in [0, 2*pi)^L.
 
     Restart r draws from a fresh RNG seeded with seed + r, so runs are
     reproducible and order-independent.
@@ -242,16 +221,6 @@ def optimize(
     runs = descend(objective, np.array(starts), cfg, gradient)
     best = min(runs, key=lambda run: run.value)
     return MultistartResult(runs=runs, best_value=best.value, best_params=best.params)
-
-
-def multistart(
-    objective: Callable,
-    n_params: int,
-    cfg: OptimizerConfig,
-    gradient: Optional[Callable] = None,
-) -> MultistartResult:
-    """``optimize`` on a scalar objective and gradient."""
-    return optimize(RowWise(objective), n_params, cfg, None if gradient is None else RowWise(gradient))
 
 
 def reference_minimum(
@@ -309,7 +278,7 @@ def build_report(
     lambda_min: float,
     lambda_max: float,
 ) -> dict:
-    """Per-instance record of a multistart run against exact references, as
+    """Per-instance record of an optimize run against exact references, as
     ``optimize`` writes it."""
     delta, delta_m, delta_o = error_metrics(
         result.best_value, reference_min, lambda_min, lambda_max

@@ -304,6 +304,31 @@ def qaoa_apply(inst: VqaInstance, beta, gamma) -> tuple[np.ndarray, float]:
     return psi, expectation(psi, inst.observable)
 
 
+# _qaoa_rows evolves at most this many amplitudes at once, so that a landscape
+# call of GRID_BLOCK rows holds a few (dim, rows) state matrices of 8 MiB
+QAOA_BLOCK_AMPLITUDES = 1 << 19
+
+
+def _qaoa_rows(inst: VqaInstance, X: np.ndarray) -> np.ndarray:
+    # unchecked: qaoa_apply(inst, x[:L], x[L:])[1] of each row x of X, for an
+    # instance whose generators are Blocks. Column j of one (dim, n) state
+    # matrix carries row j's angles; a one-row stack is bit for bit
+    # qaoa_apply, larger stacks round their products differently (last bits)
+    L = len(inst.generators) // 2
+    # gamma_1, beta_1, gamma_2, ... per row, as qaoa_apply interleaves them
+    angles = np.stack((X[:, L:], X[:, :L]), axis=2).reshape(len(X), 2 * L)
+    rows = max(1, QAOA_BLOCK_AMPLITUDES // inst.dim)
+    values = np.empty(len(X))
+    for start in range(0, len(X), rows):
+        block = angles[start : start + rows]
+        psi = np.repeat(inst.initial[:, None], len(block), axis=1)
+        for h, theta in zip(inst.generators, block.T):
+            psi = h.apply_exp(psi, theta)
+        opsi = inst.observable.apply(psi)
+        values[start : start + len(block)] = [np.vdot(psi[:, j], opsi[:, j]).real for j in range(len(block))]
+    return values
+
+
 def _qaoa1_value(g: Graph, energies: np.ndarray, tau: float, beta: float, gamma: float) -> float:
     # unchecked: energies * beta must be finite. f is landscape._mu's formula
     # on the cosines, so it is bit for bit mu(g, energies * beta).

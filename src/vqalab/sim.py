@@ -240,6 +240,9 @@ class Blocks(Operator):
         return out.reshape(psi.shape)
 
     def apply_exp(self, psi, theta):
+        """exp(-i H theta) psi. For a (dim, n) matrix of column states, theta
+        may also be a vector of n per-column angles: vals[..., None] * theta
+        broadcasts over the column axis."""
         spectra = self.eigh()
 
         def per_group(g, blocks, x):

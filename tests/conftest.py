@@ -3,6 +3,7 @@ import pytest
 
 from vqalab import Graph, ergodic_energies, parse_graph, qaoa_apply
 from vqalab.landscape import _mu, _mu_gradient
+from vqalab.optimize import descend, optimize
 from vqalab.reductions import _qaoa1_value, _single_layer_value
 
 
@@ -78,3 +79,21 @@ def scalar_landscape(family, g, args, inst):
         L = len(inst.generators) // 2
         return (lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
     return (lambda x: _mu(g, x)), (lambda x: _mu_gradient(g, x)), g.d
+
+
+def row_wise(f):
+    """The row kernel of a scalar function: f of each row of a stack, in row
+    order."""
+    return lambda X: np.array([f(x) for x in X], dtype=float)
+
+
+def gradient_descent(objective, init, cfg, gradient=None):
+    """``optimize.descend`` from the one start ``init``, on a scalar objective
+    and gradient; without a gradient, central differences stand in."""
+    start = np.asarray(init, dtype=float)[None]
+    return descend(row_wise(objective), start, cfg, None if gradient is None else row_wise(gradient))[0]
+
+
+def multistart(objective, n_params, cfg, gradient=None):
+    """``optimize.optimize`` on a scalar objective and gradient."""
+    return optimize(row_wise(objective), n_params, cfg, None if gradient is None else row_wise(gradient))

@@ -272,14 +272,14 @@ class TestGaussianVsFock:
 
     @settings(max_examples=10, deadline=None)
     @given(d=st.integers(2, 4), p=st.sampled_from([0.3, 0.5, 1.0]), seed=st.integers(0, 999), random=st.booleans())
-    def test_fock_system_is_bit_identical_to_loop_build(self, d, p, seed, random):
+    def test_second_quantized_all_is_bit_identical_to_loop_build(self, d, p, seed, random):
         # a random instance has every coefficient nonzero: 2d - 2 modes keep it small
         rng = np.random.default_rng(seed)
         inst = random_instance(2 * d - 2, d, rng) if random else fermionic_vqa_instance(random_graph(d, p, seed))
         assert_same_fock_bytes(inst)
 
     @pytest.mark.parametrize("n", range(1, FOCK_MAX_MODES + 1))
-    def test_fock_system_is_bit_identical_on_signed_zero_and_imaginary_coefficients(self, n):
+    def test_second_quantized_all_is_bit_identical_on_signed_zero_and_imaginary_coefficients(self, n):
         rng = np.random.default_rng(400 + n)
         inst = FermionInstance(
             initial=mixed_zero_hermitian(n, rng),

@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import scalar_landscape
+from conftest import row_wise, scalar_landscape
 from vqalab import ergodic_energies, maxcut_bruteforce, mu, random_graph
 from vqalab import optimize
 from vqalab.families import FAMILIES, _grid_span
-from vqalab.optimize import RowWise, reference_minimum
+from vqalab.optimize import reference_minimum
 
 GRID_FAMILIES = ("single-layer", "qaoa1")
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
@@ -96,7 +96,7 @@ def test_reference_from_row_objective_matches_the_scalar_path(family):
     scalar, _, _ = scalar_landscape(family, g, args, inst)
     maxcut = maxcut_bruteforce(g)[0]
     for best in (-100.0, 100.0):
-        expected = fam.reference(g, maxcut, args, RowWise(scalar), best)
+        expected = fam.reference(g, maxcut, args, row_wise(scalar), best)
         assert fam.reference(g, maxcut, args, objective, best) == expected
         if family in GRID_FAMILIES and best > 0:
             ts = np.linspace(0.0, _grid_span(g, args), args.grid_samples)

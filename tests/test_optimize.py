@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference_gradient, scalar_landscape
+from conftest import central_difference_gradient, gradient_descent, multistart, row_wise, scalar_landscape
 from vqalab import (
     OptimizerConfig,
     error_metrics,
-    gradient_descent,
     maxcut_bruteforce,
     maxcut_greedy,
     mu,
     mu_gradient,
-    multistart,
     parse_graph,
     random_graph,
     reference_minimum,
@@ -29,7 +27,6 @@ from vqalab.optimize import (
     MAX_BACKTRACKS,
     DescentResult,
     MultistartResult,
-    RowWise,
     _row_norms,
     build_report,
     descend,
@@ -346,6 +343,9 @@ LOCK_STEP_CASES = [
 ]
 
 
+# qaoa-multi descent against the qaoa_apply loop: trajectories and params
+QAOA_MULTI_TOL = 1e-9
+
 # oracular and logdim on one G(6, 0.5) with 6 restarts: at seeds 0-2 the
 # restarts searching in an iteration took different rungs in the one before
 # (3 iterations each), and the shared blocks evaluate 9-13 more rows than
@@ -398,8 +398,10 @@ class TestLockStep:
 
     @pytest.mark.parametrize("text", ["2\n1 2", "3\n1 2\n2 3\n1 3"], ids=["K2", "K3"])
     def test_qaoa_multi_matches_the_scalar_loop(self, text):
-        # qaoa-multi's circuit runs one row at a time through RowWise, on
-        # finite differences; 40 iterations keep the circuit count small
+        # qaoa-multi's rows are one stacked circuit, on finite differences:
+        # its values move in the last bits with the stack around a row, so
+        # runs match the qaoa_apply loop within QAOA_MULTI_TOL, not bit for
+        # bit (worst gap measured 4.3e-11); 40 iterations keep the loop short
         class Short(OptimizerConfig):
             max_iters = 40
 
@@ -410,7 +412,13 @@ class TestLockStep:
         cfg = Short(seed=1, restarts=3)
         f, grad, _ = scalar_landscape("qaoa-multi", g, None, inst)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
-        assert_same_runs(optimize(objective, n_params, cfg, gradient).runs, expected)
+        runs = optimize(objective, n_params, cfg, gradient).runs
+        assert len(runs) == len(expected)
+        for run, want in zip(runs, expected):
+            assert len(run.trajectory) == len(want.trajectory)
+            assert run.converged is want.converged
+            assert np.abs(np.subtract(run.trajectory, want.trajectory)).max() <= QAOA_MULTI_TOL
+            assert np.abs(run.params - want.params).max() <= QAOA_MULTI_TOL
 
     @settings(max_examples=200, deadline=None)
     @given(G=gradient_stacks())
@@ -495,8 +503,8 @@ class TestLockStep:
 
         return objective, gradient
 
-    @pytest.mark.parametrize("row_wise", [False, True], ids=["stacked", "row-wise"])
-    def test_nan_past_the_accepted_rung_does_not_raise(self, row_wise):
+    @pytest.mark.parametrize("by_row", [False, True], ids=["stacked", "row-wise"])
+    def test_nan_past_the_accepted_rung_does_not_raise(self, by_row):
         # rung 0 fails, so the next block holds rungs 1 and 2; rung 1 passes,
         # and the NaN of rung 2 is evaluated but never read
         ladder, gradient = self.ladder_objective([1.0, -1.0, np.nan])
@@ -506,7 +514,7 @@ class TestLockStep:
             evaluated.extend(X[:, 0].tolist())
             return ladder(X)
 
-        objective = RowWise(lambda x: stacked(x[None])[0]) if row_wise else stacked
+        objective = row_wise(lambda x: stacked(x[None])[0]) if by_row else stacked
         (run,) = descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
         assert 0.5 / 2**2 in evaluated  # the candidate of rung 2
         assert run.trajectory == [0.0, -1.0] and run.converged is True
@@ -528,8 +536,8 @@ class TestLockStep:
         with pytest.raises(ValueError, match="at the initial point"):
             descend(stacked, np.array([[7.0], [0.0]]), OptimizerConfig(), gradient)
 
-    @pytest.mark.parametrize("row_wise", [False, True], ids=["stacked", "row-wise"])
-    def test_armijo_squares_the_norm_with_pow(self, row_wise):
+    @pytest.mark.parametrize("by_row", [False, True], ids=["stacked", "row-wise"])
+    def test_armijo_squares_the_norm_with_pow(self, by_row):
         # a gradient norm whose Python square (C pow) is one unit below the
         # product gnorm * gnorm, and a first step that lands exactly on the
         # Armijo threshold made with the former: the scalar loop takes it
@@ -544,7 +552,7 @@ class TestLockStep:
         gradient = lambda X: np.where(X == 0.0, gnorm, 0.0)
         scalar = lambda x: float(objective(x[None])[0])
         cfg = OptimizerConfig()
-        (run,) = descend(RowWise(scalar) if row_wise else objective, np.zeros((1, 1)), cfg, gradient)
+        (run,) = descend(row_wise(scalar) if by_row else objective, np.zeros((1, 1)), cfg, gradient)
         want = scalar_gradient_descent(scalar, np.zeros(1), cfg, lambda x: gradient(x[None])[0])
         assert_same_runs([run], [want])
         assert run.trajectory == [0.0, threshold]
