@@ -58,24 +58,32 @@ def instance_to_json(inst: VqaInstance) -> dict:
     return doc
 
 
-def _array_text(a: np.ndarray, level: int) -> str:
+def _array_chunks(a: np.ndarray, level: int) -> list:
     """The text ``json.dumps(..., indent=2)`` gives, ``level`` deep, for the
-    complex array ``a`` as nested lists of ``[x.real, x.imag]`` pairs.
+    complex array ``a`` as nested lists of ``[x.real, x.imag]`` pairs, as a
+    list of chunks no longer than one row (a slice along the first axis)
+    whose join is that text.
 
     Exported matrices hold few distinct entries, so each is formatted once:
     entries are grouped by their 16 bytes (signed zeros and NaN payloads
-    apart), and the rows are joined from the texts of their groups."""
+    apart), and the rows are joined from the texts of their groups. Most
+    exported entries are ``+0.0+0.0j`` (both words of their bits zero): that
+    entry is group 0, and only the others are sorted into groups. The rows
+    stay separate chunks, so no array's whole text is built."""
     flat = np.ascontiguousarray(a, dtype=complex).reshape(-1)
     # complex128 memory holds re, im in turn: one uint64 row per entry
     bits = flat.view(np.uint64).reshape(-1, 2)
-    order = np.lexsort(bits.T)
+    # a | of the two words, not .any(axis=1): a reduce over axes of length 2
+    # costs four times as much
+    rest = np.flatnonzero(bits[:, 0] | bits[:, 1])
+    order = rest[np.lexsort(bits[rest].T)]
     ranked = bits[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    group = np.empty_like(order)
-    group[order] = np.cumsum(new) - 1
+    new[1:] = (ranked[1:, 0] != ranked[:-1, 0]) | (ranked[1:, 1] != ranked[:-1, 1])
+    group = np.zeros(len(flat), dtype=np.intp)
+    group[order] = np.cumsum(new)
     distinct = flat[order[new]]
-    floats = distinct.view(float).tolist()
+    floats = [0.0, 0.0] + distinct.view(float).tolist()
     # "%s" writes a float as float.__repr__, the stdlib's text of a finite
     # float; json.dumps also writes NaN and the infinities
     values = iter(floats if np.isfinite(distinct).all() else map(json.dumps, floats))
@@ -84,7 +92,7 @@ def _array_text(a: np.ndarray, level: int) -> str:
     # zipped with itself, the one iterator gives each (re, im) in turn
     pairs = list(map(pair.__mod__, zip(values, values)))
     texts = np.array(pairs, dtype=object)[group].tolist()
-    for axis in range(a.ndim - 1, -1, -1):
+    for axis in range(a.ndim - 1, 0, -1):
         n = a.shape[axis]
         if not n:
             texts = ["[]"] * math.prod(a.shape[:axis])
@@ -92,7 +100,15 @@ def _array_text(a: np.ndarray, level: int) -> str:
         inner = "\n" + "  " * (level + axis + 1)
         sep, close = "," + inner, "\n" + "  " * (level + axis) + "]"
         texts = [f"[{inner}{sep.join(texts[i : i + n])}{close}" for i in range(0, len(texts), n)]
-    return texts[0]
+    if not a.ndim or not a.shape[0]:
+        return texts or ["[]"]
+    # the first axis: its rows between the opening, separators and closing
+    inner = "\n" + "  " * (level + 1)
+    chunks = ["," + inner] * (2 * len(texts) + 1)
+    chunks[0] = "[" + inner
+    chunks[1::2] = texts
+    chunks[-1] = "\n" + "  " * level + "]"
+    return chunks
 
 
 @contextlib.contextmanager
@@ -126,7 +142,10 @@ def dump_json(doc: dict, path=None) -> str:
 
     The stdlib encoder writes the document. Its ``default`` hook takes the
     complex arrays and returns None; the ``null`` chunk that follows that call
-    is replaced by the array's text, nested as deep as the last indentation.
+    is replaced by the array's row chunks, nested as deep as the last
+    indentation. The file is written from that same chunk list, one chunk at
+    a time: an export's text runs to hundreds of KB, and a whole-document
+    copy of it, then its encoding, would fault in fresh pages on every call.
     """
     arrays = []
 
@@ -141,12 +160,13 @@ def dump_json(doc: dict, path=None) -> str:
     indent = ""
     for chunk in encoder.iterencode(doc):
         if arrays:
-            chunk = _array_text(arrays.pop(), len(indent.rpartition("\n")[2]) // 2)
-        elif "\n" in chunk:
+            out += _array_chunks(arrays.pop(), len(indent.rpartition("\n")[2]) // 2)
+            continue
+        if "\n" in chunk:
             indent = chunk
         out.append(chunk)
-    text = "".join(out)
     if path is not None:
         with open_out(path) as fh:
-            fh.write(text + "\n")
-    return text
+            fh.writelines(out)
+            fh.write("\n")
+    return "".join(out)

@@ -68,10 +68,17 @@ def check_state_size(n_qubits: int) -> None:
 
 
 def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Dense 2^n matrix acting with ``op`` on one qubit (big-endian site order)."""
+    """Dense 2^n matrix acting with ``op`` on one qubit (big-endian site order).
+
+    The chain of Kronecker products I (x) ... (x) op (x) ... (x) I, each
+    written as the one broadcast multiply ``np.kron`` makes per entry, so the
+    bits are ``np.kron``'s, signed zeros included, without its per-call
+    axis bookkeeping."""
     out = np.array([[1.0 + 0j]])
     for k in range(n):
-        out = np.kron(out, op if k == site else _I2)
+        f = op if k == site else _I2
+        m = 2 * len(out)
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(m, m)
     return out
 
 

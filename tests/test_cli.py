@@ -454,6 +454,15 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["verify", "--family", "oracular", "--graph", "/no/such/file"]) == 2
 
+    @pytest.mark.parametrize("command", ["export", "landscape"])
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_out_is_usage_error(self, command, target, k3_file, tmp_path, capsys):
+        out = tmp_path if target == "directory" else tmp_path / "no" / "such.out"
+        assert main(OUT_COMMANDS[command] + [k3_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "Traceback" not in captured.err
+
     def test_malformed_graph(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("2\n1 1\n")

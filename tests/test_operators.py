@@ -97,6 +97,36 @@ def test_structured_extremes_and_apply_match_dense(n, data):
     assert np.abs(rot.apply_exp(psi, theta) - Dense(rot.to_dense()).apply_exp(psi, theta)).max() <= 1e-12
 
 
+def kron_site_operator(site: int, n: int) -> np.ndarray:
+    """sigma_y/2 on qubit ``site`` of ``n`` as the np.kron chain I (x) ... (x) I."""
+    out = np.array([[1.0 + 0j]])
+    for k in range(n):
+        out = np.kron(out, np.array([[0, -1j], [1j, 0]]) / 2 if k == site else np.eye(2))
+    return out
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    # through the uint64 view, -0.0 and +0.0 differ
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_site_rotation_dense_is_the_kron_chain(n):
+    for site in range(n):
+        assert_same_bits(SiteRotation(site, n).to_dense(), kron_site_operator(site, n))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_boosted_site_rotation_dense_is_the_sum_of_kron_chains(k):
+    # the boosted generator i acts on qubit i of each of k copies of a d-qubit register
+    for d in range(1, 8 // k + 1):
+        for i in range(d):
+            sites = tuple(c * d + i for c in range(k))
+            want = sum(kron_site_operator(q, k * d) for q in sites)
+            assert_same_bits(SiteRotation(sites, k * d).to_dense(), want)
+
+
 @SETTINGS
 @given(n=st.integers(1, 5), k=st.integers(1, 6), seed=seeds)
 def test_apply_exp_on_column_states_matches_each_column(n, k, seed):

@@ -5,11 +5,14 @@ The oracle sees each complex ndarray as its nested lists of
 for every JSON tree, and fail with `TypeError` where the stdlib does.
 
 `template_array_text`, which formats every float in turn into one `%s`
-template, is the byte oracle for the array writer, 0-d arrays included.
+template, is the byte oracle for the array writer, 0-d arrays included: the
+writer's row chunks, joined, must be that text.
 """
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 from vqalab import parse_graph, random_graph
 from vqalab.cli import build_parser
 from vqalab.families import FAMILIES
-from vqalab.serialize import _array_text, dump_json, instance_to_json
+from vqalab.serialize import _array_chunks, dump_json, instance_to_json
 
 
 def as_pairs(doc):
@@ -192,6 +195,42 @@ def test_path_gets_text_and_newline(tmp_path):
     assert path.read_text() == text + "\n"
 
 
+def assert_path_gets_text_and_newline(doc) -> None:
+    """The file `dump_json` writes is its returned text and a newline, and
+    that text is the stdlib's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        text = dump_json(doc, path)
+        with open(path, "rb") as fh:
+            written = fh.read()
+    assert_same_text(text, stdlib(doc))
+    assert written == (text + "\n").encode()
+
+
+# tempfile, not tmp_path: hypothesis rejects function-scoped fixtures
+@settings(max_examples=100, deadline=None)
+@given(complex_arrays, st.integers(0, 2))
+def test_path_with_arrays_gets_text_and_newline(m, depth):
+    doc = m
+    for _ in range(depth):
+        doc = {"a": [doc, "null"]}
+    assert_path_gets_text_and_newline(doc)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        np.zeros((3, 4), dtype=complex),  # every entry in the +0 group
+        np.full((2, 3), 1 - 0.5j),  # no +0+0j entry
+        np.array([[0j, complex(-0.0, 0.0)], [complex(0.0, -0.0), complex(-0.0, -0.0)]]),
+        complex_array((2, 3), [0.0, 0.0, math.nan, -0.0, NAN_PAYLOAD, 0.0, -0.0, NAN_PAYLOAD, 0.0, 0.0, math.nan, math.nan]),
+    ],
+    ids=["all-zero", "no-zero", "signed-zeros", "nan-payloads"],
+)
+def test_path_reaches_the_zero_group(m):
+    assert_path_gets_text_and_newline({"m": m, "rows": [m[0], m.T]})
+
+
 @given(complex_arrays)
 def test_pairs_are_the_per_element_floats(m):
     """Read back, the text holds the floats `float(x.real)`, `float(x.imag)`,
@@ -202,7 +241,7 @@ def test_pairs_are_the_per_element_floats(m):
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(complex_arrays, scalar_arrays), st.integers(0, 3))
 def test_array_text_matches_template(m, level):
-    assert _array_text(m, level) == template_array_text(m, level)
+    assert "".join(_array_chunks(m, level)) == template_array_text(m, level)
 
 
 # The instances the golden export cases build (--random-graph d:p --seed s),
@@ -237,4 +276,4 @@ def test_exported_arrays_match_template(family, extra, g):
     assert arrays
     for a in arrays:
         for level in range(4):
-            assert_same_text(_array_text(a, level), template_array_text(a, level))
+            assert_same_text("".join(_array_chunks(a, level)), template_array_text(a, level))
