@@ -4,6 +4,7 @@ metrics (delta, delta_m, delta_o)."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
@@ -73,14 +74,30 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt((g[:, None, :] @ g[:, :, None]).ravel())
 
 
+@functools.lru_cache(maxsize=None)
+def _shift(L: int, h: float) -> np.ndarray:
+    # h * I, one read-only copy per (L, h) that the process differentiates at
+    shift = h * np.eye(L)
+    shift.flags.writeable = False
+    return shift
+
+
+def _shifted_rows(X: np.ndarray, h: float) -> np.ndarray:
+    """The 2 * n * L central-difference points of the rows of X: every
+    X[j] + h * e_i, then every X[j] - h * e_i, in row-major (j, i) order."""
+    shift = _shift(X.shape[1], h)
+    return np.concatenate([X[:, None, :] + shift, X[:, None, :] - shift]).reshape(-1, X.shape[1])
+
+
+def _central_differences(values: np.ndarray, n: int, L: int, h: float) -> np.ndarray:
+    """The (n, L) gradients from the objective values at _shifted_rows' points."""
+    return (values[: n * L] - values[n * L :]).reshape(n, L) / (2 * h)
+
+
 def finite_difference_gradient(objective: Callable, X: np.ndarray, h: float) -> np.ndarray:
     """Central differences of a row objective at each row of X: the 2 * L
     shifted copies of every row go through one objective call."""
-    n, L = X.shape
-    shift = h * np.eye(L)
-    shifted = np.concatenate([X[:, None, :] + shift, X[:, None, :] - shift]).reshape(-1, L)
-    values = objective(shifted)
-    return (values[: n * L] - values[n * L :]).reshape(n, L) / (2 * h)
+    return _central_differences(objective(_shifted_rows(X, h)), *X.shape, h)
 
 
 def descend(
@@ -97,22 +114,33 @@ def descend(
     differences stand in. A row leaves the stack once its gradient norm is at
     most grad_tol (converged), when no step meets the Armijo condition, or
     after max_iters iterations; each iteration makes one gradient call on the
-    rows left. A row's line search is a ladder of rungs k = 0, 1, ... with
+    rows left. Central differences save that call: where every row of the
+    stack searches and the first block is rung 0 only, that block's objective
+    call also evaluates the central-difference points of each candidate
+    (``_shifted_rows``), and if every row takes rung 0, the next gradient is
+    taken from those values; otherwise they go unread and the next iteration
+    calls ``finite_difference_gradient``, so the gradients are the same bits
+    either way. A row's line search is a ladder of rungs k = 0, 1, ... with
     steps initial_step / 2**k, and the row takes the first rung that meets
     the Armijo condition; a non-finite value before that rung raises, as one
     at a start point does. The rungs are evaluated in blocks that every row
     still searching shares, one objective call per block: rungs 0..b first,
     where b is the highest rung any of those rows took last time, then, for
     the rows without a step yet, blocks twice as wide as the one before. A
-    row's values past the rung it took are computed but never read, so each
-    row's descent is, bit for bit, the one a loop over single restarts makes,
-    and where several rows would raise, the error is the first row's. That
-    holds where a row's value does not depend on the other rows of the stack;
-    qaoa-multi's kernel rounds a row differently in the last bits with the
-    stack around it, so its rows match that loop within round-off only.
+    row's values past the rung it took are computed but never read, as are
+    unread central differences, so each row's descent is, bit for bit, the
+    one a loop over single restarts makes, and where several rows would
+    raise, the error is the first row's. That holds where a row's value does
+    not depend on the other rows of the stack; qaoa-multi's kernel rounds a
+    row differently in the last bits with the stack around it, so its rows
+    match that loop within round-off only.
     """
+    h = cfg.finite_diff_step if gradient is None else None
     if gradient is None:
-        gradient = lambda X: finite_difference_gradient(objective, X, cfg.finite_diff_step)
+        gradient = lambda X: finite_difference_gradient(objective, X, h)
+    # the objective at the central-difference points of x, when the last line
+    # search evaluated them and x is its rung-0 candidates
+    probe = None
     x = np.array(starts, dtype=float)
     fx = objective(x).tolist()
     trajectories = [[v] for v in fx]
@@ -136,17 +164,28 @@ def descend(
         trajectories[ids[j]].append(value)
         stays[j] = True
 
+    def gradient_at_x() -> np.ndarray:
+        nonlocal probe
+        if probe is None:
+            return gradient(x)
+        g, probe = _central_differences(probe, *x.shape, h), None
+        return g
+
     def search(searching, g, gnorms) -> None:
         # every row still searching evaluates the same rungs lo..hi-1, so the
         # candidates are one broadcast; the common iteration, where every row
         # searches and takes rung 0, neither gathers nor scatters rows. A row
         # takes its first rung that passes, and values past it go unread
+        nonlocal probe
         lo, hi = 0, max((rungs[ids[j]] for j in searching), default=0) + 1
         while searching:
-            rows = searching if len(searching) < len(x) else slice(None)
+            every = len(searching) == len(x)
+            rows = slice(None) if every else searching
             w = hi - lo
             cand = (x[rows, None, :] - _STEP_ARRAY[lo:hi, None] * g[rows, None, :]).reshape(-1, x.shape[1])
-            values = objective(cand).tolist()
+            stencil = h is not None and every and hi == 1
+            out = objective(np.concatenate([cand, _shifted_rows(cand, h)]) if stencil else cand)
+            values = out[: len(cand)].tolist()
             later, took, took_from = [], [], []
             for i, j in enumerate(searching):
                 gsq = gnorms[j] ** 2
@@ -168,6 +207,8 @@ def descend(
                         finish(j, False)
             if w == 1 and len(took) == len(x):
                 x[:] = cand
+                if stencil:
+                    probe = out[len(cand) :]
             else:
                 x[took] = cand[took_from]
             searching, lo, hi = later, hi, min(MAX_BACKTRACKS, 3 * hi - 2 * lo)
@@ -181,7 +222,7 @@ def descend(
     for _ in range(cfg.max_iters):
         if not ids:
             break
-        g = gradient(x)
+        g = gradient_at_x()
         gnorms = _row_norms(g).tolist()
         stays = [False] * len(ids)
         searching = []
@@ -195,7 +236,7 @@ def descend(
             keep = [j for j, s in enumerate(stays) if s and ids[j] < first_failed]
             x, ids, fx = x[keep], [ids[j] for j in keep], [fx[j] for j in keep]
     if ids:
-        for j, gnorm in enumerate(_row_norms(gradient(x)).tolist()):
+        for j, gnorm in enumerate(_row_norms(gradient_at_x()).tolist()):
             finish(j, gnorm <= cfg.grad_tol)
     if error is not None:
         raise ValueError(error)

@@ -20,6 +20,7 @@ from vqalab import (
     reference_minimum,
     round_to_discrete,
 )
+from vqalab import optimize as optimize_module
 from vqalab.families import FAMILIES
 from vqalab.landscape import is_discrete_local_min, phases_from_assignment
 from vqalab.optimize import (
@@ -30,6 +31,7 @@ from vqalab.optimize import (
     _row_norms,
     build_report,
     descend,
+    finite_difference_gradient,
     optimize,
 )
 
@@ -556,3 +558,103 @@ class TestLockStep:
         want = scalar_gradient_descent(scalar, np.zeros(1), cfg, lambda x: gradient(x[None])[0])
         assert_same_runs([run], [want])
         assert run.trajectory == [0.0, threshold]
+
+
+class TestCentralDifferenceProbe:
+    """Without a gradient, descend takes the central differences at a rung-0
+    step from the objective call of the line search that took it; handed
+    finite_difference_gradient as its gradient, it calls the objective for
+    them, one call per iteration. The two must be the same runs, bit for bit."""
+
+    @staticmethod
+    def both_ways(objective, n_params, cfg, monkeypatch):
+        """The runs and call counts of both ways: ``calls`` counts objective
+        calls, ``stencils`` the line-search blocks that carried the
+        central-difference points of their candidates, ``reads`` the gradients
+        taken from those points."""
+        spied = {name: 0 for name in ("_shifted_rows", "_central_differences", "finite_difference_gradient")}
+        for name in spied:
+            def spy(*args, _f=getattr(optimize_module, name), _name=name):
+                spied[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(optimize_module, name, spy)
+        calls = []
+
+        def counted(X):
+            calls.append(len(X))
+            return objective(X)
+
+        probed = optimize(counted, n_params, cfg).runs
+        fd = spied["finite_difference_gradient"]
+        probe = {"calls": len(calls), "stencils": spied["_shifted_rows"] - fd,
+                 "reads": spied["_central_differences"] - fd}
+        calls.clear()
+        h = cfg.finite_diff_step
+        own = optimize(counted, n_params, cfg, lambda X: finite_difference_gradient(counted, X, h)).runs
+        assert_same_runs(probed, own)
+        return probed, probe, len(calls)
+
+    @pytest.mark.parametrize("family", ["single-layer", "qaoa1"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_same_runs_as_a_gradient_call_of_its_own(self, family, seed, monkeypatch):
+        # at seed 1 one qaoa1 restart stalls: it backtracks on most of its
+        # iterations up to the cap
+        g = random_graph(3 + 2 * seed, 0.6, 100 * seed + 1)
+        objective, _, n_params = FAMILIES[family].landscape(g, SimpleNamespace(m=8, tau=0.5), None)
+        _, probe, _ = self.both_ways(objective, n_params, OptimizerConfig(seed=seed, restarts=4), monkeypatch)
+        assert probe["reads"] > 0
+
+    def test_every_step_at_rung_0_reads_every_stencil(self, monkeypatch):
+        # qaoa1 at tau = 1e-3 takes rung 0 on every iteration to the cap, so
+        # only the first gradient makes an objective call of its own, and the
+        # gradient after the last iteration comes from the stencil too
+        class Short(OptimizerConfig):
+            max_iters = 40
+
+        g = random_graph(5, 0.6, 101)
+        objective, _, n_params = FAMILIES["qaoa1"].landscape(g, SimpleNamespace(m=8, tau=1e-3), None)
+        runs, probe, own_calls = self.both_ways(objective, n_params, Short(seed=1, restarts=4), monkeypatch)
+        assert [len(run.trajectory) for run in runs] == [41] * 4
+        assert probe == {"calls": 1 + 1 + 40, "stencils": 40, "reads": 40}
+        assert own_calls == 1 + 2 * 40 + 1
+
+    @pytest.mark.parametrize(
+        "family, text, args, restarts, calls, own_calls",
+        [
+            ("single-layer", "3\n1 2\n1 3\n2 3", SimpleNamespace(m=8), 10, 74, 126),
+            ("qaoa1", "2\n1 2", SimpleNamespace(m=64, tau=0.5), 6, 88, 159),
+        ],
+        ids=["single-layer-K3", "qaoa1-K2"],
+    )
+    def test_optimize_grid_commands(self, family, text, args, restarts, calls, own_calls, monkeypatch):
+        # the descents of the optimize-grid benchmark's commands at seed 1
+        # (qaoa1 at the CLI's default --m 64): restarts converge at different
+        # iterations, so the stack shrinks, and on qaoa1 a row backtracks past
+        # rung 0 in a block that carried the stencil, which then goes unread
+        g = parse_graph(text)
+        objective, _, n_params = FAMILIES[family].landscape(g, args, None)
+        runs, probe, own = self.both_ways(objective, n_params, OptimizerConfig(seed=1, restarts=restarts), monkeypatch)
+        assert len({len(run.trajectory) for run in runs}) > 1
+        assert (probe["calls"], own) == (calls, own_calls)
+        assert probe["stencils"] > probe["reads"] if family == "qaoa1" else probe["stencils"] == probe["reads"]
+
+    def test_non_finite_stencil_of_a_rejected_candidate_goes_unread(self):
+        # t**4 from t = 1: rung 0 lands near -1 and fails the Armijo test,
+        # rung 1 near 0 passes; the objective is NaN at the central-difference
+        # points of the rung-0 candidate only
+        seen = []
+
+        def objective(X):
+            t = X[:, 0]
+            near = np.abs(np.abs(t + 1.0) - 1e-5) < 1e-7
+            seen.extend(t[near].tolist())
+            return np.where(near, np.nan, t**4)
+
+        cfg = OptimizerConfig()
+        h = cfg.finite_diff_step
+        (run,) = descend(objective, np.ones((1, 1)), cfg)
+        (own,) = descend(objective, np.ones((1, 1)), cfg, lambda X: finite_difference_gradient(objective, X, h))
+        assert len(seen) == 2
+        assert_same_runs([run], [own])
+        assert run.converged is True and run.trajectory[1] < 1e-8
