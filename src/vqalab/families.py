@@ -22,7 +22,7 @@ from .fermions import (
     gaussian_expectation,
 )
 from .graphs import maxcut_bruteforce
-from .landscape import _mu_gradient_rows, _mu_rows
+from .landscape import _mu_rows, _mu_value_and_gradient_rows
 from .optimize import reference_minimum
 from .reductions import (
     _qaoa1_rows,
@@ -72,14 +72,19 @@ class Family:
 
     ``build(g, args)`` makes the instance. ``spectrum(g, maxcut, args, inst)``
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
-    is (objective, gradient or None, n_params) as row kernels: objective maps
-    an (n, n_params) stack of points to their n values, gradient to their
-    (n, n_params) gradients, each row bit for bit the family's scalar kernel
-    at that point; qaoa-multi's rows, one stacked circuit, match its scalar
-    kernel ``qaoa_apply`` within round-off, not bit for bit (a one-row stack
-    is bit for bit). They may skip input checks, since their callers (descent
-    from uniform start points, the landscape command's checked grid, the
-    grid reference) pass finite rows and reject a non-finite value.
+    is (objective, value_and_gradient or None, n_params) as row kernels:
+    objective maps an (n, n_params) stack of points to their n values, and
+    value_and_gradient to the pair of those values and their (n, n_params)
+    gradients, from one evaluation (the mu families take np.cos of the stack
+    once; boosted evaluates mu once for both), each row bit for bit the
+    family's scalar kernels at that point. Descent calls value_and_gradient
+    at every rung-0 candidate of its line search, rejected ones included, so
+    it must not raise there (a NaN is never read). qaoa-multi's rows, one
+    stacked circuit, match its scalar kernel ``qaoa_apply`` within
+    round-off, not bit for bit (a one-row stack is bit for bit). The kernels
+    may skip input checks, since their callers (descent from uniform start
+    points, the landscape command's checked grid, the grid reference) pass
+    finite rows and reject a non-finite value.
     ``reference(g, maxcut, args, objective, best)`` is the ansatz minimum
     <O>_min; a sampled reference evaluates its grid through the row
     objective, and only it may be lowered to the descent's best value
@@ -91,7 +96,7 @@ class Family:
     build: Callable
     spectrum: Callable
     landscape: Callable = lambda g, args, inst: (
-        (lambda X: _mu_rows(g, X)), (lambda X: _mu_gradient_rows(g, X)), g.d
+        (lambda X: _mu_rows(g, X)), (lambda X: _mu_value_and_gradient_rows(g, X)), g.d
     )
     reference: Callable = lambda g, maxcut, args, objective, best: -float(maxcut)
     verify: Callable = _verify_mu
@@ -105,10 +110,12 @@ def _boosted_landscape(g, args, inst):
     def f(X):
         return -np.float_power(-_mu_rows(g, X), k)
 
-    def grad(X):
-        return (k * np.float_power(-_mu_rows(g, X), k - 1))[:, None] * _mu_gradient_rows(g, X)
+    def value_and_gradient(X):
+        values, gradients = _mu_value_and_gradient_rows(g, X)
+        cut = -values
+        return -np.float_power(cut, k), (k * np.float_power(cut, k - 1))[:, None] * gradients
 
-    return f, grad, g.d
+    return f, value_and_gradient, g.d
 
 
 def _verify_boosted(g, args, inst, rng):

@@ -42,12 +42,15 @@ def mu(g: Graph, phi) -> float:
     return _mu(g, _check_phases(g, phi))
 
 
-def _mu_rows(g: Graph, X: np.ndarray) -> np.ndarray:
-    # _mu of each row of X, bit for bit: the stacked products make the same
-    # BLAS calls per row as ``c @ A @ c``, where ``C @ A`` and a row einsum
-    # would round differently
-    C = np.cos(X)
+def _mu_cosine_rows(g: Graph, C: np.ndarray) -> np.ndarray:
+    # _mu of each row of X, bit for bit, from its cosines C = np.cos(X): the
+    # stacked products make the same BLAS calls per row as ``c @ A @ c``,
+    # where ``C @ A`` and a row einsum would round differently
     return (((C[:, None, :] @ g.float_adjacency) @ C[:, :, None])[:, 0, 0] - g.adjacency_sum) / 4
+
+
+def _mu_rows(g: Graph, X: np.ndarray) -> np.ndarray:
+    return _mu_cosine_rows(g, np.cos(X))
 
 
 def _sin_exact(phi: np.ndarray) -> np.ndarray:
@@ -63,9 +66,11 @@ def _mu_gradient(g: Graph, phi: np.ndarray) -> np.ndarray:
     return -0.5 * _sin_exact(phi) * (g.float_adjacency @ np.cos(phi))
 
 
-def _mu_gradient_rows(g: Graph, X: np.ndarray) -> np.ndarray:
-    # _mu_gradient of each row of X, bit for bit, as _mu_rows
-    return -0.5 * _sin_exact(X) * (g.float_adjacency @ np.cos(X)[:, :, None])[:, :, 0]
+def _mu_value_and_gradient_rows(g: Graph, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _mu and _mu_gradient of each row of X, bit for bit, from one np.cos(X);
+    # the stacked A @ c makes the same BLAS call per row as _mu_gradient's
+    C = np.cos(X)
+    return _mu_cosine_rows(g, C), -0.5 * _sin_exact(X) * (g.float_adjacency @ C[:, :, None])[:, :, 0]
 
 
 def mu_gradient(g: Graph, phi) -> np.ndarray:

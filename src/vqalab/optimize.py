@@ -104,48 +104,60 @@ def descend(
     objective: Callable,
     starts,
     cfg: OptimizerConfig,
-    gradient: Optional[Callable] = None,
+    value_and_gradient: Optional[Callable] = None,
 ) -> list[DescentResult]:
     """Backtracking-line-search descent from each row of ``starts``, all rows
     in lock step; each trajectory is monotone non-increasing.
 
-    ``objective`` maps an (n, L) stack of points to their n values and
-    ``gradient`` to their (n, L) gradients; without a gradient, central
-    differences stand in. A row leaves the stack once its gradient norm is at
+    ``objective`` maps an (n, L) stack of points to their n values, and
+    ``value_and_gradient`` maps it to the pair of those values and their (n,
+    L) gradients. Without it, central differences stand in: the pair comes
+    from one objective call at the points and their central-difference points
+    (``_shifted_rows``). A row leaves the stack once its gradient norm is at
     most grad_tol (converged), when no step meets the Armijo condition, or
-    after max_iters iterations; each iteration makes one gradient call on the
-    rows left. Central differences save that call: where every row of the
-    stack searches and the first block is rung 0 only, that block's objective
-    call also evaluates the central-difference points of each candidate
-    (``_shifted_rows``), and if every row takes rung 0, the next gradient is
-    taken from those values; otherwise they go unread and the next iteration
-    calls ``finite_difference_gradient``, so the gradients are the same bits
-    either way. A row's line search is a ladder of rungs k = 0, 1, ... with
-    steps initial_step / 2**k, and the row takes the first rung that meets
-    the Armijo condition; a non-finite value before that rung raises, as one
-    at a start point does. The rungs are evaluated in blocks that every row
-    still searching shares, one objective call per block: rungs 0..b first,
-    where b is the highest rung any of those rows took last time, then, for
-    the rows without a step yet, blocks twice as wide as the one before. A
-    row's values past the rung it took are computed but never read, as are
-    unread central differences, so each row's descent is, bit for bit, the
-    one a loop over single restarts makes, and where several rows would
-    raise, the error is the first row's. That holds where a row's value does
-    not depend on the other rows of the stack; qaoa-multi's kernel rounds a
-    row differently in the last bits with the stack around it, so its rows
-    match that loop within round-off only.
+    after max_iters iterations. A row's line search is a ladder of rungs k =
+    0, 1, ... with steps initial_step / 2**k, and the row takes the first
+    rung that meets the Armijo condition; a non-finite value before that rung
+    raises, as one at a start point does.
+
+    In the common iteration every row of the stack searches and took rung 0
+    last time: one ``value_and_gradient`` call at the rung-0 candidates
+    x - initial_step * g, and if every row takes rung 0, the gradients it
+    returned are the next iteration's, so that iteration makes no other
+    call. Otherwise the rungs are evaluated in blocks that every row still
+    searching shares, one objective call per block: rungs 0..b first, where b
+    is the highest rung any of those rows took last time, then, for the rows
+    without a step yet, blocks twice as wide as the one before; and the next
+    iteration's gradients come from a call of their own at the rows as they
+    stand (``value_and_gradient``, or ``finite_difference_gradient`` without
+    it). A row's values past the rung it took are computed but never read,
+    as are the gradients at rejected rung-0 candidates, so each row's
+    descent is, bit for bit, the one a loop over single restarts makes, and
+    where several rows would raise, the error is the first row's. That holds
+    where a row's value does not depend on the other rows of the stack;
+    qaoa-multi's kernel rounds a row differently in the last bits with the
+    stack around it, so its rows match that loop within round-off only.
     """
-    h = cfg.finite_diff_step if gradient is None else None
-    if gradient is None:
+    h = cfg.finite_diff_step
+    if value_and_gradient is None:
         gradient = lambda X: finite_difference_gradient(objective, X, h)
-    # the objective at the central-difference points of x, when the last line
-    # search evaluated them and x is its rung-0 candidates
-    probe = None
+
+        def value_and_gradient(X):
+            out = objective(np.concatenate([X, _shifted_rows(X, h)]))
+            return out[: len(X)], _central_differences(out[len(X) :], *X.shape, h)
+
+    else:
+        gradient = lambda X: value_and_gradient(X)[1]
     x = np.array(starts, dtype=float)
     fx = objective(x).tolist()
-    trajectories = [[v] for v in fx]
     results: list[Optional[DescentResult]] = [None] * len(fx)
+    # one entry per row of the stack: its restart, trajectory and last rung
+    ids = list(range(len(fx)))
+    trajectories = [[v] for v in fx]
     rungs = [0] * len(fx)
+    # the gradients at x, where the last line search's value_and_gradient
+    # call gave them
+    held = None
     # the first row whose objective went non-finite, and its error; rows after
     # it leave the stack, since a loop over single restarts never reaches them
     first_failed, error = len(fx), None
@@ -156,36 +168,26 @@ def descend(
             first_failed, error = ids[j], f"non-finite objective value {value!r} {where}"
 
     def finish(j: int, converged: bool) -> None:
-        results[ids[j]] = DescentResult(fx[j], x[j].copy(), trajectories[ids[j]], converged)
+        results[ids[j]] = DescentResult(fx[j], x[j].copy(), trajectories[j], converged)
 
     def take(j: int, k: int, value: float) -> None:
         fx[j] = value
-        rungs[ids[j]] = k
-        trajectories[ids[j]].append(value)
+        rungs[j] = k
+        trajectories[j].append(value)
         stays[j] = True
 
-    def gradient_at_x() -> np.ndarray:
-        nonlocal probe
-        if probe is None:
-            return gradient(x)
-        g, probe = _central_differences(probe, *x.shape, h), None
-        return g
-
-    def search(searching, g, gnorms) -> None:
+    def search(searching, g, gnorms, cand=None, values=None) -> None:
         # every row still searching evaluates the same rungs lo..hi-1, so the
-        # candidates are one broadcast; the common iteration, where every row
-        # searches and takes rung 0, neither gathers nor scatters rows. A row
-        # takes its first rung that passes, and values past it go unread
-        nonlocal probe
-        lo, hi = 0, max((rungs[ids[j]] for j in searching), default=0) + 1
+        # candidates are one broadcast; ``values`` are those of the rung-0
+        # candidates ``cand`` where the caller evaluated them. A row takes its
+        # first rung that passes, and values past it go unread
+        lo, hi = 0, max((rungs[j] for j in searching), default=0) + 1
         while searching:
-            every = len(searching) == len(x)
-            rows = slice(None) if every else searching
             w = hi - lo
-            cand = (x[rows, None, :] - _STEP_ARRAY[lo:hi, None] * g[rows, None, :]).reshape(-1, x.shape[1])
-            stencil = h is not None and every and hi == 1
-            out = objective(np.concatenate([cand, _shifted_rows(cand, h)]) if stencil else cand)
-            values = out[: len(cand)].tolist()
+            if values is None:
+                rows = slice(None) if len(searching) == len(x) else searching
+                cand = (x[rows, None, :] - _STEP_ARRAY[lo:hi, None] * g[rows, None, :]).reshape(-1, x.shape[1])
+                values = objective(cand).tolist()
             later, took, took_from = [], [], []
             for i, j in enumerate(searching):
                 gsq = gnorms[j] ** 2
@@ -205,38 +207,47 @@ def descend(
                         later.append(j)
                     else:  # step underflow: no Armijo decrease available
                         finish(j, False)
-            if w == 1 and len(took) == len(x):
-                x[:] = cand
-                if stencil:
-                    probe = out[len(cand) :]
-            else:
-                x[took] = cand[took_from]
-            searching, lo, hi = later, hi, min(MAX_BACKTRACKS, 3 * hi - 2 * lo)
+            x[took] = cand[took_from]
+            searching, lo, hi, values = later, hi, min(MAX_BACKTRACKS, 3 * hi - 2 * lo), None
 
-    ids = list(range(len(fx)))
     for j, v in enumerate(fx):
         if not math.isfinite(v):
             fail(j, v, "at the initial point")
-    ids = ids[:first_failed]
+    ids, trajectories, rungs = ids[:first_failed], trajectories[:first_failed], rungs[:first_failed]
     x, fx = x[:first_failed], fx[:first_failed]
+    step, slope = _STEPS[0], _SLOPES[0]
     for _ in range(cfg.max_iters):
         if not ids:
             break
-        g = gradient_at_x()
+        g = gradient(x) if held is None else held
+        held = None
         gnorms = _row_norms(g).tolist()
+        searching = [j for j, gnorm in enumerate(gnorms) if not gnorm <= cfg.grad_tol]
+        cand = values = None
+        if len(searching) == len(ids) and not any(rungs):
+            # every row searches from rung 0: the candidates need no
+            # broadcast, and where every row takes rung 0 (a finite value
+            # that meets the Armijo condition) no row needs bookkeeping
+            cand = x - step * g
+            values, gradients = value_and_gradient(cand)
+            values = values.tolist()
+            if all(-math.inf < v <= f - slope * gnorm**2 for v, f, gnorm in zip(values, fx, gnorms)):
+                x, fx, held = cand, values, gradients
+                for trajectory, v in zip(trajectories, values):
+                    trajectory.append(v)
+                continue
         stays = [False] * len(ids)
-        searching = []
         for j, gnorm in enumerate(gnorms):
             if gnorm <= cfg.grad_tol:
                 finish(j, True)
-            else:
-                searching.append(j)
-        search(searching, g, gnorms)
+        search(searching, g, gnorms, cand, values)
         if not all(stays) or ids[-1] >= first_failed:
             keep = [j for j, s in enumerate(stays) if s and ids[j] < first_failed]
-            x, ids, fx = x[keep], [ids[j] for j in keep], [fx[j] for j in keep]
+            x, fx = x[keep], [fx[j] for j in keep]
+            ids, trajectories, rungs = ([seq[j] for j in keep] for seq in (ids, trajectories, rungs))
     if ids:
-        for j, gnorm in enumerate(_row_norms(gradient_at_x()).tolist()):
+        g = gradient(x) if held is None else held
+        for j, gnorm in enumerate(_row_norms(g).tolist()):
             finish(j, gnorm <= cfg.grad_tol)
     if error is not None:
         raise ValueError(error)
@@ -247,10 +258,12 @@ def optimize(
     objective: Callable,
     n_params: int,
     cfg: OptimizerConfig,
-    gradient: Optional[Callable] = None,
+    value_and_gradient: Optional[Callable] = None,
 ) -> MultistartResult:
     """Descent on row kernels: ``descend`` from cfg.restarts uniform-random
-    initializations in [0, 2*pi)^L.
+    initializations in [0, 2*pi)^L, with the objective and the
+    value-and-gradient kernel (or None, for central differences) that
+    ``Family.landscape`` returns.
 
     Restart r draws from a fresh RNG seeded with seed + r, so runs are
     reproducible and order-independent.
@@ -259,7 +272,7 @@ def optimize(
         np.random.default_rng(cfg.seed + r).uniform(0.0, 2 * np.pi, size=n_params)
         for r in range(cfg.restarts)
     ]
-    runs = descend(objective, np.array(starts), cfg, gradient)
+    runs = descend(objective, np.array(starts), cfg, value_and_gradient)
     best = min(runs, key=lambda run: run.value)
     return MultistartResult(runs=runs, best_value=best.value, best_params=best.params)
 

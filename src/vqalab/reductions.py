@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .landscape import _check_phases, _mu, mu, reduce_phases
+from .landscape import _check_phases, _mu, _mu_cosine_rows, mu, reduce_phases
 from .sim import (
     DENSE_MAX_QUBITS,
     Blocks,
@@ -342,12 +342,11 @@ def _qaoa1_value(g: Graph, energies: np.ndarray, tau: float, beta: float, gamma:
 
 
 def _qaoa1_rows(g: Graph, energies: np.ndarray, tau: float, X: np.ndarray) -> np.ndarray:
-    # _qaoa1_value of each row (beta, gamma) of X, bit for bit: f is
-    # landscape._mu_rows' stacked products on the cosines, and np.float_power
-    # squares with C pow, as Python's float ** 2 does, where numpy's s ** 2
-    # multiplies s * s
+    # _qaoa1_value of each row (beta, gamma) of X, bit for bit: f is mu of
+    # the phases energies * beta, and np.float_power squares with C pow, as
+    # Python's float ** 2 does, where numpy's s ** 2 multiplies s * s
     C = np.cos(X[:, :1] * energies)
-    f = (((C[:, None, :] @ g.float_adjacency) @ C[:, :, None])[:, 0, 0] - g.adjacency_sum) / 4
+    f = _mu_cosine_rows(g, C)
     gfun = -np.sin(X[:, 0]) / g.d * C.sum(axis=1)
     s, co = np.sin(tau * X[:, 1]), np.cos(tau * X[:, 1])
     return np.float_power(s, 2) * f + 2 * tau * co * s * gfun

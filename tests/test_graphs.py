@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_golden import CASES
 from vqalab import (
     Graph,
     GraphParseError,
@@ -10,6 +13,59 @@ from vqalab import (
     parse_graph,
     random_graph,
 )
+from vqalab import graphs as graphs_module
+from vqalab.graphs import DEFAULT_EXHAUSTIVE_LIMIT
+
+
+def edge_loop_maxcut(g: Graph, limit: int = DEFAULT_EXHAUSTIVE_LIMIT) -> tuple[int, np.ndarray]:
+    """The oracle of maxcut_bruteforce: the package's enumeration before the
+    split, one pass over the edges per chunk of codes, kept unchanged."""
+    d = g.d
+    if d > limit:
+        raise ValueError(
+            f"d={d} exceeds the exhaustive limit {limit}; "
+            "use maxcut_greedy for larger graphs"
+        )
+    n_free = d - 1  # last vertex pinned to +1: each cut counted once
+    best_val = -1
+    best_code = 0
+    edges = g.edges()
+    chunk = 1 << 20
+    for start in range(0, 1 << n_free, chunk):
+        codes = np.arange(start, min(start + chunk, 1 << n_free), dtype=np.int64)
+        vals = np.zeros(codes.shape, dtype=np.int32)
+        for u, v in edges:
+            bu = (codes >> u) & 1 if u < n_free else 0
+            bv = (codes >> v) & 1 if v < n_free else 0
+            vals += (bu ^ bv).astype(np.int32)
+        k = int(np.argmax(vals))
+        if int(vals[k]) > best_val:
+            best_val = int(vals[k])
+            best_code = int(codes[k])
+    bits = (best_code >> np.arange(d)) & 1
+    bits[d - 1] = 0
+    witness = 1 - 2 * bits
+    assert cut_value(g, witness) == best_val
+    return best_val, witness
+
+
+def golden_graphs() -> dict[str, Graph]:
+    """Every graph that a golden-digest command reads, by case and instance."""
+    out = {}
+    for name, argv in CASES.items():
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        d, p = flags["--random-graph"].split(":")
+        seed = int(flags.get("--seed", 0))
+        for i in range(int(flags.get("--instances", 1))):
+            out[f"{name}-{i}"] = random_graph(int(d), float(p), seed + i)
+    return out
+
+
+def assert_same_maxcut(g: Graph) -> None:
+    value, witness = maxcut_bruteforce(g)
+    want, want_witness = edge_loop_maxcut(g)
+    assert value == want
+    assert witness.tolist() == want_witness.tolist()
 
 
 class TestParseGraph:
@@ -101,6 +157,14 @@ class TestBruteforce:
         with pytest.raises(ValueError, match="exhaustive limit"):
             maxcut_bruteforce(k3, limit=2)
 
+    def test_default_limit_refusal(self):
+        # the refusal comes before any enumeration
+        g = random_graph(DEFAULT_EXHAUSTIVE_LIMIT + 1, 0.5, 0)
+        with pytest.raises(ValueError, match=f"exceeds the exhaustive limit {DEFAULT_EXHAUSTIVE_LIMIT}"):
+            maxcut_bruteforce(g)
+        with pytest.raises(ValueError, match="exhaustive limit"):
+            maxcut_bruteforce(random_graph(40, 0.5, 0))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_naive_enumeration(self, seed):
         from itertools import product
@@ -108,6 +172,39 @@ class TestBruteforce:
         g = random_graph(6, 0.5, seed)
         naive = max(cut_value(g, np.array(s)) for s in product([1, -1], repeat=6))
         assert maxcut_bruteforce(g)[0] == naive
+
+
+class TestSplitEnumeration:
+    """maxcut_bruteforce's split enumeration against the edge loop it
+    replaced: the same value and the same witness, the first maximising code."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(d=st.integers(2, 16), p=st.sampled_from([0.1, 0.3, 0.5, 0.8, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_random_graphs(self, d, p, seed):
+        assert_same_maxcut(random_graph(d, p, seed))
+
+    @pytest.mark.parametrize("d", range(17, 21))
+    def test_random_graphs_up_to_20(self, d):
+        assert_same_maxcut(random_graph(d, 0.5, d))
+
+    @pytest.mark.parametrize("name, g", sorted(golden_graphs().items()), ids=sorted(golden_graphs()))
+    def test_golden_graphs(self, name, g):
+        assert_same_maxcut(g)
+
+    @pytest.mark.parametrize("d", [*range(2, 19), 20])
+    def test_complete_graphs(self, d):
+        # every balanced split ties: the witness is the first of many
+        assert_same_maxcut(random_graph(d, 1.0, 0))
+
+    @pytest.mark.parametrize("block", [1, 2, 64, 1000])
+    @pytest.mark.parametrize("d", [2, 3, 9, 14])
+    def test_several_blocks(self, block, d, monkeypatch):
+        # blocks of a single high-half code up to several codes and ragged
+        # ends: the best code must carry over from block to block, ties to
+        # the earlier block
+        monkeypatch.setattr(graphs_module, "SPLIT_BLOCK", block)
+        for g in (random_graph(d, 0.5, d), random_graph(d, 1.0, 0)):
+            assert_same_maxcut(g)
 
 
 class TestGreedy:

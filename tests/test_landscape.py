@@ -7,7 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference_gradient, central_difference_hessian, scalar_landscape
+from conftest import (
+    _mu_gradient_rows,
+    central_difference_gradient,
+    central_difference_hessian,
+    reference_row_kernels,
+    scalar_landscape,
+)
 from vqalab import (
     ergodic_energies,
     is_discrete_local_min,
@@ -23,8 +29,8 @@ from vqalab.families import FAMILIES
 from vqalab.landscape import (
     _mu,
     _mu_gradient,
-    _mu_gradient_rows,
     _mu_rows,
+    _mu_value_and_gradient_rows,
     _sin_exact,
     discrete_signs,
     phases_from_assignment,
@@ -238,11 +244,11 @@ class TestUncheckedKernels:
 
     @pytest.mark.parametrize("family", ["oracular", "boosted"])
     def test_descent_from_non_finite_start_raises(self, family, c5):
-        objective, gradient, n = FAMILIES[family].landscape(c5, SimpleNamespace(k=2), None)
+        objective, value_and_gradient, n = FAMILIES[family].landscape(c5, SimpleNamespace(k=2), None)
         start = np.zeros((1, n))
         start[0, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite objective"):
-            descend(objective, start, OptimizerConfig(), gradient)
+            descend(objective, start, OptimizerConfig(), value_and_gradient)
 
     @pytest.mark.parametrize("public", [mu, mu_gradient, mu_hessian, round_to_discrete, is_discrete_local_min])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -256,10 +262,12 @@ class TestUncheckedKernels:
 @st.composite
 def graphs_and_stacks(draw):
     """A graph with d in 2..20 and a stack of phase rows: up to five drawn
-    rows, then the all-zero and all-pi rows, where mu is exactly 0."""
+    rows, then the all-zero, all-minus-zero and all-pi rows, where mu is
+    exactly 0 and its gradient vanishes."""
     g, first = draw(graphs_and_phases())
     rows = draw(st.lists(st.lists(phase, min_size=g.d, max_size=g.d), max_size=4))
-    return g, np.array([first, *rows, np.zeros(g.d), np.full(g.d, np.pi)], dtype=float)
+    edges = [np.zeros(g.d), np.full(g.d, -0.0), np.full(g.d, np.pi)]
+    return g, np.array([first, *rows, *edges], dtype=float)
 
 
 class TestRowKernels:
@@ -270,24 +278,37 @@ class TestRowKernels:
     @KERNEL_SETTINGS
     @given(case=graphs_and_stacks())
     def test_mu_rows(self, case):
+        # the fused kernel against _mu_rows and the separate gradient kernel
+        # it replaced (conftest's _mu_gradient_rows), and both against the
+        # scalar kernels
         g, X = case
         values, gradients = _mu_rows(g, X), _mu_gradient_rows(g, X)
         for x, value, gradient in zip(X, values, gradients):
             assert bits(value) == bits(_mu(g, x))
             assert bits(gradient) == bits(_mu_gradient(g, x))
+        fused_values, fused_gradients = _mu_value_and_gradient_rows(g, X)
+        assert bits(fused_values) == bits(values) and bits(fused_gradients) == bits(gradients)
         for family in ("oracular", "logdim", "fermion"):
-            objective, gradient, n_params = FAMILIES[family].landscape(g, None, None)
-            assert bits(objective(X)) == bits(values) and bits(gradient(X)) == bits(gradients)
+            objective, value_and_gradient, n_params = FAMILIES[family].landscape(g, None, None)
+            kernel_values, kernel_gradients = value_and_gradient(X)
+            assert bits(objective(X)) == bits(kernel_values) == bits(values)
+            assert bits(kernel_gradients) == bits(gradients)
             assert n_params == g.d
 
     @KERNEL_SETTINGS
     @given(case=graphs_and_stacks(), k=st.integers(1, 5))
     def test_boosted_rows_are_python_powers(self, case, k):
+        # the fused kernel against the scalar kernels and against the
+        # separate row kernels it replaced, which evaluated _mu_rows twice
         g, X = case
         args = SimpleNamespace(k=k)
-        objective, gradient, _ = FAMILIES["boosted"].landscape(g, args, None)
+        objective, value_and_gradient, _ = FAMILIES["boosted"].landscape(g, args, None)
         f, grad, _ = scalar_landscape("boosted", g, args, None)
-        for x, value, row in zip(X, objective(X), gradient(X)):
+        values, gradients = value_and_gradient(X)
+        reference, reference_gradient = reference_row_kernels("boosted", g, args)
+        assert bits(values) == bits(objective(X)) == bits(reference(X))
+        assert bits(gradients) == bits(reference_gradient(X))
+        for x, value, row in zip(X, values, gradients):
             assert bits(value) == bits(f(x))
             assert bits(row) == bits(grad(x))
 

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import central_difference_gradient, gradient_descent, multistart, row_wise, scalar_landscape
+from conftest import (
+    central_difference_gradient,
+    fused,
+    gradient_descent,
+    multistart,
+    reference_row_kernels,
+    row_wise,
+    scalar_landscape,
+)
 from vqalab import (
     OptimizerConfig,
     error_metrics,
@@ -29,6 +37,8 @@ from vqalab.optimize import (
     DescentResult,
     MultistartResult,
     _row_norms,
+    _SLOPES,
+    _STEP_ARRAY,
     build_report,
     descend,
     finite_difference_gradient,
@@ -72,6 +82,94 @@ def scalar_gradient_descent(objective, init, cfg, gradient=None) -> DescentResul
         g = gradient(x)
         converged = math.sqrt(g.dot(g)) <= cfg.grad_tol
     return DescentResult(value=float(fx), params=x, trajectory=trajectory, converged=converged)
+
+
+def two_call_descend(objective, starts, cfg, gradient=None, taken=None) -> list[DescentResult]:
+    """The oracle of descend's call schedule: lock-step descent as the package
+    ran it before one value-and-gradient call at the rung-0 candidates also
+    gave the next iteration's gradients. Each iteration makes a gradient call
+    of its own (central differences without a gradient), then one objective
+    call per line-search block, the blocks shared as descend shares them.
+    ``taken``, where given, collects the rung of every step taken."""
+    if gradient is None:
+        gradient = lambda X: finite_difference_gradient(objective, X, cfg.finite_diff_step)
+    x = np.array(starts, dtype=float)
+    fx = objective(x).tolist()
+    trajectories = [[v] for v in fx]
+    results = [None] * len(fx)
+    rungs = [0] * len(fx)
+    first_failed, error = len(fx), None
+
+    def fail(j, value, where):
+        nonlocal first_failed, error
+        if ids[j] < first_failed:
+            first_failed, error = ids[j], f"non-finite objective value {value!r} {where}"
+
+    def finish(j, converged):
+        results[ids[j]] = DescentResult(fx[j], x[j].copy(), trajectories[ids[j]], converged)
+
+    def search(searching, g, gnorms):
+        lo, hi = 0, max((rungs[ids[j]] for j in searching), default=0) + 1
+        while searching:
+            rows = slice(None) if len(searching) == len(x) else searching
+            w = hi - lo
+            cand = (x[rows, None, :] - _STEP_ARRAY[lo:hi, None] * g[rows, None, :]).reshape(-1, x.shape[1])
+            values = objective(cand).tolist()
+            later, took, took_from = [], [], []
+            for i, j in enumerate(searching):
+                gsq = gnorms[j] ** 2
+                at = i * w - lo
+                for k in range(lo, hi):
+                    v = values[at + k]
+                    if not math.isfinite(v):
+                        fail(j, v, "during line search")
+                        break
+                    if v <= fx[j] - _SLOPES[k] * gsq:
+                        fx[j] = v
+                        rungs[ids[j]] = k
+                        if taken is not None:
+                            taken.append(k)
+                        trajectories[ids[j]].append(v)
+                        stays[j] = True
+                        took.append(j)
+                        took_from.append(at + k)
+                        break
+                else:
+                    if hi < MAX_BACKTRACKS:
+                        later.append(j)
+                    else:
+                        finish(j, False)
+            x[took] = cand[took_from]
+            searching, lo, hi = later, hi, min(MAX_BACKTRACKS, 3 * hi - 2 * lo)
+
+    ids = list(range(len(fx)))
+    for j, v in enumerate(fx):
+        if not math.isfinite(v):
+            fail(j, v, "at the initial point")
+    ids = ids[:first_failed]
+    x, fx = x[:first_failed], fx[:first_failed]
+    for _ in range(cfg.max_iters):
+        if not ids:
+            break
+        g = gradient(x)
+        gnorms = _row_norms(g).tolist()
+        stays = [False] * len(ids)
+        searching = []
+        for j, gnorm in enumerate(gnorms):
+            if gnorm <= cfg.grad_tol:
+                finish(j, True)
+            else:
+                searching.append(j)
+        search(searching, g, gnorms)
+        if not all(stays) or ids[-1] >= first_failed:
+            keep = [j for j, s in enumerate(stays) if s and ids[j] < first_failed]
+            x, ids, fx = x[keep], [ids[j] for j in keep], [fx[j] for j in keep]
+    if ids:
+        for j, gnorm in enumerate(_row_norms(gradient(x)).tolist()):
+            finish(j, gnorm <= cfg.grad_tol)
+    if error is not None:
+        raise ValueError(error)
+    return results
 
 
 def scalar_starts(n_params, cfg):
@@ -381,22 +479,22 @@ class TestLockStep:
         d = 2 + seed % 2 if family == "boosted" else 3 + 2 * seed
         g = random_graph(d, 0.6, 100 * seed + (k if family == "boosted" else 1))
         args = SimpleNamespace(k=k, m=8, tau=k)
-        objective, gradient, n_params = FAMILIES[family].landscape(g, args, None)
+        objective, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
         cfg = OptimizerConfig(seed=seed, restarts=4)
         f, grad, _ = scalar_landscape(family, g, args, None)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
-        assert_same_runs(optimize(objective, n_params, cfg, gradient).runs, expected)
+        assert_same_runs(optimize(objective, n_params, cfg, value_and_gradient).runs, expected)
         assert_same_runs(multistart(f, n_params, cfg, grad).runs, expected)
 
     @pytest.mark.parametrize("family", DIVERGING_RUNG_CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_diverging_rungs_match_the_scalar_loop(self, family, seed):
         g = random_graph(6, 0.5, 133)
-        objective, gradient, n_params = FAMILIES[family].landscape(g, None, None)
+        objective, value_and_gradient, n_params = FAMILIES[family].landscape(g, None, None)
         cfg = OptimizerConfig(seed=seed, restarts=6)
         f, grad, _ = scalar_landscape(family, g, None, None)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
-        assert_same_runs(optimize(objective, n_params, cfg, gradient).runs, expected)
+        assert_same_runs(optimize(objective, n_params, cfg, value_and_gradient).runs, expected)
 
     @pytest.mark.parametrize("text", ["2\n1 2", "3\n1 2\n2 3\n1 3"], ids=["K2", "K3"])
     def test_qaoa_multi_matches_the_scalar_loop(self, text):
@@ -453,7 +551,7 @@ class TestLockStep:
 
         starts = np.array([[0.0, 0.0], [0.0, 1.0]])
         cfg = OptimizerConfig()
-        runs = descend(objective, starts, cfg, gradient)
+        runs = descend(objective, starts, cfg, fused(objective, gradient))
         assert {(1.0, 0.75), (1.0, 0.625)} <= evaluated
         expected = [
             scalar_gradient_descent(lambda x: float(objective(x[None])[0]), x0, cfg,
@@ -479,7 +577,7 @@ class TestLockStep:
 
         starts = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 2.0], [-4.0, 0.0]])
         cfg = OptimizerConfig()
-        runs = descend(objective, starts, cfg, gradient)
+        runs = descend(objective, starts, cfg, fused(objective, gradient))
         expected = [
             scalar_gradient_descent(lambda x: float(objective(x[None])[0]), x0, cfg,
                                     lambda x: gradient(x[None])[0])
@@ -517,16 +615,16 @@ class TestLockStep:
             return ladder(X)
 
         objective = row_wise(lambda x: stacked(x[None])[0]) if by_row else stacked
-        (run,) = descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
+        (run,) = descend(objective, np.zeros((1, 1)), OptimizerConfig(), fused(objective, gradient))
         assert 0.5 / 2**2 in evaluated  # the candidate of rung 2
         assert run.trajectory == [0.0, -1.0] and run.converged is True
         assert run.params.tolist() == [0.25]
 
-    @pytest.mark.parametrize("values", [[np.nan, -1.0], [1.0, np.nan, -1.0], [1.0, -np.inf]])
+    @pytest.mark.parametrize("values", [[np.nan, -1.0], [1.0, np.nan, -1.0], [1.0, -np.inf], [-np.inf]])
     def test_non_finite_before_the_accepted_rung_raises(self, values):
         objective, gradient = self.ladder_objective(values)
         with pytest.raises(ValueError, match="non-finite objective value .* during line search"):
-            descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
+            descend(objective, np.zeros((1, 1)), OptimizerConfig(), fused(objective, gradient))
 
     def test_first_failing_restart_gives_the_error(self):
         # row 0 fails in its first line search, row 1 at its start point: a
@@ -534,9 +632,9 @@ class TestLockStep:
         objective, gradient = self.ladder_objective([np.nan])
         stacked = lambda X: np.where(X[:, 0] == 7.0, np.nan, objective(X))
         with pytest.raises(ValueError, match="during line search"):
-            descend(stacked, np.array([[0.0], [7.0]]), OptimizerConfig(), gradient)
+            descend(stacked, np.array([[0.0], [7.0]]), OptimizerConfig(), fused(stacked, gradient))
         with pytest.raises(ValueError, match="at the initial point"):
-            descend(stacked, np.array([[7.0], [0.0]]), OptimizerConfig(), gradient)
+            descend(stacked, np.array([[7.0], [0.0]]), OptimizerConfig(), fused(stacked, gradient))
 
     @pytest.mark.parametrize("by_row", [False, True], ids=["stacked", "row-wise"])
     def test_armijo_squares_the_norm_with_pow(self, by_row):
@@ -554,7 +652,8 @@ class TestLockStep:
         gradient = lambda X: np.where(X == 0.0, gnorm, 0.0)
         scalar = lambda x: float(objective(x[None])[0])
         cfg = OptimizerConfig()
-        (run,) = descend(row_wise(scalar) if by_row else objective, np.zeros((1, 1)), cfg, gradient)
+        kernel = row_wise(scalar) if by_row else objective
+        (run,) = descend(kernel, np.zeros((1, 1)), cfg, fused(kernel, gradient))
         want = scalar_gradient_descent(scalar, np.zeros(1), cfg, lambda x: gradient(x[None])[0])
         assert_same_runs([run], [want])
         assert run.trajectory == [0.0, threshold]
@@ -562,17 +661,19 @@ class TestLockStep:
 
 class TestCentralDifferenceProbe:
     """Without a gradient, descend takes the central differences at a rung-0
-    step from the objective call of the line search that took it; handed
-    finite_difference_gradient as its gradient, it calls the objective for
-    them, one call per iteration. The two must be the same runs, bit for bit."""
+    step from the objective call of the line search that took it; the
+    two-call loop calls the objective for them, one call per iteration. The
+    two must be the same runs, bit for bit."""
 
     @staticmethod
     def both_ways(objective, n_params, cfg, monkeypatch):
         """The runs and call counts of both ways: ``calls`` counts objective
-        calls, ``stencils`` the line-search blocks that carried the
-        central-difference points of their candidates, ``reads`` the gradients
-        taken from those points."""
-        spied = {name: 0 for name in ("_shifted_rows", "_central_differences", "finite_difference_gradient")}
+        calls, ``stencils`` the line-search calls that carried the
+        central-difference points of their candidates, ``reads`` the
+        iterations whose gradients came from such a call. Every iteration
+        with rows left, and the end after max_iters, takes one gradient, so
+        descend takes as many as its longest trajectory has values."""
+        spied = {name: 0 for name in ("_shifted_rows", "finite_difference_gradient")}
         for name in spied:
             def spy(*args, _f=getattr(optimize_module, name), _name=name):
                 spied[_name] += 1
@@ -587,11 +688,10 @@ class TestCentralDifferenceProbe:
 
         probed = optimize(counted, n_params, cfg).runs
         fd = spied["finite_difference_gradient"]
-        probe = {"calls": len(calls), "stencils": spied["_shifted_rows"] - fd,
-                 "reads": spied["_central_differences"] - fd}
+        gradients = max(len(run.trajectory) for run in probed)
+        probe = {"calls": len(calls), "stencils": spied["_shifted_rows"] - fd, "reads": gradients - fd}
         calls.clear()
-        h = cfg.finite_diff_step
-        own = optimize(counted, n_params, cfg, lambda X: finite_difference_gradient(counted, X, h)).runs
+        own = two_call_descend(counted, np.array(scalar_starts(n_params, cfg)), cfg)
         assert_same_runs(probed, own)
         return probed, probe, len(calls)
 
@@ -652,9 +752,97 @@ class TestCentralDifferenceProbe:
             return np.where(near, np.nan, t**4)
 
         cfg = OptimizerConfig()
-        h = cfg.finite_diff_step
         (run,) = descend(objective, np.ones((1, 1)), cfg)
-        (own,) = descend(objective, np.ones((1, 1)), cfg, lambda X: finite_difference_gradient(objective, X, h))
+        (own,) = two_call_descend(objective, np.ones((1, 1)), cfg)
         assert len(seen) == 2
         assert_same_runs([run], [own])
         assert run.converged is True and run.trajectory[1] < 1e-8
+
+
+# the optimize-descent benchmark's commands at seed 1, on complete graphs:
+# (family, d, k), and the kernel calls of descend and of the two-call loop
+DESCENT_COMMANDS = [
+    ("oracular", 10, 1, 94, 170),
+    ("logdim", 8, 1, 89, 162),
+    ("fermion", 8, 1, 89, 162),
+    ("boosted", 2, 2, 57, 100),
+]
+
+
+class TestFusedDescent:
+    """descend on a family's value-and-gradient kernel against the two-call
+    loop on the separate row kernels that the fused one replaced (conftest's
+    reference_row_kernels): the same runs, bit for bit, in no more kernel calls."""
+
+    @staticmethod
+    def both_ways(family, g, k, cfg, taken=None):
+        """The runs of descend and the two-call loop, and the kernel calls of
+        each: ``fused`` and ``objective`` for descend, ``reference`` and
+        ``gradient`` for the loop."""
+        args = SimpleNamespace(k=k)
+        objective, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
+        reference, gradient = reference_row_kernels(family, g, args)
+        calls = dict.fromkeys(("objective", "fused", "reference", "gradient"), 0)
+
+        def counted(name, kernel):
+            def call(X):
+                calls[name] += 1
+                return kernel(X)
+
+            return call
+
+        starts = np.array(scalar_starts(n_params, cfg))
+        runs = descend(counted("objective", objective), starts, cfg, counted("fused", value_and_gradient))
+        own = two_call_descend(
+            counted("reference", reference), starts, cfg, counted("gradient", gradient), taken
+        )
+        assert_same_runs(runs, own)
+        return runs, calls
+
+    @pytest.mark.parametrize(
+        "family, k", [("oracular", 1), ("logdim", 1), ("fermion", 1), *[("boosted", k) for k in (1, 2, 3)]]
+    )
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_runs_as_the_two_call_loop(self, family, k, seed):
+        # boosted on K2 and K3, the others on G(4..7, 0.6). A row that
+        # backtracks past rung 0 sends its iteration down the general line
+        # search and the next one to a gradient call: that happens at seed 2
+        # on the mu families, and for boosted at k >= 2 on K3
+        d = 2 + seed % 2 if family == "boosted" else 4 + seed
+        g = random_graph(d, 1.0 if family == "boosted" else 0.6, 300 + seed)
+        taken = []
+        _, calls = self.both_ways(family, g, k, OptimizerConfig(seed=seed, restarts=6), taken)
+        backtracks = k > 1 and d == 3 if family == "boosted" else seed == 2
+        assert (max(taken) > 0) == backtracks
+        # a row that backtracks on every iteration (boosted at k = 3 on K3
+        # stalls to the cap) gains nothing: the rung-0 call then gives
+        # gradients nobody reads, and the next iteration calls for its own
+        assert calls["objective"] + calls["fused"] <= calls["reference"] + calls["gradient"]
+
+    @pytest.mark.parametrize("family, d, k, fused_calls, two_calls", DESCENT_COMMANDS)
+    def test_optimize_descent_commands(self, family, d, k, fused_calls, two_calls):
+        # restarts converge at different iterations, so the stack shrinks
+        g = random_graph(d, 1.0, 1)
+        runs, calls = self.both_ways(family, g, k, OptimizerConfig(seed=1, restarts=10))
+        assert len({len(run.trajectory) for run in runs}) > 1
+        assert calls["objective"] + calls["fused"] == fused_calls
+        assert calls["reference"] + calls["gradient"] == two_calls
+
+    def test_non_finite_gradient_at_a_rejected_candidate_goes_unread(self):
+        # t**4 from t = 1: the rung-0 candidate -1 fails the Armijo test and
+        # rung 1 (0) passes; the kernel's gradient is NaN at -1 only
+        seen = []
+
+        def objective(X):
+            return X[:, 0] ** 4
+
+        def value_and_gradient(X):
+            seen.extend(X[X[:, 0] == -1.0, 0].tolist())
+            return objective(X), np.where(X == -1.0, np.nan, 4 * X**3)
+
+        cfg = OptimizerConfig()
+        (run,) = descend(objective, np.ones((1, 1)), cfg, value_and_gradient)
+        (own,) = two_call_descend(objective, np.ones((1, 1)), cfg, lambda X: 4 * X**3)
+        assert seen == [-1.0]
+        assert_same_runs([run], [own])
+        assert run.trajectory == [1.0, 0.0] and run.converged is True
