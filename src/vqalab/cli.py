@@ -46,7 +46,7 @@ def _load_graphs(args) -> list[Graph]:
 
 
 def _landscape(family, g: Graph, args):
-    """(instance or None, (objective, value_and_gradient or None, n_params)); the instance
+    """(instance or None, (objective, gradient, value_and_gradient, n_params)); the instance
     is built only where the landscape or the spectrum reads it."""
     inst = family.build(g, args) if family.needs_instance else None
     return inst, family.landscape(g, args, inst)
@@ -88,11 +88,11 @@ def cmd_optimize(args) -> int:
     cfg = OptimizerConfig(seed=args.seed, restarts=args.restarts)
     records = []
     for g in _load_graphs(args):
-        inst, (objective, value_and_gradient, n_params) = _landscape(family, g, args)
+        inst, (objective, gradient, value_and_gradient, n_params) = _landscape(family, g, args)
         mc, _ = maxcut_bruteforce(g)
         greedy_val, _, _ = maxcut_greedy(g, args.seed)
         lam_min, lam_max = family.spectrum(g, mc, args, inst)
-        result = optimize(objective, n_params, cfg, value_and_gradient)
+        result = optimize(objective, n_params, cfg, gradient, value_and_gradient)
         ref = family.reference(g, mc, args, objective, result.best_value)
         records.append(
             {
@@ -141,7 +141,7 @@ def _check_index(idx: int, n_params: int, what: str) -> None:
 
 def cmd_landscape(args) -> int:
     g = _load_graphs(args)[0]
-    _, (objective, _, n_params) = _landscape(FAMILIES[args.family], g, args)
+    _, (objective, _, _, n_params) = _landscape(FAMILIES[args.family], g, args)
     if not args.axis or len(args.axis) > 2:
         raise UsageError("landscape needs 1 or 2 --axis specifications")
     axes = [_parse_axis(a) for a in args.axis]

@@ -22,7 +22,7 @@ from .fermions import (
     gaussian_expectation,
 )
 from .graphs import maxcut_bruteforce
-from .landscape import _mu_rows, _mu_value_and_gradient_rows
+from .landscape import _mu_gradient_rows, _mu_rows, _mu_value_and_gradient_rows
 from .optimize import reference_minimum
 from .reductions import (
     _qaoa1_rows,
@@ -72,19 +72,21 @@ class Family:
 
     ``build(g, args)`` makes the instance. ``spectrum(g, maxcut, args, inst)``
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
-    is (objective, value_and_gradient or None, n_params) as row kernels:
-    objective maps an (n, n_params) stack of points to their n values, and
-    value_and_gradient to the pair of those values and their (n, n_params)
-    gradients, from one evaluation (the mu families take np.cos of the stack
-    once; boosted evaluates mu once for both), each row bit for bit the
-    family's scalar kernels at that point. Descent calls value_and_gradient
-    at every rung-0 candidate of its line search, rejected ones included, so
-    it must not raise there (a NaN is never read). qaoa-multi's rows, one
-    stacked circuit, match its scalar kernel ``qaoa_apply`` within
-    round-off, not bit for bit (a one-row stack is bit for bit). The kernels
-    may skip input checks, since their callers (descent from uniform start
-    points, the landscape command's checked grid, the grid reference) pass
-    finite rows and reject a non-finite value.
+    is (objective, gradient, value_and_gradient, n_params) as row kernels,
+    both gradient kernels None where descent takes central differences:
+    objective maps an (n, n_params) stack of points to their n values,
+    gradient to their (n, n_params) gradients, and value_and_gradient to the
+    pair of both from one evaluation (the mu families take np.cos of the
+    stack once), each row bit for bit the family's scalar kernels at that
+    point. Descent calls value_and_gradient at every rung-0 candidate of its
+    line search, rejected ones included, so it must not raise there (a NaN
+    is never read), and gradient where it holds the values but not the
+    gradients. qaoa-multi's rows, one stacked circuit, match its scalar
+    kernel ``qaoa_apply`` within round-off, not bit for bit (a one-row stack
+    is bit for bit). The kernels may skip input checks, since their callers
+    (descent from uniform start points, the landscape command's checked
+    grid, the grid reference) pass finite rows and reject a non-finite
+    value.
     ``reference(g, maxcut, args, objective, best)`` is the ansatz minimum
     <O>_min; a sampled reference evaluates its grid through the row
     objective, and only it may be lowered to the descent's best value
@@ -96,7 +98,10 @@ class Family:
     build: Callable
     spectrum: Callable
     landscape: Callable = lambda g, args, inst: (
-        (lambda X: _mu_rows(g, X)), (lambda X: _mu_value_and_gradient_rows(g, X)), g.d
+        (lambda X: _mu_rows(g, X)),
+        (lambda X: _mu_gradient_rows(g, X)),
+        (lambda X: _mu_value_and_gradient_rows(g, X)),
+        g.d,
     )
     reference: Callable = lambda g, maxcut, args, objective, best: -float(maxcut)
     verify: Callable = _verify_mu
@@ -110,12 +115,17 @@ def _boosted_landscape(g, args, inst):
     def f(X):
         return -np.float_power(-_mu_rows(g, X), k)
 
+    # the gradient needs mu's values too: both kernels evaluate mu once
+    def grad(X):
+        values, gradients = _mu_value_and_gradient_rows(g, X)
+        return (k * np.float_power(-values, k - 1))[:, None] * gradients
+
     def value_and_gradient(X):
         values, gradients = _mu_value_and_gradient_rows(g, X)
         cut = -values
         return -np.float_power(cut, k), (k * np.float_power(cut, k - 1))[:, None] * gradients
 
-    return f, value_and_gradient, g.d
+    return f, grad, value_and_gradient, g.d
 
 
 def _verify_boosted(g, args, inst, rng):
@@ -170,12 +180,12 @@ def _grid_reference(points):
 
 def _single_layer_landscape(g, args, inst):
     energies = _energies(g, args)
-    return (lambda X: _mu_rows(g, X[:, :1] * energies)), None, 1
+    return (lambda X: _mu_rows(g, X[:, :1] * energies)), None, None, 1
 
 
 def _qaoa1_landscape(g, args, inst):
     energies, tau = _energies(g, args), args.tau
-    return (lambda X: _qaoa1_rows(g, energies, tau, X)), None, 2
+    return (lambda X: _qaoa1_rows(g, energies, tau, X)), None, None, 2
 
 
 def _verify_qaoa1(g, args, inst, rng):
@@ -189,7 +199,7 @@ def _verify_qaoa1(g, args, inst, rng):
 
 
 def _qaoa_multi_landscape(g, args, inst):
-    return (lambda X: _qaoa_rows(inst, X)), None, len(inst.generators)
+    return (lambda X: _qaoa_rows(inst, X)), None, None, len(inst.generators)
 
 
 def _verify_qaoa_multi(g, args, inst, rng):

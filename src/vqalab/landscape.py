@@ -66,11 +66,21 @@ def _mu_gradient(g: Graph, phi: np.ndarray) -> np.ndarray:
     return -0.5 * _sin_exact(phi) * (g.float_adjacency @ np.cos(phi))
 
 
+def _mu_gradient_cosine_rows(g: Graph, X: np.ndarray, C: np.ndarray) -> np.ndarray:
+    # _mu_gradient of each row of X, bit for bit, from its cosines C =
+    # np.cos(X): the stacked A @ c makes the same BLAS call per row as
+    # _mu_gradient's
+    return -0.5 * _sin_exact(X) * (g.float_adjacency @ C[:, :, None])[:, :, 0]
+
+
+def _mu_gradient_rows(g: Graph, X: np.ndarray) -> np.ndarray:
+    return _mu_gradient_cosine_rows(g, X, np.cos(X))
+
+
 def _mu_value_and_gradient_rows(g: Graph, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _mu and _mu_gradient of each row of X, bit for bit, from one np.cos(X);
-    # the stacked A @ c makes the same BLAS call per row as _mu_gradient's
+    # _mu_rows and _mu_gradient_rows of X from one np.cos(X)
     C = np.cos(X)
-    return _mu_cosine_rows(g, C), -0.5 * _sin_exact(X) * (g.float_adjacency @ C[:, :, None])[:, :, 0]
+    return _mu_cosine_rows(g, C), _mu_gradient_cosine_rows(g, X, C)
 
 
 def mu_gradient(g: Graph, phi) -> np.ndarray:

@@ -104,15 +104,19 @@ def descend(
     objective: Callable,
     starts,
     cfg: OptimizerConfig,
+    gradient: Optional[Callable] = None,
     value_and_gradient: Optional[Callable] = None,
 ) -> list[DescentResult]:
     """Backtracking-line-search descent from each row of ``starts``, all rows
     in lock step; each trajectory is monotone non-increasing.
 
-    ``objective`` maps an (n, L) stack of points to their n values, and
-    ``value_and_gradient`` maps it to the pair of those values and their (n,
-    L) gradients. Without it, central differences stand in: the pair comes
-    from one objective call at the points and their central-difference points
+    ``objective`` maps an (n, L) stack of points to their n values,
+    ``gradient`` to their (n, L) gradients, and ``value_and_gradient`` to the
+    pair of both. Given one gradient kernel, the other is made from it
+    (``value_and_gradient(X)[1]``, or ``(objective(X), gradient(X))``);
+    without either, central differences stand in: ``gradient`` is
+    ``finite_difference_gradient``, and the pair comes from one objective
+    call at the points and their central-difference points
     (``_shifted_rows``). A row leaves the stack once its gradient norm is at
     most grad_tol (converged), when no step meets the Armijo condition, or
     after max_iters iterations. A row's line search is a ladder of rungs k =
@@ -128,26 +132,28 @@ def descend(
     searching shares, one objective call per block: rungs 0..b first, where b
     is the highest rung any of those rows took last time, then, for the rows
     without a step yet, blocks twice as wide as the one before; and the next
-    iteration's gradients come from a call of their own at the rows as they
-    stand (``value_and_gradient``, or ``finite_difference_gradient`` without
-    it). A row's values past the rung it took are computed but never read,
-    as are the gradients at rejected rung-0 candidates, so each row's
-    descent is, bit for bit, the one a loop over single restarts makes, and
-    where several rows would raise, the error is the first row's. That holds
-    where a row's value does not depend on the other rows of the stack;
-    qaoa-multi's kernel rounds a row differently in the last bits with the
-    stack around it, so its rows match that loop within round-off only.
+    iteration's gradients come from a ``gradient`` call of their own at the
+    rows as they stand, whose values the line search already gave. A row's
+    values past the rung it took are computed but never read, as are the
+    gradients at rejected rung-0 candidates, so each row's descent is, bit
+    for bit, the one a loop over single restarts makes, and where several
+    rows would raise, the error is the first row's. That holds where a row's
+    value does not depend on the other rows of the stack; qaoa-multi's
+    kernel rounds a row differently in the last bits with the stack around
+    it, so its rows match that loop within round-off only.
     """
     h = cfg.finite_diff_step
-    if value_and_gradient is None:
+    if gradient is None and value_and_gradient is None:
         gradient = lambda X: finite_difference_gradient(objective, X, h)
 
         def value_and_gradient(X):
             out = objective(np.concatenate([X, _shifted_rows(X, h)]))
             return out[: len(X)], _central_differences(out[len(X) :], *X.shape, h)
 
-    else:
+    elif gradient is None:
         gradient = lambda X: value_and_gradient(X)[1]
+    elif value_and_gradient is None:
+        value_and_gradient = lambda X: (objective(X), gradient(X))
     x = np.array(starts, dtype=float)
     fx = objective(x).tolist()
     results: list[Optional[DescentResult]] = [None] * len(fx)
@@ -258,12 +264,13 @@ def optimize(
     objective: Callable,
     n_params: int,
     cfg: OptimizerConfig,
+    gradient: Optional[Callable] = None,
     value_and_gradient: Optional[Callable] = None,
 ) -> MultistartResult:
     """Descent on row kernels: ``descend`` from cfg.restarts uniform-random
-    initializations in [0, 2*pi)^L, with the objective and the
-    value-and-gradient kernel (or None, for central differences) that
-    ``Family.landscape`` returns.
+    initializations in [0, 2*pi)^L, with the objective and the gradient
+    kernels (None for central differences) that ``Family.landscape``
+    returns.
 
     Restart r draws from a fresh RNG seeded with seed + r, so runs are
     reproducible and order-independent.
@@ -272,7 +279,7 @@ def optimize(
         np.random.default_rng(cfg.seed + r).uniform(0.0, 2 * np.pi, size=n_params)
         for r in range(cfg.restarts)
     ]
-    runs = descend(objective, np.array(starts), cfg, value_and_gradient)
+    runs = descend(objective, np.array(starts), cfg, gradient, value_and_gradient)
     best = min(runs, key=lambda run: run.value)
     return MultistartResult(runs=runs, best_value=best.value, best_params=best.params)
 

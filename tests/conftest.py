@@ -81,24 +81,24 @@ def scalar_landscape(family, g, args, inst):
     return (lambda x: _mu(g, x)), (lambda x: _mu_gradient(g, x)), g.d
 
 
-def _mu_gradient_rows(g, X):
-    """The reference of the fused mu kernel's gradients: _mu_gradient of each
-    row of X, bit for bit, as the mu families' gradient kernel computed it
-    before the value and the gradient shared one np.cos(X)."""
+def reference_mu_gradient_rows(g, X):
+    """The reference of the mu gradient kernels: _mu_gradient of each row of
+    X, bit for bit, as the mu families' gradient kernel computed it before it
+    could share np.cos(X) with the value."""
     return -0.5 * _sin_exact(X) * (g.float_adjacency @ np.cos(X)[:, :, None])[:, :, 0]
 
 
 def reference_row_kernels(family, g, args):
     """(objective, gradient) of a mu family or boosted as separate row
-    kernels, as ``Family.landscape`` returned them before it fused the
-    gradient with the value."""
+    kernels that each evaluate mu's pieces themselves, as ``Family.landscape``
+    returned them before it gave a value-and-gradient kernel too."""
     if family == "boosted":
         k = args.k
         return (
             (lambda X: -np.float_power(-_mu_rows(g, X), k)),
-            (lambda X: (k * np.float_power(-_mu_rows(g, X), k - 1))[:, None] * _mu_gradient_rows(g, X)),
+            (lambda X: (k * np.float_power(-_mu_rows(g, X), k - 1))[:, None] * reference_mu_gradient_rows(g, X)),
         )
-    return (lambda X: _mu_rows(g, X)), (lambda X: _mu_gradient_rows(g, X))
+    return (lambda X: _mu_rows(g, X)), (lambda X: reference_mu_gradient_rows(g, X))
 
 
 def row_wise(f):
@@ -107,20 +107,13 @@ def row_wise(f):
     return lambda X: np.array([f(x) for x in X], dtype=float)
 
 
-def fused(objective, gradient):
-    """The value-and-gradient kernel of a row objective and a row gradient."""
-    return lambda X: (objective(X), gradient(X))
-
-
 def gradient_descent(objective, init, cfg, gradient=None):
     """``optimize.descend`` from the one start ``init``, on a scalar objective
     and gradient; without a gradient, central differences stand in."""
     start = np.asarray(init, dtype=float)[None]
-    kernel = None if gradient is None else fused(row_wise(objective), row_wise(gradient))
-    return descend(row_wise(objective), start, cfg, kernel)[0]
+    return descend(row_wise(objective), start, cfg, None if gradient is None else row_wise(gradient))[0]
 
 
 def multistart(objective, n_params, cfg, gradient=None):
     """``optimize.optimize`` on a scalar objective and gradient."""
-    kernel = None if gradient is None else fused(row_wise(objective), row_wise(gradient))
-    return optimize(row_wise(objective), n_params, cfg, kernel)
+    return optimize(row_wise(objective), n_params, cfg, None if gradient is None else row_wise(gradient))

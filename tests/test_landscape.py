@@ -8,9 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    _mu_gradient_rows,
     central_difference_gradient,
     central_difference_hessian,
+    reference_mu_gradient_rows,
     reference_row_kernels,
     scalar_landscape,
 )
@@ -29,6 +29,7 @@ from vqalab.families import FAMILIES
 from vqalab.landscape import (
     _mu,
     _mu_gradient,
+    _mu_gradient_rows,
     _mu_rows,
     _mu_value_and_gradient_rows,
     _sin_exact,
@@ -244,11 +245,11 @@ class TestUncheckedKernels:
 
     @pytest.mark.parametrize("family", ["oracular", "boosted"])
     def test_descent_from_non_finite_start_raises(self, family, c5):
-        objective, value_and_gradient, n = FAMILIES[family].landscape(c5, SimpleNamespace(k=2), None)
+        objective, gradient, value_and_gradient, n = FAMILIES[family].landscape(c5, SimpleNamespace(k=2), None)
         start = np.zeros((1, n))
         start[0, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite objective"):
-            descend(objective, start, OptimizerConfig(), value_and_gradient)
+            descend(objective, start, OptimizerConfig(), gradient, value_and_gradient)
 
     @pytest.mark.parametrize("public", [mu, mu_gradient, mu_hessian, round_to_discrete, is_discrete_local_min])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -278,36 +279,38 @@ class TestRowKernels:
     @KERNEL_SETTINGS
     @given(case=graphs_and_stacks())
     def test_mu_rows(self, case):
-        # the fused kernel against _mu_rows and the separate gradient kernel
-        # it replaced (conftest's _mu_gradient_rows), and both against the
+        # the gradient and the value-and-gradient kernels against _mu_rows
+        # and the gradient kernel as it was before they shared np.cos(X)
+        # (conftest's reference_mu_gradient_rows), and those against the
         # scalar kernels
         g, X = case
-        values, gradients = _mu_rows(g, X), _mu_gradient_rows(g, X)
+        values, gradients = _mu_rows(g, X), reference_mu_gradient_rows(g, X)
         for x, value, gradient in zip(X, values, gradients):
             assert bits(value) == bits(_mu(g, x))
             assert bits(gradient) == bits(_mu_gradient(g, x))
         fused_values, fused_gradients = _mu_value_and_gradient_rows(g, X)
-        assert bits(fused_values) == bits(values) and bits(fused_gradients) == bits(gradients)
+        assert bits(fused_values) == bits(values)
+        assert bits(fused_gradients) == bits(_mu_gradient_rows(g, X)) == bits(gradients)
         for family in ("oracular", "logdim", "fermion"):
-            objective, value_and_gradient, n_params = FAMILIES[family].landscape(g, None, None)
+            objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, None, None)
             kernel_values, kernel_gradients = value_and_gradient(X)
             assert bits(objective(X)) == bits(kernel_values) == bits(values)
-            assert bits(kernel_gradients) == bits(gradients)
+            assert bits(gradient(X)) == bits(kernel_gradients) == bits(gradients)
             assert n_params == g.d
 
     @KERNEL_SETTINGS
     @given(case=graphs_and_stacks(), k=st.integers(1, 5))
     def test_boosted_rows_are_python_powers(self, case, k):
-        # the fused kernel against the scalar kernels and against the
-        # separate row kernels it replaced, which evaluated _mu_rows twice
+        # the kernels against the scalar kernels and against the row
+        # kernels as they were before each evaluated mu once
         g, X = case
         args = SimpleNamespace(k=k)
-        objective, value_and_gradient, _ = FAMILIES["boosted"].landscape(g, args, None)
+        objective, gradient, value_and_gradient, _ = FAMILIES["boosted"].landscape(g, args, None)
         f, grad, _ = scalar_landscape("boosted", g, args, None)
         values, gradients = value_and_gradient(X)
         reference, reference_gradient = reference_row_kernels("boosted", g, args)
         assert bits(values) == bits(objective(X)) == bits(reference(X))
-        assert bits(gradients) == bits(reference_gradient(X))
+        assert bits(gradients) == bits(gradient(X)) == bits(reference_gradient(X))
         for x, value, row in zip(X, values, gradients):
             assert bits(value) == bits(f(x))
             assert bits(row) == bits(grad(x))
@@ -318,10 +321,10 @@ class TestRowKernels:
         g, X = case
         args = SimpleNamespace(m=m, tau=tau)
         for family in ("single-layer", "qaoa1"):
-            objective, gradient, n_params = FAMILIES[family].landscape(g, args, None)
+            objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
             f, _, _ = scalar_landscape(family, g, args, None)
             T = X[:, :n_params]
-            assert gradient is None
+            assert gradient is value_and_gradient is None
             for t, value in zip(T, objective(T)):
                 assert bits(value) == bits(f(t))
 
@@ -367,11 +370,11 @@ class TestRowKernels:
         # in a stack the matrix products round differently, within 1e-13
         g = random_graph(d, 1.0, 0)
         inst = FAMILIES["qaoa-multi"].build(g, None)
-        objective, gradient, n_params = FAMILIES["qaoa-multi"].landscape(g, None, inst)
+        objective, gradient, value_and_gradient, n_params = FAMILIES["qaoa-multi"].landscape(g, None, inst)
         f, _, _ = scalar_landscape("qaoa-multi", g, None, inst)
         X = np.random.default_rng(d).uniform(-7.0, 7.0, (4, n_params))
         X[0] = 0.0
-        assert gradient is None
+        assert gradient is value_and_gradient is None
         for x, value in zip(X, objective(X)):
             assert bits(objective(x[None])[0]) == bits(f(x))
             assert abs(value - f(x)) <= 1e-13

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conftest import (
     central_difference_gradient,
-    fused,
     gradient_descent,
     multistart,
     reference_row_kernels,
@@ -374,7 +373,7 @@ class TestReferenceMinimum:
         k4 = random_graph(4, 1.0, 0)
         args = SimpleNamespace(m=8, tau=0.5, grid_samples=11)
         inst = FAMILIES[family].build(k4, args)
-        objective, _, _ = FAMILIES[family].landscape(k4, args, inst)
+        objective, _, _, _ = FAMILIES[family].landscape(k4, args, inst)
         if family == "single-layer":
             scalar = lambda t: inst.closed_form(t)
         else:
@@ -479,22 +478,22 @@ class TestLockStep:
         d = 2 + seed % 2 if family == "boosted" else 3 + 2 * seed
         g = random_graph(d, 0.6, 100 * seed + (k if family == "boosted" else 1))
         args = SimpleNamespace(k=k, m=8, tau=k)
-        objective, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
+        objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
         cfg = OptimizerConfig(seed=seed, restarts=4)
         f, grad, _ = scalar_landscape(family, g, args, None)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
-        assert_same_runs(optimize(objective, n_params, cfg, value_and_gradient).runs, expected)
+        assert_same_runs(optimize(objective, n_params, cfg, gradient, value_and_gradient).runs, expected)
         assert_same_runs(multistart(f, n_params, cfg, grad).runs, expected)
 
     @pytest.mark.parametrize("family", DIVERGING_RUNG_CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_diverging_rungs_match_the_scalar_loop(self, family, seed):
         g = random_graph(6, 0.5, 133)
-        objective, value_and_gradient, n_params = FAMILIES[family].landscape(g, None, None)
+        objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, None, None)
         cfg = OptimizerConfig(seed=seed, restarts=6)
         f, grad, _ = scalar_landscape(family, g, None, None)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
-        assert_same_runs(optimize(objective, n_params, cfg, value_and_gradient).runs, expected)
+        assert_same_runs(optimize(objective, n_params, cfg, gradient, value_and_gradient).runs, expected)
 
     @pytest.mark.parametrize("text", ["2\n1 2", "3\n1 2\n2 3\n1 3"], ids=["K2", "K3"])
     def test_qaoa_multi_matches_the_scalar_loop(self, text):
@@ -508,7 +507,7 @@ class TestLockStep:
         g = parse_graph(text)
         family = FAMILIES["qaoa-multi"]
         inst = family.build(g, None)
-        objective, gradient, n_params = family.landscape(g, None, inst)
+        objective, gradient, _, n_params = family.landscape(g, None, inst)
         cfg = Short(seed=1, restarts=3)
         f, grad, _ = scalar_landscape("qaoa-multi", g, None, inst)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
@@ -551,7 +550,7 @@ class TestLockStep:
 
         starts = np.array([[0.0, 0.0], [0.0, 1.0]])
         cfg = OptimizerConfig()
-        runs = descend(objective, starts, cfg, fused(objective, gradient))
+        runs = descend(objective, starts, cfg, gradient)
         assert {(1.0, 0.75), (1.0, 0.625)} <= evaluated
         expected = [
             scalar_gradient_descent(lambda x: float(objective(x[None])[0]), x0, cfg,
@@ -577,7 +576,7 @@ class TestLockStep:
 
         starts = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 2.0], [-4.0, 0.0]])
         cfg = OptimizerConfig()
-        runs = descend(objective, starts, cfg, fused(objective, gradient))
+        runs = descend(objective, starts, cfg, gradient)
         expected = [
             scalar_gradient_descent(lambda x: float(objective(x[None])[0]), x0, cfg,
                                     lambda x: gradient(x[None])[0])
@@ -615,7 +614,7 @@ class TestLockStep:
             return ladder(X)
 
         objective = row_wise(lambda x: stacked(x[None])[0]) if by_row else stacked
-        (run,) = descend(objective, np.zeros((1, 1)), OptimizerConfig(), fused(objective, gradient))
+        (run,) = descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
         assert 0.5 / 2**2 in evaluated  # the candidate of rung 2
         assert run.trajectory == [0.0, -1.0] and run.converged is True
         assert run.params.tolist() == [0.25]
@@ -624,7 +623,7 @@ class TestLockStep:
     def test_non_finite_before_the_accepted_rung_raises(self, values):
         objective, gradient = self.ladder_objective(values)
         with pytest.raises(ValueError, match="non-finite objective value .* during line search"):
-            descend(objective, np.zeros((1, 1)), OptimizerConfig(), fused(objective, gradient))
+            descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
 
     def test_first_failing_restart_gives_the_error(self):
         # row 0 fails in its first line search, row 1 at its start point: a
@@ -632,9 +631,9 @@ class TestLockStep:
         objective, gradient = self.ladder_objective([np.nan])
         stacked = lambda X: np.where(X[:, 0] == 7.0, np.nan, objective(X))
         with pytest.raises(ValueError, match="during line search"):
-            descend(stacked, np.array([[0.0], [7.0]]), OptimizerConfig(), fused(stacked, gradient))
+            descend(stacked, np.array([[0.0], [7.0]]), OptimizerConfig(), gradient)
         with pytest.raises(ValueError, match="at the initial point"):
-            descend(stacked, np.array([[7.0], [0.0]]), OptimizerConfig(), fused(stacked, gradient))
+            descend(stacked, np.array([[7.0], [0.0]]), OptimizerConfig(), gradient)
 
     @pytest.mark.parametrize("by_row", [False, True], ids=["stacked", "row-wise"])
     def test_armijo_squares_the_norm_with_pow(self, by_row):
@@ -652,8 +651,7 @@ class TestLockStep:
         gradient = lambda X: np.where(X == 0.0, gnorm, 0.0)
         scalar = lambda x: float(objective(x[None])[0])
         cfg = OptimizerConfig()
-        kernel = row_wise(scalar) if by_row else objective
-        (run,) = descend(kernel, np.zeros((1, 1)), cfg, fused(kernel, gradient))
+        (run,) = descend(row_wise(scalar) if by_row else objective, np.zeros((1, 1)), cfg, gradient)
         want = scalar_gradient_descent(scalar, np.zeros(1), cfg, lambda x: gradient(x[None])[0])
         assert_same_runs([run], [want])
         assert run.trajectory == [0.0, threshold]
@@ -701,7 +699,7 @@ class TestCentralDifferenceProbe:
         # at seed 1 one qaoa1 restart stalls: it backtracks on most of its
         # iterations up to the cap
         g = random_graph(3 + 2 * seed, 0.6, 100 * seed + 1)
-        objective, _, n_params = FAMILIES[family].landscape(g, SimpleNamespace(m=8, tau=0.5), None)
+        objective, _, _, n_params = FAMILIES[family].landscape(g, SimpleNamespace(m=8, tau=0.5), None)
         _, probe, _ = self.both_ways(objective, n_params, OptimizerConfig(seed=seed, restarts=4), monkeypatch)
         assert probe["reads"] > 0
 
@@ -713,7 +711,7 @@ class TestCentralDifferenceProbe:
             max_iters = 40
 
         g = random_graph(5, 0.6, 101)
-        objective, _, n_params = FAMILIES["qaoa1"].landscape(g, SimpleNamespace(m=8, tau=1e-3), None)
+        objective, _, _, n_params = FAMILIES["qaoa1"].landscape(g, SimpleNamespace(m=8, tau=1e-3), None)
         runs, probe, own_calls = self.both_ways(objective, n_params, Short(seed=1, restarts=4), monkeypatch)
         assert [len(run.trajectory) for run in runs] == [41] * 4
         assert probe == {"calls": 1 + 1 + 40, "stencils": 40, "reads": 40}
@@ -733,7 +731,7 @@ class TestCentralDifferenceProbe:
         # iterations, so the stack shrinks, and on qaoa1 a row backtracks past
         # rung 0 in a block that carried the stencil, which then goes unread
         g = parse_graph(text)
-        objective, _, n_params = FAMILIES[family].landscape(g, args, None)
+        objective, _, _, n_params = FAMILIES[family].landscape(g, args, None)
         runs, probe, own = self.both_ways(objective, n_params, OptimizerConfig(seed=1, restarts=restarts), monkeypatch)
         assert len({len(run.trajectory) for run in runs}) > 1
         assert (probe["calls"], own) == (calls, own_calls)
@@ -770,19 +768,20 @@ DESCENT_COMMANDS = [
 
 
 class TestFusedDescent:
-    """descend on a family's value-and-gradient kernel against the two-call
-    loop on the separate row kernels that the fused one replaced (conftest's
-    reference_row_kernels): the same runs, bit for bit, in no more kernel calls."""
+    """descend on a family's kernels against the two-call loop on the row
+    kernels as they were before the value-and-gradient one (conftest's
+    reference_row_kernels): the same runs, bit for bit, in no more kernel
+    calls."""
 
     @staticmethod
     def both_ways(family, g, k, cfg, taken=None):
         """The runs of descend and the two-call loop, and the kernel calls of
-        each: ``fused`` and ``objective`` for descend, ``reference`` and
-        ``gradient`` for the loop."""
+        each: ``objective``, ``gradient`` and ``fused`` for descend,
+        ``reference`` and ``reference_gradient`` for the loop."""
         args = SimpleNamespace(k=k)
-        objective, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
-        reference, gradient = reference_row_kernels(family, g, args)
-        calls = dict.fromkeys(("objective", "fused", "reference", "gradient"), 0)
+        objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
+        reference, reference_gradient = reference_row_kernels(family, g, args)
+        calls = dict.fromkeys(("objective", "gradient", "fused", "reference", "reference_gradient"), 0)
 
         def counted(name, kernel):
             def call(X):
@@ -792,11 +791,19 @@ class TestFusedDescent:
             return call
 
         starts = np.array(scalar_starts(n_params, cfg))
-        runs = descend(counted("objective", objective), starts, cfg, counted("fused", value_and_gradient))
+        runs = descend(
+            counted("objective", objective), starts, cfg,
+            counted("gradient", gradient), counted("fused", value_and_gradient),
+        )
         own = two_call_descend(
-            counted("reference", reference), starts, cfg, counted("gradient", gradient), taken
+            counted("reference", reference), starts, cfg, counted("reference_gradient", reference_gradient), taken
         )
         assert_same_runs(runs, own)
+        # the same line-search blocks, the rung-0 ones through the
+        # value-and-gradient kernel, and a gradient call wherever the loop
+        # makes one except after a held iteration
+        assert calls["objective"] + calls["fused"] == calls["reference"]
+        assert calls["gradient"] <= calls["reference_gradient"]
         return runs, calls
 
     @pytest.mark.parametrize(
@@ -811,26 +818,34 @@ class TestFusedDescent:
         d = 2 + seed % 2 if family == "boosted" else 4 + seed
         g = random_graph(d, 1.0 if family == "boosted" else 0.6, 300 + seed)
         taken = []
-        _, calls = self.both_ways(family, g, k, OptimizerConfig(seed=seed, restarts=6), taken)
+        self.both_ways(family, g, k, OptimizerConfig(seed=seed, restarts=6), taken)
         backtracks = k > 1 and d == 3 if family == "boosted" else seed == 2
         assert (max(taken) > 0) == backtracks
-        # a row that backtracks on every iteration (boosted at k = 3 on K3
-        # stalls to the cap) gains nothing: the rung-0 call then gives
-        # gradients nobody reads, and the next iteration calls for its own
-        assert calls["objective"] + calls["fused"] <= calls["reference"] + calls["gradient"]
 
-    @pytest.mark.parametrize("family, d, k, fused_calls, two_calls", DESCENT_COMMANDS)
-    def test_optimize_descent_commands(self, family, d, k, fused_calls, two_calls):
+    def test_a_row_that_always_backtracks_calls_the_gradient_kernel(self):
+        # boosted at k = 3 on K3, seed 1: five restarts backtrack on every
+        # one of their 10 000 iterations, so no gradient is ever held: each
+        # of the loop's gradient calls is one of the gradient kernel, which
+        # leaves out the values at x, and the only value-and-gradient call is
+        # the first iteration's
+        g = random_graph(3, 1.0, 301)
+        _, calls = self.both_ways("boosted", g, 3, OptimizerConfig(seed=1, restarts=6))
+        assert calls["gradient"] == calls["reference_gradient"] == 10_001
+        assert calls["fused"] == 1
+
+    @pytest.mark.parametrize("family, d, k, descend_calls, two_calls", DESCENT_COMMANDS)
+    def test_optimize_descent_commands(self, family, d, k, descend_calls, two_calls):
         # restarts converge at different iterations, so the stack shrinks
         g = random_graph(d, 1.0, 1)
         runs, calls = self.both_ways(family, g, k, OptimizerConfig(seed=1, restarts=10))
         assert len({len(run.trajectory) for run in runs}) > 1
-        assert calls["objective"] + calls["fused"] == fused_calls
-        assert calls["reference"] + calls["gradient"] == two_calls
+        assert calls["objective"] + calls["gradient"] + calls["fused"] == descend_calls
+        assert calls["reference"] + calls["reference_gradient"] == two_calls
 
     def test_non_finite_gradient_at_a_rejected_candidate_goes_unread(self):
         # t**4 from t = 1: the rung-0 candidate -1 fails the Armijo test and
-        # rung 1 (0) passes; the kernel's gradient is NaN at -1 only
+        # rung 1 (0) passes; the kernel's gradient is NaN at -1 only, and the
+        # gradient at 0 is its second output there
         seen = []
 
         def objective(X):
@@ -841,7 +856,7 @@ class TestFusedDescent:
             return objective(X), np.where(X == -1.0, np.nan, 4 * X**3)
 
         cfg = OptimizerConfig()
-        (run,) = descend(objective, np.ones((1, 1)), cfg, value_and_gradient)
+        (run,) = descend(objective, np.ones((1, 1)), cfg, value_and_gradient=value_and_gradient)
         (own,) = two_call_descend(objective, np.ones((1, 1)), cfg, lambda X: 4 * X**3)
         assert seen == [-1.0]
         assert_same_runs([run], [own])
