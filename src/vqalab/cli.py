@@ -46,8 +46,8 @@ def _load_graphs(args) -> list[Graph]:
 
 
 def _landscape(family, g: Graph, args):
-    """(instance or None, (objective, gradient, value_and_gradient, n_params)); the instance
-    is built only where the landscape or the spectrum reads it."""
+    """(instance or None, Landscape); the instance is built only where the
+    landscape or the spectrum reads it."""
     inst = family.build(g, args) if family.needs_instance else None
     return inst, family.landscape(g, args, inst)
 
@@ -88,12 +88,12 @@ def cmd_optimize(args) -> int:
     cfg = OptimizerConfig(seed=args.seed, restarts=args.restarts)
     records = []
     for g in _load_graphs(args):
-        inst, (objective, gradient, value_and_gradient, n_params) = _landscape(family, g, args)
+        inst, land = _landscape(family, g, args)
         mc, _ = maxcut_bruteforce(g)
         greedy_val, _, _ = maxcut_greedy(g, args.seed)
         lam_min, lam_max = family.spectrum(g, mc, args, inst)
-        result = optimize(objective, n_params, cfg, gradient, value_and_gradient)
-        ref = family.reference(g, mc, args, objective, result.best_value)
+        result = optimize(land, cfg)
+        ref = family.reference(g, mc, args, land.objective, result.best_value)
         records.append(
             {
                 "graph": graph_to_json(g),
@@ -141,23 +141,23 @@ def _check_index(idx: int, n_params: int, what: str) -> None:
 
 def cmd_landscape(args) -> int:
     g = _load_graphs(args)[0]
-    _, (objective, _, _, n_params) = _landscape(FAMILIES[args.family], g, args)
+    _, land = _landscape(FAMILIES[args.family], g, args)
     if not args.axis or len(args.axis) > 2:
         raise UsageError("landscape needs 1 or 2 --axis specifications")
     axes = [_parse_axis(a) for a in args.axis]
-    base = np.zeros(n_params)
+    base = np.zeros(land.n_params)
     for spec in args.fixed or []:
         try:
             idx, val = spec.split("=")
             idx, val = int(idx), float(val)
         except ValueError:
             raise UsageError(f"--fixed expects IDX=VALUE, got {spec!r}")
-        _check_index(idx, n_params, "fixed")
+        _check_index(idx, land.n_params, "fixed")
         base[idx] = val
     if not np.isfinite(base).all():
         raise UsageError("--fixed VALUE must be finite")
     for idx, _, _, _ in axes:
-        _check_index(idx, n_params, "axis")
+        _check_index(idx, land.n_params, "axis")
     with np.errstate(over="ignore", invalid="ignore"):
         grids = [np.linspace(lo, hi, count) for _, lo, hi, count in axes]
     # finite ends whose span overflows give infinite or NaN points
@@ -179,7 +179,7 @@ def cmd_landscape(args) -> int:
             X = np.tile(base, (flat.size, 1))
             for (idx, *_), column in zip(axes, columns):
                 X[:, idx] = column
-            for point, value in zip(zip(*(c.tolist() for c in columns)), objective(X).tolist()):
+            for point, value in zip(zip(*(c.tolist() for c in columns)), land.objective(X).tolist()):
                 coords = [f"{t:.12g}" for t in point]
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite objective value {value} at ({', '.join(coords)})")

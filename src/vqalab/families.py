@@ -23,7 +23,7 @@ from .fermions import (
 )
 from .graphs import maxcut_bruteforce
 from .landscape import _mu_gradient_rows, _mu_rows, _mu_value_and_gradient_rows
-from .optimize import reference_minimum
+from .optimize import Landscape, reference_minimum
 from .reductions import (
     _qaoa1_rows,
     _qaoa_rows,
@@ -72,16 +72,13 @@ class Family:
 
     ``build(g, args)`` makes the instance. ``spectrum(g, maxcut, args, inst)``
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
-    is (objective, gradient, value_and_gradient, n_params) as row kernels,
-    both gradient kernels None where descent takes central differences:
-    objective maps an (n, n_params) stack of points to their n values,
-    gradient to their (n, n_params) gradients, and value_and_gradient to the
-    pair of both from one evaluation (the mu families take np.cos of the
-    stack once), each row bit for bit the family's scalar kernels at that
-    point. Descent calls value_and_gradient at every rung-0 candidate of its
-    line search, rejected ones included, so it must not raise there (a NaN
-    is never read), and gradient where it holds the values but not the
-    gradients. qaoa-multi's rows, one stacked circuit, match its scalar
+    is the ``Landscape`` that descent runs on, each row bit for bit the
+    family's scalar kernels at that point; value_and_gradient evaluates once
+    for both (the mu families take np.cos of the stack once), and a family
+    without an analytic gradient takes ``Landscape.central_differences``.
+    Descent calls value_and_gradient at every rung-0 candidate of its line
+    search, rejected ones included, so it must not raise there (a NaN is
+    never read). qaoa-multi's rows, one stacked circuit, match its scalar
     kernel ``qaoa_apply`` within round-off, not bit for bit (a one-row stack
     is bit for bit). The kernels may skip input checks, since their callers
     (descent from uniform start points, the landscape command's checked
@@ -97,7 +94,7 @@ class Family:
 
     build: Callable
     spectrum: Callable
-    landscape: Callable = lambda g, args, inst: (
+    landscape: Callable = lambda g, args, inst: Landscape(
         (lambda X: _mu_rows(g, X)),
         (lambda X: _mu_gradient_rows(g, X)),
         (lambda X: _mu_value_and_gradient_rows(g, X)),
@@ -125,7 +122,7 @@ def _boosted_landscape(g, args, inst):
         cut = -values
         return -np.float_power(cut, k), (k * np.float_power(cut, k - 1))[:, None] * gradients
 
-    return f, grad, value_and_gradient, g.d
+    return Landscape(f, grad, value_and_gradient, g.d)
 
 
 def _verify_boosted(g, args, inst, rng):
@@ -180,12 +177,12 @@ def _grid_reference(points):
 
 def _single_layer_landscape(g, args, inst):
     energies = _energies(g, args)
-    return (lambda X: _mu_rows(g, X[:, :1] * energies)), None, None, 1
+    return Landscape.central_differences(lambda X: _mu_rows(g, X[:, :1] * energies), 1)
 
 
 def _qaoa1_landscape(g, args, inst):
     energies, tau = _energies(g, args), args.tau
-    return (lambda X: _qaoa1_rows(g, energies, tau, X)), None, None, 2
+    return Landscape.central_differences(lambda X: _qaoa1_rows(g, energies, tau, X), 2)
 
 
 def _verify_qaoa1(g, args, inst, rng):
@@ -199,7 +196,7 @@ def _verify_qaoa1(g, args, inst, rng):
 
 
 def _qaoa_multi_landscape(g, args, inst):
-    return (lambda X: _qaoa_rows(inst, X)), None, None, len(inst.generators)
+    return Landscape.central_differences(lambda X: _qaoa_rows(inst, X), len(inst.generators))
 
 
 def _verify_qaoa_multi(g, args, inst, rng):

@@ -100,29 +100,46 @@ def finite_difference_gradient(objective: Callable, X: np.ndarray, h: float) -> 
     return _central_differences(objective(_shifted_rows(X, h)), *X.shape, h)
 
 
-def descend(
-    objective: Callable,
-    starts,
-    cfg: OptimizerConfig,
-    gradient: Optional[Callable] = None,
-    value_and_gradient: Optional[Callable] = None,
-) -> list[DescentResult]:
-    """Backtracking-line-search descent from each row of ``starts``, all rows
-    in lock step; each trajectory is monotone non-increasing.
+@dataclass(frozen=True)
+class Landscape:
+    """The row kernels that descent runs on: ``objective`` maps an (n,
+    n_params) stack of points to their n values, ``gradient`` to their (n,
+    n_params) gradients, and ``value_and_gradient`` to the pair of both.
+    ``central_differences`` is the landscape of an objective without an
+    analytic gradient."""
 
-    ``objective`` maps an (n, L) stack of points to their n values,
-    ``gradient`` to their (n, L) gradients, and ``value_and_gradient`` to the
-    pair of both. Given one gradient kernel, the other is made from it
-    (``value_and_gradient(X)[1]``, or ``(objective(X), gradient(X))``);
-    without either, central differences stand in: ``gradient`` is
-    ``finite_difference_gradient``, and the pair comes from one objective
-    call at the points and their central-difference points
-    (``_shifted_rows``). A row leaves the stack once its gradient norm is at
-    most grad_tol (converged), when no step meets the Armijo condition, or
-    after max_iters iterations. A row's line search is a ladder of rungs k =
-    0, 1, ... with steps initial_step / 2**k, and the row takes the first
-    rung that meets the Armijo condition; a non-finite value before that rung
-    raises, as one at a start point does.
+    objective: Callable
+    gradient: Callable
+    value_and_gradient: Callable
+    n_params: int
+
+    @classmethod
+    def central_differences(cls, objective: Callable, n_params: int) -> Landscape:
+        """``objective`` with central differences at OptimizerConfig's
+        finite_diff_step as its gradient: ``gradient`` is
+        ``finite_difference_gradient``, and the pair comes from one objective
+        call at the points and their central-difference points
+        (``_shifted_rows``)."""
+        h = OptimizerConfig.finite_diff_step
+
+        def value_and_gradient(X):
+            out = objective(np.concatenate([X, _shifted_rows(X, h)]))
+            return out[: len(X)], _central_differences(out[len(X) :], *X.shape, h)
+
+        return cls(objective, lambda X: finite_difference_gradient(objective, X, h), value_and_gradient, n_params)
+
+
+def descend(land: Landscape, starts, cfg: OptimizerConfig) -> list[DescentResult]:
+    """Backtracking-line-search descent on ``land``'s row kernels from each
+    row of ``starts``, all rows in lock step; each trajectory is monotone
+    non-increasing.
+
+    A row leaves the stack once its gradient norm is at most grad_tol
+    (converged), when no step meets the Armijo condition, or after max_iters
+    iterations. A row's line search is a ladder of rungs k = 0, 1, ... with
+    steps initial_step / 2**k, and the row takes the first rung that meets
+    the Armijo condition; a non-finite value before that rung raises, as one
+    at a start point does.
 
     In the common iteration every row of the stack searches and took rung 0
     last time: one ``value_and_gradient`` call at the rung-0 candidates
@@ -142,18 +159,7 @@ def descend(
     kernel rounds a row differently in the last bits with the stack around
     it, so its rows match that loop within round-off only.
     """
-    h = cfg.finite_diff_step
-    if gradient is None and value_and_gradient is None:
-        gradient = lambda X: finite_difference_gradient(objective, X, h)
-
-        def value_and_gradient(X):
-            out = objective(np.concatenate([X, _shifted_rows(X, h)]))
-            return out[: len(X)], _central_differences(out[len(X) :], *X.shape, h)
-
-    elif gradient is None:
-        gradient = lambda X: value_and_gradient(X)[1]
-    elif value_and_gradient is None:
-        value_and_gradient = lambda X: (objective(X), gradient(X))
+    objective, gradient, value_and_gradient = land.objective, land.gradient, land.value_and_gradient
     x = np.array(starts, dtype=float)
     fx = objective(x).tolist()
     results: list[Optional[DescentResult]] = [None] * len(fx)
@@ -260,26 +266,18 @@ def descend(
     return results
 
 
-def optimize(
-    objective: Callable,
-    n_params: int,
-    cfg: OptimizerConfig,
-    gradient: Optional[Callable] = None,
-    value_and_gradient: Optional[Callable] = None,
-) -> MultistartResult:
-    """Descent on row kernels: ``descend`` from cfg.restarts uniform-random
-    initializations in [0, 2*pi)^L, with the objective and the gradient
-    kernels (None for central differences) that ``Family.landscape``
-    returns.
+def optimize(land: Landscape, cfg: OptimizerConfig) -> MultistartResult:
+    """``descend`` on ``land`` from cfg.restarts uniform-random
+    initializations in [0, 2*pi)^n_params.
 
     Restart r draws from a fresh RNG seeded with seed + r, so runs are
     reproducible and order-independent.
     """
     starts = [
-        np.random.default_rng(cfg.seed + r).uniform(0.0, 2 * np.pi, size=n_params)
+        np.random.default_rng(cfg.seed + r).uniform(0.0, 2 * np.pi, size=land.n_params)
         for r in range(cfg.restarts)
     ]
-    runs = descend(objective, np.array(starts), cfg, gradient, value_and_gradient)
+    runs = descend(land, np.array(starts), cfg)
     best = min(runs, key=lambda run: run.value)
     return MultistartResult(runs=runs, best_value=best.value, best_params=best.params)
 

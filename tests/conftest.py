@@ -3,8 +3,12 @@ import pytest
 
 from vqalab import Graph, ergodic_energies, parse_graph, qaoa_apply
 from vqalab.landscape import _mu, _mu_gradient, _mu_rows, _sin_exact
-from vqalab.optimize import descend, optimize
+from vqalab.optimize import Landscape, descend, optimize
 from vqalab.reductions import _qaoa1_value, _single_layer_value
+
+# qaoa-multi's stacked kernels against its one-row kernel: trajectories and
+# params of a descent, and the value-and-gradient kernel's values
+QAOA_MULTI_TOL = 1e-9
 
 
 @pytest.fixture
@@ -107,13 +111,28 @@ def row_wise(f):
     return lambda X: np.array([f(x) for x in X], dtype=float)
 
 
+def kernels(objective, n_params, gradient=None, value_and_gradient=None):
+    """The Landscape of row kernels where a test gives one gradient kernel or
+    none: the other is made from the one given (``value_and_gradient(X)[1]``,
+    or ``(objective(X), gradient(X))``), and without either, central
+    differences stand in."""
+    if gradient is None and value_and_gradient is None:
+        return Landscape.central_differences(objective, n_params)
+    if gradient is None:
+        gradient = lambda X: value_and_gradient(X)[1]
+    elif value_and_gradient is None:
+        value_and_gradient = lambda X: (objective(X), gradient(X))
+    return Landscape(objective, gradient, value_and_gradient, n_params)
+
+
 def gradient_descent(objective, init, cfg, gradient=None):
     """``optimize.descend`` from the one start ``init``, on a scalar objective
     and gradient; without a gradient, central differences stand in."""
     start = np.asarray(init, dtype=float)[None]
-    return descend(row_wise(objective), start, cfg, None if gradient is None else row_wise(gradient))[0]
+    land = kernels(row_wise(objective), start.shape[1], None if gradient is None else row_wise(gradient))
+    return descend(land, start, cfg)[0]
 
 
 def multistart(objective, n_params, cfg, gradient=None):
     """``optimize.optimize`` on a scalar objective and gradient."""
-    return optimize(row_wise(objective), n_params, cfg, None if gradient is None else row_wise(gradient))
+    return optimize(kernels(row_wise(objective), n_params, None if gradient is None else row_wise(gradient)), cfg)

@@ -281,8 +281,7 @@ def test_11_optimizer_behavior():
     for seed in range(10):
         g = random_graph(8, 0.5, 11_000 + seed)
         cfg = OptimizerConfig(seed=seed, restarts=3)
-        objective, gradient, value_and_gradient, n_params = oracular.landscape(g, None, None)
-        res = optimize(objective, n_params, cfg, gradient, value_and_gradient)
+        res = optimize(oracular.landscape(g, None, None), cfg)
         ok &= is_discrete_local_min(g, round_to_discrete(g, res.best_params))
     # persistence: a strict suboptimal discrete local minimum traps descent
     from vqalab import parse_graph
@@ -291,8 +290,7 @@ def test_11_optimizer_behavior():
     phi0 = phases_from_assignment(np.array([1, -1, -1, 1, -1, -1]))
     assert is_discrete_local_min(trap, phi0)
     assert maxcut_bruteforce(trap)[0] == 5 and mu(trap, phi0) == -4.0
-    objective, gradient, value_and_gradient, _ = oracular.landscape(trap, None, None)
-    (res,) = descend(objective, phi0[None], OptimizerConfig(), gradient, value_and_gradient)
+    (res,) = descend(oracular.landscape(trap, None, None), phi0[None], OptimizerConfig())
     ok &= abs(res.value + 4.0) <= 1e-9
     # delta_o distribution and aggregate over 100 random d=8 graphs
     delta_os = []
@@ -300,8 +298,7 @@ def test_11_optimizer_behavior():
         g = random_graph(8, 0.5, 12_000 + seed)
         mc, _ = maxcut_bruteforce(g)
         cfg = OptimizerConfig(seed=seed, restarts=3)
-        objective, gradient, value_and_gradient, n_params = oracular.landscape(g, None, None)
-        res = optimize(objective, n_params, cfg, gradient, value_and_gradient)
+        res = optimize(oracular.landscape(g, None, None), cfg)
         lo, hi, _ = spectral_extremes(ising_observable(g))
         _, _, delta_o = error_metrics(res.best_value, -float(mc), lo, hi)
         delta_os.append(delta_o)

@@ -51,6 +51,16 @@ CASES = {
     "optimize-fermion-k4": [
         "optimize", "--family", "fermion", "--random-graph", "4:1.0", "--restarts", "3", "--seed", "2",
     ],
+    # several instances in one document; one oracular restart runs to the
+    # 10 001-value iteration cap
+    "optimize-oracular-d6-instances3": [
+        "optimize", "--family", "oracular", "--random-graph", "6:0.5", "--instances", "3", "--restarts", "3",
+        "--seed", "1",
+    ],
+    "optimize-single-layer-d4-instances2": [
+        "optimize", "--family", "single-layer", "--m", "8", "--random-graph", "4:0.5", "--instances", "2",
+        "--restarts", "4", "--grid-samples", "2000", "--seed", "1",
+    ],
 }
 
 # Per-family extras shared by the verify and landscape cases.
@@ -135,6 +145,12 @@ DIGESTS.update({
     "optimize-descent-oracular-seed2": "e1d541f1bf3e80be71aedf8d761c18527c4993f790203b93515d60e7ebd7d05d",
 })
 
+# Recorded before optimize took a Landscape record in place of separate kernels.
+DIGESTS.update({
+    "optimize-oracular-d6-instances3": "3a9897d7955d32df478d5e731b30e5ef069b796f79800e467493fcc321a24deb",
+    "optimize-single-layer-d4-instances2": "a4646a3f68214c85244be03a6351d4855d0512c529d76518a3fbfbdd6ea272c3",
+})
+
 # Raw stdout, recorded with the stdlib's ``json.dumps(sort_keys=True, indent=2)``
 # as the writer.
 RAW_DIGESTS = {
@@ -149,6 +165,8 @@ RAW_DIGESTS = {
     "export-single-layer-d3": "947d51e9235e9ce9247b3fa0afd1aaef13e9c614bea11ab2b8b0cb801cbf8538",
     "verify-oracular": "2381e3490fab3ad769a2f362e9ffe742e8e6c5013910a79e8bbf868cbf086c1b",
     "optimize-qaoa1-k2": "d379375bb5673ce05f32465709f6ab99fdbbef7dcecd5cd29c69223636daced7",
+    "optimize-oracular-d6-instances3": "523cbccc36b5f3b84f635395b29aa5a058b2bea99adb12c4f03a3079efcf6f7b",
+    "optimize-single-layer-d4-instances2": "83dc7608d910aceb5272db4a6c6a8d32259f9d2a9446be2e4b771ea4dc62b0bf",
 }
 
 

@@ -55,7 +55,7 @@ class TestScreenedReference:
     def test_equals_scalar_loop(self, case, best):
         family, g, args = case
         fam = FAMILIES[family]
-        objective, _, _, _ = fam.landscape(g, args, fam.build(g, args))
+        objective = fam.landscape(g, args, fam.build(g, args)).objective
         scalar = scalar_oracle(family, g, args)
         ts = np.linspace(0.0, _grid_span(g, args), args.grid_samples)
         expected = min(min(scalar(t) for t in ts), best)
@@ -67,9 +67,9 @@ class TestScreenedReference:
         family, g, args = case
         fam = FAMILIES[family]
         inst = fam.build(g, args)
-        objective, _, _, n_params = fam.landscape(g, args, inst)
-        x = np.array(x[:n_params])
-        value = objective(x[None])[0]
+        land = fam.landscape(g, args, inst)
+        x = np.array(x[: land.n_params])
+        value = land.objective(x[None])[0]
         energies = ergodic_energies(g.d, args.m).energies
         if family == "single-layer":
             assert value == inst.closed_form(x[0]) == mu(g, energies * x[0])
@@ -92,7 +92,7 @@ def test_reference_from_row_objective_matches_the_scalar_path(family):
     args = SimpleNamespace(k=2, m=8, tau=0.5, grid_samples=500)
     fam = FAMILIES[family]
     inst = fam.build(g, args)
-    objective, _, _, _ = fam.landscape(g, args, inst)
+    objective = fam.landscape(g, args, inst).objective
     scalar, _, _ = scalar_landscape(family, g, args, inst)
     maxcut = maxcut_bruteforce(g)[0]
     for best in (-100.0, 100.0):

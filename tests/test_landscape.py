@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    QAOA_MULTI_TOL,
     central_difference_gradient,
     central_difference_hessian,
     reference_mu_gradient_rows,
@@ -245,11 +246,11 @@ class TestUncheckedKernels:
 
     @pytest.mark.parametrize("family", ["oracular", "boosted"])
     def test_descent_from_non_finite_start_raises(self, family, c5):
-        objective, gradient, value_and_gradient, n = FAMILIES[family].landscape(c5, SimpleNamespace(k=2), None)
-        start = np.zeros((1, n))
+        land = FAMILIES[family].landscape(c5, SimpleNamespace(k=2), None)
+        start = np.zeros((1, land.n_params))
         start[0, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite objective"):
-            descend(objective, start, OptimizerConfig(), gradient, value_and_gradient)
+            descend(land, start, OptimizerConfig())
 
     @pytest.mark.parametrize("public", [mu, mu_gradient, mu_hessian, round_to_discrete, is_discrete_local_min])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -292,11 +293,11 @@ class TestRowKernels:
         assert bits(fused_values) == bits(values)
         assert bits(fused_gradients) == bits(_mu_gradient_rows(g, X)) == bits(gradients)
         for family in ("oracular", "logdim", "fermion"):
-            objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, None, None)
-            kernel_values, kernel_gradients = value_and_gradient(X)
-            assert bits(objective(X)) == bits(kernel_values) == bits(values)
-            assert bits(gradient(X)) == bits(kernel_gradients) == bits(gradients)
-            assert n_params == g.d
+            land = FAMILIES[family].landscape(g, None, None)
+            kernel_values, kernel_gradients = land.value_and_gradient(X)
+            assert bits(land.objective(X)) == bits(kernel_values) == bits(values)
+            assert bits(land.gradient(X)) == bits(kernel_gradients) == bits(gradients)
+            assert land.n_params == g.d
 
     @KERNEL_SETTINGS
     @given(case=graphs_and_stacks(), k=st.integers(1, 5))
@@ -305,12 +306,12 @@ class TestRowKernels:
         # kernels as they were before each evaluated mu once
         g, X = case
         args = SimpleNamespace(k=k)
-        objective, gradient, value_and_gradient, _ = FAMILIES["boosted"].landscape(g, args, None)
+        land = FAMILIES["boosted"].landscape(g, args, None)
         f, grad, _ = scalar_landscape("boosted", g, args, None)
-        values, gradients = value_and_gradient(X)
+        values, gradients = land.value_and_gradient(X)
         reference, reference_gradient = reference_row_kernels("boosted", g, args)
-        assert bits(values) == bits(objective(X)) == bits(reference(X))
-        assert bits(gradients) == bits(gradient(X)) == bits(reference_gradient(X))
+        assert bits(values) == bits(land.objective(X)) == bits(reference(X))
+        assert bits(gradients) == bits(land.gradient(X)) == bits(reference_gradient(X))
         for x, value, row in zip(X, values, gradients):
             assert bits(value) == bits(f(x))
             assert bits(row) == bits(grad(x))
@@ -321,11 +322,10 @@ class TestRowKernels:
         g, X = case
         args = SimpleNamespace(m=m, tau=tau)
         for family in ("single-layer", "qaoa1"):
-            objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
+            land = FAMILIES[family].landscape(g, args, None)
             f, _, _ = scalar_landscape(family, g, args, None)
-            T = X[:, :n_params]
-            assert gradient is value_and_gradient is None
-            for t, value in zip(T, objective(T)):
+            T = X[:, : land.n_params]
+            for t, value in zip(T, land.objective(T)):
                 assert bits(value) == bits(f(t))
 
     @KERNEL_SETTINGS
@@ -370,14 +370,42 @@ class TestRowKernels:
         # in a stack the matrix products round differently, within 1e-13
         g = random_graph(d, 1.0, 0)
         inst = FAMILIES["qaoa-multi"].build(g, None)
-        objective, gradient, value_and_gradient, n_params = FAMILIES["qaoa-multi"].landscape(g, None, inst)
+        land = FAMILIES["qaoa-multi"].landscape(g, None, inst)
         f, _, _ = scalar_landscape("qaoa-multi", g, None, inst)
-        X = np.random.default_rng(d).uniform(-7.0, 7.0, (4, n_params))
+        X = np.random.default_rng(d).uniform(-7.0, 7.0, (4, land.n_params))
         X[0] = 0.0
-        assert gradient is value_and_gradient is None
-        for x, value in zip(X, objective(X)):
-            assert bits(objective(x[None])[0]) == bits(f(x))
+        for x, value in zip(X, land.objective(X)):
+            assert bits(land.objective(x[None])[0]) == bits(f(x))
             assert abs(value - f(x)) <= 1e-13
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_landscape_kernels_agree(self, family, d):
+        # value_and_gradient is the pair of the other two kernels, bit for
+        # bit; qaoa-multi's within QAOA_MULTI_TOL, since its pair comes from
+        # one call on a stack enlarged by the central-difference points. A
+        # family without a scalar gradient (conftest's scalar_landscape) has
+        # finite_difference_gradient of its objective as its gradient, and
+        # every family's width is that of its scalar kernels
+        g = random_graph(d, 1.0, d)
+        args = SimpleNamespace(k=2, m=8, tau=0.5)
+        fam = FAMILIES[family]
+        inst = fam.build(g, args) if fam.needs_instance else None
+        land = fam.landscape(g, args, inst)
+        _, scalar_gradient, n_params = scalar_landscape(family, g, args, inst)
+        assert land.n_params == n_params
+        X = np.random.default_rng(d).uniform(0.0, 2 * np.pi, (5, land.n_params))
+        values, gradients = land.value_and_gradient(X)
+        assert values.shape == (5,) and gradients.shape == X.shape
+        if family == "qaoa-multi":
+            assert np.abs(values - land.objective(X)).max() <= QAOA_MULTI_TOL
+            assert np.abs(gradients - land.gradient(X)).max() <= QAOA_MULTI_TOL
+        else:
+            assert bits(values) == bits(land.objective(X))
+            assert bits(gradients) == bits(land.gradient(X))
+        if scalar_gradient is None:
+            fd = finite_difference_gradient(land.objective, X, OptimizerConfig.finite_diff_step)
+            assert bits(land.gradient(X)) == bits(fd)
 
     @KERNEL_SETTINGS
     @given(case=graphs_and_stacks())
@@ -385,7 +413,7 @@ class TestRowKernels:
         g, X = case
         rows = finite_difference_gradient(lambda Y: _mu_rows(g, Y), X, 1e-5)
         args, T = SimpleNamespace(m=8), X[:, :1]
-        single_layer = finite_difference_gradient(FAMILIES["single-layer"].landscape(g, args, None)[0], T, 1e-5)
+        single_layer = finite_difference_gradient(FAMILIES["single-layer"].landscape(g, args, None).objective, T, 1e-5)
         f, _, _ = scalar_landscape("single-layer", g, args, None)
         for x, row, t, sl_row in zip(X, rows, T, single_layer):
             assert bits(row) == bits(central_difference_gradient(lambda y: _mu(g, y), x, 1e-5))

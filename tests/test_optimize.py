@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    QAOA_MULTI_TOL,
     central_difference_gradient,
     gradient_descent,
+    kernels,
     multistart,
     reference_row_kernels,
     row_wise,
@@ -34,6 +36,7 @@ from vqalab.optimize import (
     ARMIJO_C,
     MAX_BACKTRACKS,
     DescentResult,
+    Landscape,
     MultistartResult,
     _row_norms,
     _SLOPES,
@@ -373,7 +376,7 @@ class TestReferenceMinimum:
         k4 = random_graph(4, 1.0, 0)
         args = SimpleNamespace(m=8, tau=0.5, grid_samples=11)
         inst = FAMILIES[family].build(k4, args)
-        objective, _, _, _ = FAMILIES[family].landscape(k4, args, inst)
+        objective = FAMILIES[family].landscape(k4, args, inst).objective
         if family == "single-layer":
             scalar = lambda t: inst.closed_form(t)
         else:
@@ -442,9 +445,6 @@ LOCK_STEP_CASES = [
 ]
 
 
-# qaoa-multi descent against the qaoa_apply loop: trajectories and params
-QAOA_MULTI_TOL = 1e-9
-
 # oracular and logdim on one G(6, 0.5) with 6 restarts: at seeds 0-2 the
 # restarts searching in an iteration took different rungs in the one before
 # (3 iterations each), and the shared blocks evaluate 9-13 more rows than
@@ -478,22 +478,22 @@ class TestLockStep:
         d = 2 + seed % 2 if family == "boosted" else 3 + 2 * seed
         g = random_graph(d, 0.6, 100 * seed + (k if family == "boosted" else 1))
         args = SimpleNamespace(k=k, m=8, tau=k)
-        objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
+        land = FAMILIES[family].landscape(g, args, None)
         cfg = OptimizerConfig(seed=seed, restarts=4)
         f, grad, _ = scalar_landscape(family, g, args, None)
-        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
-        assert_same_runs(optimize(objective, n_params, cfg, gradient, value_and_gradient).runs, expected)
-        assert_same_runs(multistart(f, n_params, cfg, grad).runs, expected)
+        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(land.n_params, cfg)]
+        assert_same_runs(optimize(land, cfg).runs, expected)
+        assert_same_runs(multistart(f, land.n_params, cfg, grad).runs, expected)
 
     @pytest.mark.parametrize("family", DIVERGING_RUNG_CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_diverging_rungs_match_the_scalar_loop(self, family, seed):
         g = random_graph(6, 0.5, 133)
-        objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, None, None)
+        land = FAMILIES[family].landscape(g, None, None)
         cfg = OptimizerConfig(seed=seed, restarts=6)
         f, grad, _ = scalar_landscape(family, g, None, None)
-        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
-        assert_same_runs(optimize(objective, n_params, cfg, gradient, value_and_gradient).runs, expected)
+        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(land.n_params, cfg)]
+        assert_same_runs(optimize(land, cfg).runs, expected)
 
     @pytest.mark.parametrize("text", ["2\n1 2", "3\n1 2\n2 3\n1 3"], ids=["K2", "K3"])
     def test_qaoa_multi_matches_the_scalar_loop(self, text):
@@ -507,11 +507,11 @@ class TestLockStep:
         g = parse_graph(text)
         family = FAMILIES["qaoa-multi"]
         inst = family.build(g, None)
-        objective, gradient, _, n_params = family.landscape(g, None, inst)
+        land = family.landscape(g, None, inst)
         cfg = Short(seed=1, restarts=3)
         f, grad, _ = scalar_landscape("qaoa-multi", g, None, inst)
-        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(n_params, cfg)]
-        runs = optimize(objective, n_params, cfg, gradient).runs
+        expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(land.n_params, cfg)]
+        runs = optimize(land, cfg).runs
         assert len(runs) == len(expected)
         for run, want in zip(runs, expected):
             assert len(run.trajectory) == len(want.trajectory)
@@ -550,7 +550,7 @@ class TestLockStep:
 
         starts = np.array([[0.0, 0.0], [0.0, 1.0]])
         cfg = OptimizerConfig()
-        runs = descend(objective, starts, cfg, gradient)
+        runs = descend(kernels(objective, 2, gradient), starts, cfg)
         assert {(1.0, 0.75), (1.0, 0.625)} <= evaluated
         expected = [
             scalar_gradient_descent(lambda x: float(objective(x[None])[0]), x0, cfg,
@@ -576,7 +576,7 @@ class TestLockStep:
 
         starts = np.array([[3.0, 0.0], [0.0, 1.0], [0.0, 2.0], [-4.0, 0.0]])
         cfg = OptimizerConfig()
-        runs = descend(objective, starts, cfg, gradient)
+        runs = descend(kernels(objective, 2, gradient), starts, cfg)
         expected = [
             scalar_gradient_descent(lambda x: float(objective(x[None])[0]), x0, cfg,
                                     lambda x: gradient(x[None])[0])
@@ -614,7 +614,7 @@ class TestLockStep:
             return ladder(X)
 
         objective = row_wise(lambda x: stacked(x[None])[0]) if by_row else stacked
-        (run,) = descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
+        (run,) = descend(kernels(objective, 1, gradient), np.zeros((1, 1)), OptimizerConfig())
         assert 0.5 / 2**2 in evaluated  # the candidate of rung 2
         assert run.trajectory == [0.0, -1.0] and run.converged is True
         assert run.params.tolist() == [0.25]
@@ -623,7 +623,7 @@ class TestLockStep:
     def test_non_finite_before_the_accepted_rung_raises(self, values):
         objective, gradient = self.ladder_objective(values)
         with pytest.raises(ValueError, match="non-finite objective value .* during line search"):
-            descend(objective, np.zeros((1, 1)), OptimizerConfig(), gradient)
+            descend(kernels(objective, 1, gradient), np.zeros((1, 1)), OptimizerConfig())
 
     def test_first_failing_restart_gives_the_error(self):
         # row 0 fails in its first line search, row 1 at its start point: a
@@ -631,9 +631,9 @@ class TestLockStep:
         objective, gradient = self.ladder_objective([np.nan])
         stacked = lambda X: np.where(X[:, 0] == 7.0, np.nan, objective(X))
         with pytest.raises(ValueError, match="during line search"):
-            descend(stacked, np.array([[0.0], [7.0]]), OptimizerConfig(), gradient)
+            descend(kernels(stacked, 1, gradient), np.array([[0.0], [7.0]]), OptimizerConfig())
         with pytest.raises(ValueError, match="at the initial point"):
-            descend(stacked, np.array([[7.0], [0.0]]), OptimizerConfig(), gradient)
+            descend(kernels(stacked, 1, gradient), np.array([[7.0], [0.0]]), OptimizerConfig())
 
     @pytest.mark.parametrize("by_row", [False, True], ids=["stacked", "row-wise"])
     def test_armijo_squares_the_norm_with_pow(self, by_row):
@@ -651,7 +651,7 @@ class TestLockStep:
         gradient = lambda X: np.where(X == 0.0, gnorm, 0.0)
         scalar = lambda x: float(objective(x[None])[0])
         cfg = OptimizerConfig()
-        (run,) = descend(row_wise(scalar) if by_row else objective, np.zeros((1, 1)), cfg, gradient)
+        (run,) = descend(kernels(row_wise(scalar) if by_row else objective, 1, gradient), np.zeros((1, 1)), cfg)
         want = scalar_gradient_descent(scalar, np.zeros(1), cfg, lambda x: gradient(x[None])[0])
         assert_same_runs([run], [want])
         assert run.trajectory == [0.0, threshold]
@@ -684,7 +684,7 @@ class TestCentralDifferenceProbe:
             calls.append(len(X))
             return objective(X)
 
-        probed = optimize(counted, n_params, cfg).runs
+        probed = optimize(kernels(counted, n_params), cfg).runs
         fd = spied["finite_difference_gradient"]
         gradients = max(len(run.trajectory) for run in probed)
         probe = {"calls": len(calls), "stencils": spied["_shifted_rows"] - fd, "reads": gradients - fd}
@@ -699,8 +699,8 @@ class TestCentralDifferenceProbe:
         # at seed 1 one qaoa1 restart stalls: it backtracks on most of its
         # iterations up to the cap
         g = random_graph(3 + 2 * seed, 0.6, 100 * seed + 1)
-        objective, _, _, n_params = FAMILIES[family].landscape(g, SimpleNamespace(m=8, tau=0.5), None)
-        _, probe, _ = self.both_ways(objective, n_params, OptimizerConfig(seed=seed, restarts=4), monkeypatch)
+        land = FAMILIES[family].landscape(g, SimpleNamespace(m=8, tau=0.5), None)
+        _, probe, _ = self.both_ways(land.objective, land.n_params, OptimizerConfig(seed=seed, restarts=4), monkeypatch)
         assert probe["reads"] > 0
 
     def test_every_step_at_rung_0_reads_every_stencil(self, monkeypatch):
@@ -711,8 +711,8 @@ class TestCentralDifferenceProbe:
             max_iters = 40
 
         g = random_graph(5, 0.6, 101)
-        objective, _, _, n_params = FAMILIES["qaoa1"].landscape(g, SimpleNamespace(m=8, tau=1e-3), None)
-        runs, probe, own_calls = self.both_ways(objective, n_params, Short(seed=1, restarts=4), monkeypatch)
+        land = FAMILIES["qaoa1"].landscape(g, SimpleNamespace(m=8, tau=1e-3), None)
+        runs, probe, own_calls = self.both_ways(land.objective, land.n_params, Short(seed=1, restarts=4), monkeypatch)
         assert [len(run.trajectory) for run in runs] == [41] * 4
         assert probe == {"calls": 1 + 1 + 40, "stencils": 40, "reads": 40}
         assert own_calls == 1 + 2 * 40 + 1
@@ -731,8 +731,9 @@ class TestCentralDifferenceProbe:
         # iterations, so the stack shrinks, and on qaoa1 a row backtracks past
         # rung 0 in a block that carried the stencil, which then goes unread
         g = parse_graph(text)
-        objective, _, _, n_params = FAMILIES[family].landscape(g, args, None)
-        runs, probe, own = self.both_ways(objective, n_params, OptimizerConfig(seed=1, restarts=restarts), monkeypatch)
+        land = FAMILIES[family].landscape(g, args, None)
+        cfg = OptimizerConfig(seed=1, restarts=restarts)
+        runs, probe, own = self.both_ways(land.objective, land.n_params, cfg, monkeypatch)
         assert len({len(run.trajectory) for run in runs}) > 1
         assert (probe["calls"], own) == (calls, own_calls)
         assert probe["stencils"] > probe["reads"] if family == "qaoa1" else probe["stencils"] == probe["reads"]
@@ -750,7 +751,7 @@ class TestCentralDifferenceProbe:
             return np.where(near, np.nan, t**4)
 
         cfg = OptimizerConfig()
-        (run,) = descend(objective, np.ones((1, 1)), cfg)
+        (run,) = descend(kernels(objective, 1), np.ones((1, 1)), cfg)
         (own,) = two_call_descend(objective, np.ones((1, 1)), cfg)
         assert len(seen) == 2
         assert_same_runs([run], [own])
@@ -779,7 +780,7 @@ class TestFusedDescent:
         each: ``objective``, ``gradient`` and ``fused`` for descend,
         ``reference`` and ``reference_gradient`` for the loop."""
         args = SimpleNamespace(k=k)
-        objective, gradient, value_and_gradient, n_params = FAMILIES[family].landscape(g, args, None)
+        land = FAMILIES[family].landscape(g, args, None)
         reference, reference_gradient = reference_row_kernels(family, g, args)
         calls = dict.fromkeys(("objective", "gradient", "fused", "reference", "reference_gradient"), 0)
 
@@ -790,11 +791,12 @@ class TestFusedDescent:
 
             return call
 
-        starts = np.array(scalar_starts(n_params, cfg))
-        runs = descend(
-            counted("objective", objective), starts, cfg,
-            counted("gradient", gradient), counted("fused", value_and_gradient),
+        starts = np.array(scalar_starts(land.n_params, cfg))
+        counted_land = Landscape(
+            counted("objective", land.objective), counted("gradient", land.gradient),
+            counted("fused", land.value_and_gradient), land.n_params,
         )
+        runs = descend(counted_land, starts, cfg)
         own = two_call_descend(
             counted("reference", reference), starts, cfg, counted("reference_gradient", reference_gradient), taken
         )
@@ -856,7 +858,7 @@ class TestFusedDescent:
             return objective(X), np.where(X == -1.0, np.nan, 4 * X**3)
 
         cfg = OptimizerConfig()
-        (run,) = descend(objective, np.ones((1, 1)), cfg, value_and_gradient=value_and_gradient)
+        (run,) = descend(kernels(objective, 1, value_and_gradient=value_and_gradient), np.ones((1, 1)), cfg)
         (own,) = two_call_descend(objective, np.ones((1, 1)), cfg, lambda X: 4 * X**3)
         assert seen == [-1.0]
         assert_same_runs([run], [own])
