@@ -33,6 +33,9 @@ _H0 = 0.5 * np.array([[1, -1j], [1j, 1]])
 _H1 = np.array([[0, -1j], [1j, 0]])
 _H2 = np.array([[-1, -1], [-1, -1]], dtype=complex)
 _H3 = np.array([[1, 1], [1, 1]], dtype=complex)
+# The 4x4 penalty block on (a, b) of one vertex pair: 1/2 between a != a~,
+# for all b, b~
+_PENALTY = np.kron(np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +416,13 @@ def qaoa_multilayer_instance(g: Graph) -> VqaInstance:
     rungs while imprinting cut-dependent phases, and a penalty block on the
     last rung reads out 1 - 2*MaxCut/|E| at the optimal parameters.
 
-    Both are Blocks. The mixer is -3|gs><gs| on rung 0 and, for layer kappa,
-    a 2x2 transfer block between state x of rungs 2kappa-1 and 2kappa; the
-    case clauses choosing it are resolved first-match, top to bottom. The
-    cost is an H0 transfer block between rungs 2p and 2p+1, and on rung 2d
-    the penalty H_p = (1/2) sum over a != a~ and all b, b~ per vertex pair.
+    Both are Blocks whose groups carry kinds, so that each distinct block is
+    diagonalised once. The mixer is -3|gs><gs| on rung 0 and, for layer
+    kappa, a 2x2 transfer block of kind H1, H2 or H3 between state x of
+    rungs 2kappa-1 and 2kappa; the case clauses choosing it are resolved
+    first-match, top to bottom. The cost is an H0 transfer block between
+    rungs 2p and 2p+1, and on rung 2d the penalty
+    H_p = (1/2) sum over a != a~ and all b, b~ per vertex pair.
     """
     d = g.d
     dim_k = 4 * d * d
@@ -435,15 +440,14 @@ def qaoa_multilayer_instance(g: Graph) -> VqaInstance:
         dim,
         [
             (np.arange(dim_k)[None], (-3 * np.outer(gs, gs))[None]),
-            (_rung_pairs(2 * np.arange(d) + 1, dim_k), np.stack((_H1, _H2, _H3))[case.reshape(-1)]),
+            (_rung_pairs(2 * np.arange(d) + 1, dim_k), np.stack((_H1, _H2, _H3)), case.reshape(-1)),
         ],
     )
-    penalty = np.kron(np.array([[0.0, 0.5], [0.5, 0.0]]), np.ones((2, 2)))
     hc = Blocks(
         dim,
         [
-            (_rung_pairs(2 * np.arange(d), dim_k), np.broadcast_to(_H0, (d * dim_k, 2, 2))),
-            (2 * d * dim_k + np.arange(dim_k).reshape(-1, 4), np.broadcast_to(penalty, (d * d, 4, 4))),
+            (_rung_pairs(2 * np.arange(d), dim_k), _H0[None], np.zeros(d * dim_k, dtype=np.intp)),
+            (2 * d * dim_k + np.arange(dim_k).reshape(-1, 4), _PENALTY[None], np.zeros(d * d, dtype=np.intp)),
         ],
     )
     psi0 = np.zeros(dim, dtype=complex)

@@ -2,10 +2,10 @@
 
 Operators come in four forms: Diagonal (a real diagonal), SiteRotation
 (sigma_y/2 on chosen qubits, applied as 2x2 rotations), Blocks (a
-block-diagonal matrix whose blocks are diagonalised once, in batches) and
-Dense (a matrix diagonalised once and cached). Dense matrices of the
-structured forms are made only by ``to_dense()``, for export and as the test
-oracle.
+block-diagonal matrix in groups of (index, blocks, kinds), each distinct
+block diagonalised once, in batches) and Dense (a matrix diagonalised once
+and cached). Dense matrices of the structured forms are made only by
+``to_dense()``, for export and as the test oracle.
 """
 
 from __future__ import annotations
@@ -202,38 +202,57 @@ class Dense(Operator):
 class Blocks(Operator):
     """A block-diagonal Hermitian matrix on ``dim`` states.
 
-    ``groups`` is a sequence of (index, blocks) pairs: an (n, k) integer
-    array of state indices and an (n, k, k) stack of Hermitian blocks, block
-    b acting on the states index[b]. The groups' indices partition the
-    space. Each group is diagonalised by one batched eigh on first use and
-    cached, so no matrix larger than a block is ever decomposed.
+    ``groups`` is a sequence of (index, blocks, kinds) groups: an (n, k)
+    integer array of state indices, an (m, k, k) stack of distinct Hermitian
+    blocks and an (n,) integer array of kinds, block blocks[kinds[b]] acting
+    on the states index[b]. A pair (index, blocks) gives each row its own
+    block: m = n and kinds = 0..n-1. The groups' indices partition the
+    space. The distinct blocks of each group are checked and diagonalised by
+    one batched eigh on first use, and their spectra are gathered by kind
+    and cached, so no block is decomposed twice and no matrix larger than a
+    block is ever decomposed. ``groups`` holds the (index, blocks[kinds])
+    pairs.
     """
 
     def __init__(self, dim: int, groups):
         self.dim = dim
         self.groups = []
-        for index, blocks in groups:
+        self._distinct = []
+        for group in groups:
+            index, blocks, kinds = group if len(group) == 3 else (*group, None)
             index = np.asarray(index, dtype=np.intp)
             blocks = np.asarray(blocks, dtype=complex)
             n, k = index.shape
-            if blocks.shape != (n, k, k):
-                raise ValueError(f"expected {n} blocks of size {k}x{k}, got shape {blocks.shape}")
+            m = blocks.shape[0] if kinds is not None and blocks.ndim else n
+            if blocks.shape != (m, k, k):
+                raise ValueError(f"expected {m} blocks of size {k}x{k}, got shape {blocks.shape}")
             if not np.isfinite(blocks).all():
                 raise ValueError("operator entries must be finite")
             if np.abs(blocks - blocks.conj().transpose(0, 2, 1)).max() > HERMITIAN_TOL:
                 raise ValueError("operator is not Hermitian")
-            self.groups.append((index, blocks))
+            if kinds is not None:
+                kinds = np.asarray(kinds)
+                # a negative kind would index from the end of the stack, not raise
+                if kinds.shape != (n,) or kinds.dtype.kind not in "iu" or not np.all((0 <= kinds) & (kinds < m)):
+                    raise ValueError(f"kinds must be {n} integers in 0..{m - 1}")
+            self.groups.append((index, blocks if kinds is None else blocks[kinds]))
+            self._distinct.append((blocks, kinds))
         covered = np.sort(np.concatenate([index.ravel() for index, _ in self.groups]))
         if not np.array_equal(covered, np.arange(dim)):
             raise ValueError(f"block indices must partition the {dim} states")
         self._eigh = None
 
     def eigh(self) -> list:
-        """(eigenvalues, eigenvectors, their conjugate transpose) per group, cached."""
+        """(eigenvalues, eigenvectors, their conjugate transpose) per group,
+        one entry per index row, cached. Each distinct block is decomposed
+        once; numpy's batched eigh decomposes every matrix of a stack on its
+        own, so a gathered spectrum has the bits of the expanded stack's."""
         if self._eigh is None:
             self._eigh = []
-            for _, blocks in self.groups:
+            for blocks, kinds in self._distinct:
                 vals, vecs = np.linalg.eigh(blocks)
+                if kinds is not None:
+                    vals, vecs = vals[kinds], vecs[kinds]
                 self._eigh.append((vals, vecs, vecs.conj().transpose(0, 2, 1)))
         return self._eigh
 

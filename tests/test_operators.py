@@ -108,7 +108,7 @@ def kron_site_operator(site: int, n: int) -> np.ndarray:
 def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
     # through the uint64 view, -0.0 and +0.0 differ
     assert got.dtype == want.dtype and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -183,23 +183,28 @@ def test_qaoa_multi_cached_spectra_are_bit_identical(d, p, seed):
 
 
 def random_blocks(data):
-    """A Blocks operator on a shuffled space: 1-3 groups of 1-4 blocks of size 1-4."""
+    """A Blocks operator on a shuffled space: 1-3 groups of 1-4 index rows of
+    size 1-4, each row taking one of 1-n distinct blocks by its kind, so that
+    kinds repeat. Returns the operator, its (index, blocks, kinds) groups and
+    the generator."""
     rng = np.random.default_rng(data.draw(seeds))
     shapes = data.draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=3))
     dim = sum(n * k for n, k in shapes)
     order = rng.permutation(dim)
     groups, start = [], 0
     for n, k in shapes:
-        a = rng.normal(size=(n, k, k)) + 1j * rng.normal(size=(n, k, k))
-        groups.append((order[start : start + n * k].reshape(n, k), (a + a.conj().transpose(0, 2, 1)) / 2))
+        m = data.draw(st.integers(1, n))
+        a = rng.normal(size=(m, k, k)) + 1j * rng.normal(size=(m, k, k))
+        kinds = rng.integers(0, m, size=n)
+        groups.append((order[start : start + n * k].reshape(n, k), (a + a.conj().transpose(0, 2, 1)) / 2, kinds))
         start += n * k
-    return Blocks(dim, groups), rng
+    return Blocks(dim, groups), groups, rng
 
 
 @SETTINGS
 @given(data=st.data())
 def test_blocks_match_dense_eigh(data):
-    op, rng = random_blocks(data)
+    op, _, rng = random_blocks(data)
     dense = op.to_dense()
     vals, vecs = np.linalg.eigh(dense)
     assert np.array_equal(dense, dense.conj().T)
@@ -214,16 +219,71 @@ def test_blocks_match_dense_eigh(data):
         assert np.abs(op.apply_exp(psi, theta) - exp_dense @ psi).max() <= 1e-12
 
 
+def assert_kinds_match_expanded(op: Blocks, rng) -> None:
+    """``op`` and the same groups passed expanded, one block per index row
+    (``op.groups`` holds them so), agree bit for bit."""
+    expanded = Blocks(op.dim, op.groups)
+    for got, want in zip(op.eigh(), expanded.eigh(), strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert_same_bits(a, b)
+    assert op.extremes() == expanded.extremes()
+    assert_same_bits(op.to_dense(), expanded.to_dense())
+    psi = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+    states = rng.normal(size=(op.dim, 3)) + 1j * rng.normal(size=(op.dim, 3))
+    for x in (psi, states):
+        assert_same_bits(op.apply(x), expanded.apply(x))
+    for x, theta in ((psi, rng.uniform(-5, 5)), (states, rng.uniform(-5, 5)), (states, rng.uniform(-5, 5, 3))):
+        assert_same_bits(op.apply_exp(x, theta), expanded.apply_exp(x, theta))
+
+
+@SETTINGS
+@given(data=st.data())
+def test_blocks_kinds_match_expanded_groups_bit_for_bit(data):
+    op, _, rng = random_blocks(data)
+    assert_kinds_match_expanded(op, rng)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_qaoa_multi_kinds_match_expanded_groups_bit_for_bit(d):
+    inst = qaoa_multilayer_instance(random_graph(d, 1.0, 0))
+    rng = np.random.default_rng(d)
+    for op in (inst.generators[1], inst.observable):
+        assert_kinds_match_expanded(op, rng)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_qaoa_multi_decomposes_each_distinct_block_once(d, monkeypatch):
+    # rung 0's rank-one block, the H1, H2 and H3 transfer kinds, then one H0
+    # kind and one penalty kind
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        shapes.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    inst = qaoa_multilayer_instance(random_graph(d, 1.0, 0))
+    inst.generators[1].eigh()
+    inst.observable.eigh()
+    dim_k = 4 * d * d
+    assert shapes == [(1, dim_k, dim_k), (3, 2, 2), (1, 2, 2), (1, 4, 4)]
+
+
 @SETTINGS
 @given(data=st.data())
 def test_blocks_reject_bad_groups(data):
-    op, _ = random_blocks(data)
+    op, groups, _ = random_blocks(data)
     index, blocks = op.groups[0]
     rest = op.groups[1:]
     skewed = blocks.copy()
     skewed[0, 0, -1] += 1e-6 if blocks.shape[1] > 1 else 1e-6j
     with pytest.raises(ValueError, match="not Hermitian"):
         Blocks(op.dim, [(index, skewed), *rest])
+    infinite = blocks.copy()
+    infinite[0, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="must be finite"):
+        Blocks(op.dim, [(index, infinite), *rest])
     missing = index.copy()
     missing[0, 0] = op.dim
     with pytest.raises(ValueError, match="partition"):
@@ -235,6 +295,42 @@ def test_blocks_reject_bad_groups(data):
             Blocks(op.dim, [(overlap, blocks), *rest])
     with pytest.raises(ValueError, match="partition"):
         Blocks(op.dim + 1, op.groups)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_blocks_reject_bad_kinds_groups(data):
+    op, groups, _ = random_blocks(data)
+    (index, blocks, kinds), rest = groups[0], groups[1:]
+    n, m = len(index), len(blocks)
+    # the checks read the distinct blocks, kinds or no kinds
+    skewed = blocks.copy()
+    skewed[-1, 0, -1] += 1e-6 if blocks.shape[1] > 1 else 1e-6j
+    with pytest.raises(ValueError, match="not Hermitian"):
+        Blocks(op.dim, [(index, skewed, kinds), *rest])
+    infinite = blocks.copy()
+    infinite[-1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="must be finite"):
+        Blocks(op.dim, [(index, infinite, kinds), *rest])
+    with pytest.raises(ValueError, match=f"expected {m} blocks"):
+        Blocks(op.dim, [(index, blocks[:, :-1], kinds), *rest])
+    bad_kinds = [
+        kinds[:-1],  # too short
+        np.append(kinds, 0),  # too long
+        kinds[:, None],  # not 1-D
+        kinds.astype(float),  # not integers
+        kinds.astype(bool),
+        np.where(np.arange(n) == 0, m, kinds),  # past the last block
+        np.where(np.arange(n) == 0, -1, kinds),  # would wrap to the last block
+    ]
+    for bad in bad_kinds:
+        with pytest.raises(ValueError, match=f"kinds must be {n} integers in 0..{m - 1}"):
+            Blocks(op.dim, [(index, blocks, bad), *rest])
+    # the partition check is the same for a kinds group
+    missing = index.copy()
+    missing[0, 0] = op.dim
+    with pytest.raises(ValueError, match="partition"):
+        Blocks(op.dim, [(missing, blocks, kinds), *rest])
 
 
 class TestSizeLimits:
