@@ -61,7 +61,8 @@ def cmd_verify(args) -> int:
     ok = True
     for g in _load_graphs(args):
         rng = np.random.default_rng(args.seed)
-        residuals = family.verify(g, args, family.build(g, args), rng)
+        inst = family.build(g, args)
+        residuals = family.verify(g, args, inst, family.landscape(g, args, inst).objective, rng)
         ok &= all(r <= args.tol for r in residuals.values())
         # a non-finite residual fails and is written as null: bare NaN is not JSON
         residuals = {name: r if math.isfinite(r) else None for name, r in residuals.items()}

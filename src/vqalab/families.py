@@ -25,8 +25,10 @@ from .graphs import maxcut_bruteforce
 from .landscape import _mu_gradient_rows, _mu_rows, _mu_value_and_gradient_rows
 from .optimize import Landscape, reference_minimum
 from .reductions import (
+    _boosted_rows,
     _qaoa1_rows,
     _qaoa_rows,
+    _single_layer_rows,
     boosted_vqa_instance,
     ergodic_energies,
     logdim_observable,
@@ -42,28 +44,34 @@ from .reductions import (
 from .sim import simulate_expectation, spectral_extremes
 
 
-def _max_residual(points, lhs, rhs) -> float:
-    """max |lhs(x) - rhs(x)| over the points x, 0 for none; NaN if any
-    residual is NaN, so that no tolerance passes it."""
-    return float(np.max([abs(lhs(x) - rhs(x)) for x in points], initial=0.0))
+def _max_residual(lhs, rhs) -> float:
+    """max |lhs - rhs| over paired values, 0 for none; NaN if any residual is
+    NaN, so that no tolerance passes it."""
+    return float(np.max(np.abs(np.subtract(lhs, rhs)), initial=0.0))
 
 
-def _closed_form_check(draw):
-    """verify: the closed form against state-vector simulation at points draw(g, args, rng)."""
+def _draws(draw, g, args, rng) -> np.ndarray:
+    """The (samples, n) stack of args.samples points draw(g, args, rng), in draw order."""
+    return np.array([draw(g, args, rng) for _ in range(args.samples)], dtype=float)
 
-    def verify(g, args, inst, rng):
-        return {
-            "closed-form-vs-simulation": _max_residual(
-                (draw(g, args, rng) for _ in range(args.samples)),
-                lambda x: simulate_expectation(inst, x),
-                inst.closed_form,
-            )
-        }
+
+def _closed_form_check(draw, simulate=lambda inst, x: simulate_expectation(inst, x)):
+    """verify: simulate(inst, x) at each point x of the stack of draws
+    draw(g, args, rng) against one call of the landscape objective on the
+    stack."""
+
+    def verify(g, args, inst, objective, rng):
+        X = _draws(draw, g, args, rng)
+        return {"closed-form-vs-simulation": _max_residual([simulate(inst, x) for x in X], objective(X))}
 
     return verify
 
 
-_verify_mu = _closed_form_check(lambda g, args, rng: rng.uniform(0, 2 * np.pi, g.d))
+def _uniform_phases(g, args, rng):
+    return rng.uniform(0, 2 * np.pi, g.d)
+
+
+_verify_mu = _closed_form_check(_uniform_phases)
 
 
 @dataclass(frozen=True)
@@ -72,23 +80,27 @@ class Family:
 
     ``build(g, args)`` makes the instance. ``spectrum(g, maxcut, args, inst)``
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
-    is the ``Landscape`` that descent runs on, each row bit for bit the
-    family's scalar kernels at that point; value_and_gradient evaluates once
-    for both (the mu families take np.cos of the stack once), and a family
-    without an analytic gradient takes ``Landscape.central_differences``.
-    Descent calls value_and_gradient at every rung-0 candidate of its line
-    search, rejected ones included, so it must not raise there (a NaN is
-    never read). qaoa-multi's rows, one stacked circuit, match its scalar
-    kernel ``qaoa_apply`` within round-off, not bit for bit (a one-row stack
-    is bit for bit). The kernels may skip input checks, since their callers
-    (descent from uniform start points, the landscape command's checked
-    grid, the grid reference) pass finite rows and reject a non-finite
+    is the ``Landscape`` that descent runs on. Its objective is the row
+    kernel of the family's closed form, the one that the checked public
+    functions (``mu``, ``boosted_expectation``, ``inst.closed_form``) call
+    on one row; value_and_gradient evaluates once for both (the mu families
+    take np.cos of the stack once), and a family without an analytic
+    gradient takes ``Landscape.central_differences``. Descent calls
+    value_and_gradient at every rung-0 candidate of its line search,
+    rejected ones included, so it must not raise there (a NaN is never
+    read). qaoa-multi's rows, one stacked circuit, match ``qaoa_apply``
+    within round-off, not bit for bit (a one-row stack is bit for bit). The
+    kernels may skip input checks, since their callers (descent from
+    uniform start points, the landscape command's checked grid, the grid
+    reference, verify's draws) pass finite rows and reject a non-finite
     value.
     ``reference(g, maxcut, args, objective, best)`` is the ansatz minimum
     <O>_min; a sampled reference evaluates its grid through the row
     objective, and only it may be lowered to the descent's best value
     ``best``.
-    ``verify(g, args, inst, rng)`` maps each identity to its max residual.
+    ``verify(g, args, inst, objective, rng)`` maps each identity to its max
+    residual, where ``objective`` is the landscape's: a closed form is
+    checked by evaluating that kernel once on the stack of all draws.
     Optimize and landscape build the instance only if ``needs_instance``.
     """
 
@@ -108,11 +120,8 @@ class Family:
 def _boosted_landscape(g, args, inst):
     k = args.k
 
-    # np.float_power is C pow, as Python's float ** int is
-    def f(X):
-        return -np.float_power(-_mu_rows(g, X), k)
-
-    # the gradient needs mu's values too: both kernels evaluate mu once
+    # the gradient needs mu's values too: both kernels evaluate mu once, and
+    # raise to powers with np.float_power as _boosted_rows does
     def grad(X):
         values, gradients = _mu_value_and_gradient_rows(g, X)
         return (k * np.float_power(-values, k - 1))[:, None] * gradients
@@ -122,14 +131,22 @@ def _boosted_landscape(g, args, inst):
         cut = -values
         return -np.float_power(cut, k), (k * np.float_power(cut, k - 1))[:, None] * gradients
 
-    return Landscape(f, grad, value_and_gradient, g.d)
+    return Landscape((lambda X: _boosted_rows(g, k, X)), grad, value_and_gradient, g.d)
 
 
-def _verify_boosted(g, args, inst, rng):
-    residuals = _verify_mu(g, args, inst, rng)
+def _boosted_minimum(maxcut, args) -> float:
+    """-maxcut^k, the boosted observable's minimum and the ansatz minimum."""
+    try:
+        return -float(maxcut) ** args.k
+    except OverflowError:
+        raise ValueError(f"boosting power k={args.k} is too large: maxcut^k overflows a float") from None
+
+
+def _verify_boosted(g, args, inst, objective, rng):
+    residuals = _verify_mu(g, args, inst, objective, rng)
     mc, _ = maxcut_bruteforce(g)
     _, _, sw = spectral_extremes(inst.observable)
-    residuals["spectral-width-vs-maxcut-power"] = abs(sw - float(mc) ** args.k)
+    residuals["spectral-width-vs-maxcut-power"] = abs(sw + _boosted_minimum(mc, args))
     return residuals
 
 
@@ -177,7 +194,7 @@ def _grid_reference(points):
 
 def _single_layer_landscape(g, args, inst):
     energies = _energies(g, args)
-    return Landscape.central_differences(lambda X: _mu_rows(g, X[:, :1] * energies), 1)
+    return Landscape.central_differences(lambda X: _single_layer_rows(g, energies, X), 1)
 
 
 def _qaoa1_landscape(g, args, inst):
@@ -185,21 +202,11 @@ def _qaoa1_landscape(g, args, inst):
     return Landscape.central_differences(lambda X: _qaoa1_rows(g, energies, tau, X), 2)
 
 
-def _verify_qaoa1(g, args, inst, rng):
-    return {
-        "closed-form-vs-simulation": _max_residual(
-            ((rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi / args.tau)) for _ in range(args.samples)),
-            lambda bg: qaoa_apply(inst, np.array([bg[0]]), np.array([bg[1]]))[1],
-            lambda bg: inst.closed_form(*bg),
-        )
-    }
-
-
 def _qaoa_multi_landscape(g, args, inst):
     return Landscape.central_differences(lambda X: _qaoa_rows(inst, X), len(inst.generators))
 
 
-def _verify_qaoa_multi(g, args, inst, rng):
+def _verify_qaoa_multi(g, args, inst, objective, rng):
     hb_lo, hb_hi, _ = spectral_extremes(inst.generators[1])
     hc_lo, hc_hi, _ = spectral_extremes(inst.observable)
     mc, witness = maxcut_bruteforce(g)
@@ -218,19 +225,16 @@ def _fermion_spectrum(g, maxcut, args, inst):
     return float(vals[vals < 0].sum()), float(vals[vals > 0].sum())
 
 
-def _verify_fermion(g, args, inst, rng):
-    # one set of draws, one pipeline value per draw, checked against both
-    draws = [rng.uniform(0, 2 * np.pi, g.d) for _ in range(args.samples)]
-    pairs = [(phi, gaussian_expectation(inst, phi)) for phi in draws]
-    residuals = {
-        "closed-form-vs-covariance-pipeline": _max_residual(
-            pairs, lambda p: p[1], lambda p: inst.closed_form(p[0])
-        )
-    }
+def _verify_fermion(g, args, inst, objective, rng):
+    # one stack of draws, one pipeline value per draw, checked against the
+    # objective and the Fock oracle
+    X = _draws(_uniform_phases, g, args, rng)
+    pipeline = [gaussian_expectation(inst, phi) for phi in X]
+    residuals = {"closed-form-vs-covariance-pipeline": _max_residual(pipeline, objective(X))}
     if inst.dim <= FOCK_MAX_MODES:
         fock = fock_system(inst)
         residuals["covariance-vs-fock-oracle"] = _max_residual(
-            pairs, lambda p: p[1], lambda p: fock_bruteforce_expectation(fock, p[0])
+            pipeline, [fock_bruteforce_expectation(fock, phi) for phi in X]
         )
     return residuals
 
@@ -242,9 +246,9 @@ FAMILIES = {
     ),
     "boosted": Family(
         build=lambda g, args: boosted_vqa_instance(g, args.k),
-        spectrum=lambda g, maxcut, args, inst: (-float(maxcut) ** args.k, 0.0),
+        spectrum=lambda g, maxcut, args, inst: (_boosted_minimum(maxcut, args), 0.0),
         landscape=_boosted_landscape,
-        reference=lambda g, maxcut, args, objective, best: -float(maxcut) ** args.k,
+        reference=lambda g, maxcut, args, objective, best: _boosted_minimum(maxcut, args),
         verify=_verify_boosted,
     ),
     "logdim": Family(build=lambda g, args: logdim_vqa_instance(g), spectrum=_logdim_spectrum),
@@ -262,7 +266,11 @@ FAMILIES = {
         reference=_grid_reference(
             lambda bs, args: np.column_stack([bs, np.full_like(bs, np.pi / (2 * args.tau))])
         ),
-        verify=_verify_qaoa1,
+        # beta, then gamma over its period 2*pi/tau
+        verify=_closed_form_check(
+            lambda g, args, rng: (rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi / args.tau)),
+            lambda inst, x: qaoa_apply(inst, x[:1], x[1:])[1],
+        ),
         needs_instance=True,
     ),
     "qaoa-multi": Family(

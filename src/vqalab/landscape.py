@@ -32,20 +32,15 @@ def reduce_phases(phi) -> np.ndarray:
     return np.mod(phi, 2 * np.pi)
 
 
-def _mu(g: Graph, phi: np.ndarray) -> float:
-    # unchecked: phi must be a finite float vector of length d
-    c = np.cos(phi)
-    return float((c @ g.float_adjacency @ c - g.adjacency_sum) / 4)
-
-
 def mu(g: Graph, phi) -> float:
-    return _mu(g, _check_phases(g, phi))
+    return float(_mu_rows(g, _check_phases(g, phi)[None])[0])
 
 
 def _mu_cosine_rows(g: Graph, C: np.ndarray) -> np.ndarray:
-    # _mu of each row of X, bit for bit, from its cosines C = np.cos(X): the
-    # stacked products make the same BLAS calls per row as ``c @ A @ c``,
-    # where ``C @ A`` and a row einsum would round differently
+    # unchecked: mu of each row of X from its cosines C = np.cos(X). The
+    # stacked products make the same BLAS calls per row as ``c @ A @ c``, so
+    # a row's value does not depend on the stack around it; ``C @ A`` and a
+    # row einsum would round differently
     return (((C[:, None, :] @ g.float_adjacency) @ C[:, :, None])[:, 0, 0] - g.adjacency_sum) / 4
 
 
@@ -61,15 +56,9 @@ def _sin_exact(phi: np.ndarray) -> np.ndarray:
     return s
 
 
-def _mu_gradient(g: Graph, phi: np.ndarray) -> np.ndarray:
-    # unchecked: phi must be a finite float vector of length d
-    return -0.5 * _sin_exact(phi) * (g.float_adjacency @ np.cos(phi))
-
-
 def _mu_gradient_cosine_rows(g: Graph, X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    # _mu_gradient of each row of X, bit for bit, from its cosines C =
-    # np.cos(X): the stacked A @ c makes the same BLAS call per row as
-    # _mu_gradient's
+    # unchecked: mu_gradient of each row of X from its cosines C = np.cos(X);
+    # the stacked A @ c makes the same BLAS call per row as a row's own A @ c
     return -0.5 * _sin_exact(X) * (g.float_adjacency @ C[:, :, None])[:, :, 0]
 
 
@@ -84,7 +73,7 @@ def _mu_value_and_gradient_rows(g: Graph, X: np.ndarray) -> tuple[np.ndarray, np
 
 
 def mu_gradient(g: Graph, phi) -> np.ndarray:
-    return _mu_gradient(g, _check_phases(g, phi))
+    return _mu_gradient_rows(g, _check_phases(g, phi)[None])[0]
 
 
 def mu_hessian(g: Graph, phi) -> np.ndarray:

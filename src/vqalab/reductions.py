@@ -1,8 +1,11 @@
 """Instance constructors for every hardness-reduction family.
 
 Each constructor pairs the built operators with the closed-form expectation
-they are supposed to reproduce, so dense simulation can be cross-checked
-against it.
+they are supposed to reproduce, so simulation can be cross-checked against
+it. A closed form is written once, as an unchecked row kernel (``mu``'s
+kernels in ``landscape``, ``_boosted_rows``, ``_single_layer_rows``,
+``_qaoa1_rows``) that descent and ``verify`` evaluate on stacks of points;
+``closed_form`` checks its point and evaluates the kernel on that one row.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .landscape import _check_phases, _mu, _mu_cosine_rows, mu, reduce_phases
+from .landscape import _check_phases, _mu_cosine_rows, _mu_rows, mu, reduce_phases
 from .sim import (
     DENSE_MAX_QUBITS,
     Blocks,
@@ -80,11 +83,17 @@ def oracular_vqa_instance(g: Graph) -> VqaInstance:
     )
 
 
+def _boosted_rows(g: Graph, k: int, X: np.ndarray) -> np.ndarray:
+    # unchecked: -|mu|^k of each row of X. mu <= 0, and np.float_power is C
+    # pow, as Python's float ** int is
+    return -np.float_power(-_mu_rows(g, X), k)
+
+
 def boosted_expectation(g: Graph, k: int, phi) -> float:
     """Closed form -|mu|^k of the k-fold tensor-power observable."""
     if k < 1:
         raise ValueError("boosting power k must be >= 1")
-    return -abs(mu(g, phi)) ** k
+    return float(_boosted_rows(g, k, _check_phases(g, phi)[None])[0])
 
 
 def boosted_vqa_instance(g: Graph, k: int) -> VqaInstance:
@@ -230,9 +239,10 @@ def ergodic_phase_errors(phi, spec: ErgodicSpectrum, t: int) -> np.ndarray:
     return errs
 
 
-def _single_layer_value(g: Graph, energies: np.ndarray, t: float) -> float:
-    # unchecked: energies * t must be finite
-    return _mu(g, energies * t)
+def _single_layer_rows(g: Graph, energies: np.ndarray, X: np.ndarray) -> np.ndarray:
+    # unchecked: mu at the phases energies * t of each row (t,) of X, which
+    # must be finite
+    return _mu_rows(g, X[:, :1] * energies)
 
 
 def single_layer_instance(g: Graph, m: int) -> VqaInstance:
@@ -249,7 +259,7 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
     def closed_form(phi):
         t = float(np.atleast_1d(np.asarray(phi, dtype=float))[0])
         _check_phases(g, energies * t)
-        return _single_layer_value(g, energies, t)
+        return float(_single_layer_rows(g, energies, np.array([[t]]))[0])
 
     return VqaInstance(
         initial=psi0,
@@ -332,22 +342,11 @@ def _qaoa_rows(inst: VqaInstance, X: np.ndarray) -> np.ndarray:
     return values
 
 
-def _qaoa1_value(g: Graph, energies: np.ndarray, tau: float, beta: float, gamma: float) -> float:
-    # unchecked: energies * beta must be finite. f is landscape._mu's formula
-    # on the cosines, so it is bit for bit mu(g, energies * beta).
-    c = np.cos(energies * beta)
-    f = float((c @ g.float_adjacency @ c - g.adjacency_sum) / 4)
-    gfun = -math.sin(beta) / g.d * float(c.sum())
-    return (
-        math.sin(tau * gamma) ** 2 * f
-        + 2 * tau * math.cos(tau * gamma) * math.sin(tau * gamma) * gfun
-    )
-
-
 def _qaoa1_rows(g: Graph, energies: np.ndarray, tau: float, X: np.ndarray) -> np.ndarray:
-    # _qaoa1_value of each row (beta, gamma) of X, bit for bit: f is mu of
-    # the phases energies * beta, and np.float_power squares with C pow, as
-    # Python's float ** 2 does, where numpy's s ** 2 multiplies s * s
+    # unchecked: the closed form at each row (beta, gamma) of X, for which
+    # energies * beta must be finite. f is mu of the phases energies * beta,
+    # and np.float_power squares with C pow, as Python's float ** 2 does,
+    # where numpy's s ** 2 multiplies s * s
     C = np.cos(X[:, :1] * energies)
     f = _mu_cosine_rows(g, C)
     gfun = -np.sin(X[:, 0]) / g.d * C.sum(axis=1)
@@ -387,7 +386,7 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
 
     def closed_form(beta: float, gamma: float) -> float:
         _check_phases(g, energies * beta)
-        return _qaoa1_value(g, energies, tau, beta, gamma)
+        return float(_qaoa1_rows(g, energies, tau, np.array([[beta, gamma]], dtype=float))[0])
 
     return _qaoa_instance(Diagonal(hb), hc, 1, psi0, closed_form, "qaoa1", g)
 

@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from vqalab import Graph, ergodic_energies, parse_graph, qaoa_apply
-from vqalab.landscape import _mu, _mu_gradient, _mu_rows, _sin_exact
+from vqalab.landscape import _mu_rows, _sin_exact
 from vqalab.optimize import Landscape, descend, optimize
-from vqalab.reductions import _qaoa1_value, _single_layer_value
 
 # qaoa-multi's stacked kernels against its one-row kernel: trajectories and
 # params of a descent, and the value-and-gradient kernel's values
@@ -62,6 +63,34 @@ def central_difference_hessian(f, x, h=1e-4):
     return hess
 
 
+# The scalar closed forms, the oracles of the row kernels in src: each is
+# written out on one point, mu and its gradient with the integer adjacency,
+# where the kernels read Graph's float copy, and must match bit for bit.
+def int_adjacency_mu(g, phi):
+    c = np.cos(phi)
+    a = g.adjacency
+    return float((c @ a @ c - a.sum()) / 4)
+
+
+def int_adjacency_gradient(g, phi):
+    return -0.5 * _sin_exact(phi) * (g.adjacency @ np.cos(phi))
+
+
+def single_layer_value(g, energies, t):
+    """mu at the phases energies * t."""
+    return int_adjacency_mu(g, energies * t)
+
+
+def qaoa1_value(g, energies, tau, beta, gamma):
+    """The qaoa1 closed form sin^2(tau gamma) f(beta) + 2 tau cos(tau gamma)
+    sin(tau gamma) g(beta), with f = mu at energies * beta and g = -sin(beta)
+    / d times the sum of those phases' cosines; math.sin and math.cos on
+    scalars, and ** 2 as C pow."""
+    f = int_adjacency_mu(g, energies * beta)
+    gfun = -math.sin(beta) / g.d * float(np.cos(energies * beta).sum())
+    return math.sin(tau * gamma) ** 2 * f + 2 * tau * math.cos(tau * gamma) * math.sin(tau * gamma) * gfun
+
+
 def scalar_landscape(family, g, args, inst):
     """The oracle of the row kernels: the family's (objective, gradient or
     None, n_params) on single points, as ``Family.landscape`` gave them
@@ -69,26 +98,26 @@ def scalar_landscape(family, g, args, inst):
     if family == "boosted":
         k = args.k
         return (
-            (lambda x: -((-_mu(g, x)) ** k)),
-            (lambda x: k * (-_mu(g, x)) ** (k - 1) * _mu_gradient(g, x)),
+            (lambda x: -((-int_adjacency_mu(g, x)) ** k)),
+            (lambda x: k * (-int_adjacency_mu(g, x)) ** (k - 1) * int_adjacency_gradient(g, x)),
             g.d,
         )
     if family == "single-layer":
         energies = ergodic_energies(g.d, args.m).energies
-        return (lambda x: _single_layer_value(g, energies, x[0])), None, 1
+        return (lambda x: single_layer_value(g, energies, x[0])), None, 1
     if family == "qaoa1":
         energies = ergodic_energies(g.d, args.m).energies
-        return (lambda x: _qaoa1_value(g, energies, args.tau, x[0], x[1])), None, 2
+        return (lambda x: qaoa1_value(g, energies, args.tau, x[0], x[1])), None, 2
     if family == "qaoa-multi":
         L = len(inst.generators) // 2
         return (lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
-    return (lambda x: _mu(g, x)), (lambda x: _mu_gradient(g, x)), g.d
+    return (lambda x: int_adjacency_mu(g, x)), (lambda x: int_adjacency_gradient(g, x)), g.d
 
 
 def reference_mu_gradient_rows(g, X):
-    """The reference of the mu gradient kernels: _mu_gradient of each row of
-    X, bit for bit, as the mu families' gradient kernel computed it before it
-    could share np.cos(X) with the value."""
+    """The reference of the mu gradient kernels: int_adjacency_gradient of
+    each row of X, bit for bit, as the mu families' gradient kernel computed
+    it before it could share np.cos(X) with the value."""
     return -0.5 * _sin_exact(X) * (g.float_adjacency @ np.cos(X)[:, :, None])[:, :, 0]
 
 

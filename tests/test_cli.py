@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -10,8 +11,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import scalar_landscape
-from vqalab import families, logdim_vqa_instance, random_graph
+from conftest import int_adjacency_mu, qaoa1_value, scalar_landscape, single_layer_value
+from vqalab import (
+    ergodic_energies,
+    families,
+    gaussian_expectation,
+    logdim_vqa_instance,
+    qaoa_apply,
+    random_graph,
+    simulate_expectation,
+)
 from vqalab.cli import build_parser, main
 from vqalab.families import FAMILIES
 from vqalab.serialize import (
@@ -142,6 +151,68 @@ class TestVerifyCommand:
         doc = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert doc["pass"] is False
         assert doc["instances"][0]["max_residuals"]["closed-form-vs-simulation"] is None
+
+    @pytest.mark.parametrize(
+        "family, calls",
+        [("oracular", 1), ("boosted", 1), ("logdim", 1), ("single-layer", 1), ("qaoa1", 1), ("fermion", 1),
+         ("qaoa-multi", 0)],
+    )
+    def test_one_objective_call_per_graph(self, family, calls, monkeypatch, capsys):
+        # a closed form is checked by one call of the landscape objective on
+        # the stack of all --samples draws; qaoa-multi checks no closed form
+        shapes = []
+        fam = FAMILIES[family]
+
+        def landscape(g, args, inst):
+            land = fam.landscape(g, args, inst)
+
+            def objective(X):
+                shapes.append(X.shape)
+                return land.objective(X)
+
+            return dataclasses.replace(land, objective=objective)
+
+        monkeypatch.setitem(FAMILIES, family, dataclasses.replace(fam, landscape=landscape))
+        argv = ["verify", "--family", family, "--random-graph", "3:1.0", "--instances", "2", "--samples", "7"]
+        assert main(argv) == 0
+        n_params = {"single-layer": 1, "qaoa1": 2}.get(family, 3)
+        assert shapes == [(7, n_params)] * (2 * calls)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "family, k",
+        [("oracular", 1), ("logdim", 1), ("fermion", 1), ("boosted", 1), ("boosted", 2), ("boosted", 3),
+         ("single-layer", 1), ("qaoa1", 1)],
+    )
+    def test_residual_is_the_scalar_closed_forms(self, family, k, seed, capsys):
+        # each residual is, bit for bit, the largest |simulation - closed
+        # form| over verify's draws, with the closed form written out on one
+        # point (conftest) and the draws made in verify's order
+        argv = ["verify", "--family", family, "--random-graph", "4:0.6", "--instances", "2",
+                "--samples", "20", "--seed", str(seed), "--k", str(k)]
+        assert main(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        args = build_parser().parse_args(argv)
+        energies = ergodic_energies(4, args.m).energies
+        for i, rec in enumerate(doc["instances"]):
+            g = random_graph(4, 0.6, seed + i)
+            inst = FAMILIES[family].build(g, args)
+            rng = np.random.default_rng(seed)
+            worst = 0.0
+            for _ in range(args.samples):
+                if family == "single-layer":
+                    t = rng.uniform(0, float(args.m) ** 3, 1)
+                    pair = simulate_expectation(inst, t), single_layer_value(g, energies, t[0])
+                elif family == "qaoa1":
+                    beta, gamma = rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi / args.tau)
+                    pair = qaoa_apply(inst, [beta], [gamma])[1], qaoa1_value(g, energies, args.tau, beta, gamma)
+                else:
+                    phi = rng.uniform(0, 2 * np.pi, g.d)
+                    simulate = gaussian_expectation if family == "fermion" else simulate_expectation
+                    pair = simulate(inst, phi), -abs(int_adjacency_mu(g, phi)) ** k
+                worst = max(worst, abs(pair[0] - pair[1]))
+            (residual,) = (r for name, r in rec["max_residuals"].items() if name.startswith("closed-form-vs-"))
+            assert residual.hex() == worst.hex()
 
 
 class TestOptimizeCommand:
@@ -545,6 +616,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "base m is too large: m^3 overflows a float" in captured.err
+
+    def test_boosting_power_too_large_fails(self, capsys):
+        # MaxCut of K6 is 9, and 9^400 overflows a float: the spectrum and
+        # the reference -maxcut^k cannot be written
+        rc = main(["optimize", "--family", "boosted", "--random-graph", "6:1.0", "--k", "400"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "maxcut^k overflows a float" in captured.err and len(captured.err.splitlines()) == 1
 
     def test_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,6 +11,9 @@ from conftest import (
     QAOA_MULTI_TOL,
     central_difference_gradient,
     central_difference_hessian,
+    int_adjacency_gradient,
+    int_adjacency_mu,
+    qaoa1_value,
     reference_mu_gradient_rows,
     reference_row_kernels,
     scalar_landscape,
@@ -28,8 +31,6 @@ from vqalab import (
 )
 from vqalab.families import FAMILIES
 from vqalab.landscape import (
-    _mu,
-    _mu_gradient,
     _mu_gradient_rows,
     _mu_rows,
     _mu_value_and_gradient_rows,
@@ -38,7 +39,7 @@ from vqalab.landscape import (
     phases_from_assignment,
 )
 from vqalab.optimize import OptimizerConfig, descend, finite_difference_gradient
-from vqalab.reductions import _qaoa1_rows, _qaoa1_value
+from vqalab.reductions import _qaoa1_rows
 
 
 class TestMu:
@@ -181,18 +182,9 @@ class TestPhaseHelpers:
         assert np.array_equal(discrete_signs(phases_from_assignment(v)), v)
 
 
-# Reference: mu, mu_gradient and mu_hessian as products with the integer
-# adjacency. The kernels read Graph's float copy and must match bit for bit.
-def int_adjacency_mu(g, phi):
-    c = np.cos(phi)
-    a = g.adjacency
-    return float((c @ a @ c - a.sum()) / 4)
-
-
-def int_adjacency_gradient(g, phi):
-    return -0.5 * _sin_exact(phi) * (g.adjacency @ np.cos(phi))
-
-
+# Reference: mu_hessian as products with the integer adjacency, as conftest
+# writes mu and mu_gradient. The kernels read Graph's float copy and must
+# match bit for bit.
 def int_adjacency_hessian(g, phi):
     c, s = np.cos(phi), _sin_exact(phi)
     h = 0.5 * g.adjacency * np.outer(s, s)
@@ -226,15 +218,15 @@ class TestUncheckedKernels:
     def test_bit_identical_to_integer_adjacency_expressions(self, case):
         g, phi = case
         value, gradient = int_adjacency_mu(g, phi), int_adjacency_gradient(g, phi)
-        assert bits(_mu(g, phi)) == bits(mu(g, phi)) == bits(value)
-        assert bits(_mu_gradient(g, phi)) == bits(mu_gradient(g, phi)) == bits(gradient)
+        assert bits(mu(g, phi)) == bits(value)
+        assert bits(mu_gradient(g, phi)) == bits(gradient)
         assert bits(mu_hessian(g, phi)) == bits(int_adjacency_hessian(g, phi))
 
     @KERNEL_SETTINGS
     @given(case=graphs_and_phases())
     def test_descent_norm_is_numpy_norm(self, case):
         g, phi = case
-        for v in (_mu_gradient(g, phi), phi):
+        for v in (mu_gradient(g, phi), phi):
             assert math.sqrt(v.dot(v)) == np.linalg.norm(v)
 
     def test_float_adjacency_is_read_only_copy(self, k3):
@@ -287,8 +279,8 @@ class TestRowKernels:
         g, X = case
         values, gradients = _mu_rows(g, X), reference_mu_gradient_rows(g, X)
         for x, value, gradient in zip(X, values, gradients):
-            assert bits(value) == bits(_mu(g, x))
-            assert bits(gradient) == bits(_mu_gradient(g, x))
+            assert bits(value) == bits(int_adjacency_mu(g, x))
+            assert bits(gradient) == bits(int_adjacency_gradient(g, x))
         fused_values, fused_gradients = _mu_value_and_gradient_rows(g, X)
         assert bits(fused_values) == bits(values)
         assert bits(fused_gradients) == bits(_mu_gradient_rows(g, X)) == bits(gradients)
@@ -348,7 +340,7 @@ class TestRowKernels:
         g, phi = case
         energies = ergodic_energies(g.d, m).energies
         X = np.column_stack([np.resize(phi, len(gammas)), gammas])
-        scalar = np.array([_qaoa1_value(g, energies, tau, beta, gamma) for beta, gamma in X])
+        scalar = np.array([qaoa1_value(g, energies, tau, beta, gamma) for beta, gamma in X])
         assert _qaoa1_rows(g, energies, tau, X).view(np.int64).tolist() == scalar.view(np.int64).tolist()
 
     def test_qaoa1_rows_square_with_pow(self, k3):
@@ -362,7 +354,7 @@ class TestRowKernels:
         with_pow = s**2 * mu(k3, energies * beta) + 2 * tau * co * s * gfun
         assert with_pow != s * s * mu(k3, energies * beta) + 2 * tau * co * s * gfun
         (value,) = _qaoa1_rows(k3, energies, tau, np.array([[beta, gamma]]))
-        assert bits(value) == bits(with_pow) == bits(_qaoa1_value(k3, energies, tau, beta, gamma))
+        assert bits(value) == bits(with_pow) == bits(qaoa1_value(k3, energies, tau, beta, gamma))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_qaoa_multi_rows(self, d):
@@ -416,5 +408,5 @@ class TestRowKernels:
         single_layer = finite_difference_gradient(FAMILIES["single-layer"].landscape(g, args, None).objective, T, 1e-5)
         f, _, _ = scalar_landscape("single-layer", g, args, None)
         for x, row, t, sl_row in zip(X, rows, T, single_layer):
-            assert bits(row) == bits(central_difference_gradient(lambda y: _mu(g, y), x, 1e-5))
+            assert bits(row) == bits(central_difference_gradient(lambda y: int_adjacency_mu(g, y), x, 1e-5))
             assert bits(sl_row) == bits(central_difference_gradient(f, t, 1e-5))
