@@ -240,7 +240,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--random-graph", metavar="d:p", help="seeded random graph")
     p.add_argument("--instances", type=_positive_int, default=1, help="number of random graphs")
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--m", type=_base, default=64, help="ergodic spectrum base")
     p.add_argument("--tau", type=float, default=1e-3, help="single-layer QAOA coupling")
@@ -258,6 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed-form vs simulation identity checks")
     _add_common(p)
     p.add_argument("--samples", type=_positive_int, default=100, help="random parameter draws")
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="largest residual that passes")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("optimize", help="descent from random restarts, with error metrics")

@@ -81,12 +81,12 @@ class Family:
     ``build(g, args)`` makes the instance. ``spectrum(g, maxcut, args, inst)``
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
     is the ``Landscape`` that descent runs on. Its objective is the row
-    kernel of the family's closed form, the one that the checked public
-    functions (``mu``, ``boosted_expectation``, ``inst.closed_form``) call
-    on one row; value_and_gradient evaluates once for both (the mu families
-    take np.cos of the stack once), and a family without an analytic
-    gradient takes ``Landscape.central_differences``. Descent calls
-    value_and_gradient at every rung-0 candidate of its line search,
+    kernel of the family's closed form, the one place that form is
+    evaluated (the checked public ``mu`` and ``boosted_expectation`` are
+    that kernel on one row); value_and_gradient evaluates once for both
+    (the mu families take np.cos of the stack once), and a family without
+    an analytic gradient takes ``Landscape.central_differences``. Descent
+    calls value_and_gradient at every rung-0 candidate of its line search,
     rejected ones included, so it must not raise there (a NaN is never
     read). qaoa-multi's rows, one stacked circuit, match ``qaoa_apply``
     within round-off, not bit for bit (a one-row stack is bit for bit). The
@@ -120,18 +120,17 @@ class Family:
 def _boosted_landscape(g, args, inst):
     k = args.k
 
-    # the gradient needs mu's values too: both kernels evaluate mu once, and
-    # raise to powers with np.float_power as _boosted_rows does
-    def grad(X):
-        values, gradients = _mu_value_and_gradient_rows(g, X)
-        return (k * np.float_power(-values, k - 1))[:, None] * gradients
-
+    # the chain rule needs mu's values too: one mu evaluation for both, raised
+    # to powers with np.float_power as _boosted_rows does; the gradient kernel
+    # drops the values
     def value_and_gradient(X):
         values, gradients = _mu_value_and_gradient_rows(g, X)
         cut = -values
         return -np.float_power(cut, k), (k * np.float_power(cut, k - 1))[:, None] * gradients
 
-    return Landscape((lambda X: _boosted_rows(g, k, X)), grad, value_and_gradient, g.d)
+    return Landscape(
+        (lambda X: _boosted_rows(g, k, X)), (lambda X: value_and_gradient(X)[1]), value_and_gradient, g.d
+    )
 
 
 def _boosted_minimum(maxcut, args) -> float:

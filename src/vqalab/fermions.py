@@ -15,7 +15,6 @@ from functools import cached_property
 import numpy as np
 
 from .graphs import Graph
-from .landscape import mu
 from .sim import IMAG_TOL, Blocks, Diagonal, Operator, VqaInstance, _as_operator, assert_hermitian
 
 FOCK_MAX_MODES = 8
@@ -101,7 +100,6 @@ def fermionic_vqa_instance(g: Graph) -> FermionInstance:
         initial=h0,
         generators=_logdim_generators(g.d),
         observable=logdim_observable(g),
-        closed_form=lambda phi: mu(g, phi),
         graph=g,
     )
 

@@ -139,7 +139,8 @@ def descend(land: Landscape, starts, cfg: OptimizerConfig) -> list[DescentResult
     iterations. A row's line search is a ladder of rungs k = 0, 1, ... with
     steps initial_step / 2**k, and the row takes the first rung that meets
     the Armijo condition; a non-finite value before that rung raises, as one
-    at a start point does.
+    at a start point does, and so does a non-finite gradient norm (an
+    overflow), at which no rung can pass.
 
     In the common iteration every row of the stack searches and took rung 0
     last time: one ``value_and_gradient`` call at the rung-0 candidates
@@ -170,14 +171,15 @@ def descend(land: Landscape, starts, cfg: OptimizerConfig) -> list[DescentResult
     # the gradients at x, where the last line search's value_and_gradient
     # call gave them
     held = None
-    # the first row whose objective went non-finite, and its error; rows after
-    # it leave the stack, since a loop over single restarts never reaches them
+    # the first row whose objective value or gradient norm went non-finite,
+    # and its error; rows after it leave the stack, since a loop over single
+    # restarts never reaches them
     first_failed, error = len(fx), None
 
-    def fail(j: int, value: float, where: str) -> None:
+    def fail(j: int, error_text: str) -> None:
         nonlocal first_failed, error
         if ids[j] < first_failed:
-            first_failed, error = ids[j], f"non-finite objective value {value!r} {where}"
+            first_failed, error = ids[j], error_text
 
     def finish(j: int, converged: bool) -> None:
         results[ids[j]] = DescentResult(fx[j], x[j].copy(), trajectories[j], converged)
@@ -207,7 +209,7 @@ def descend(land: Landscape, starts, cfg: OptimizerConfig) -> list[DescentResult
                 for k in range(lo, hi):
                     v = values[at + k]
                     if not math.isfinite(v):
-                        fail(j, v, "during line search")
+                        fail(j, f"non-finite objective value {v!r} during line search")
                         break
                     if v <= fx[j] - _SLOPES[k] * gsq:
                         take(j, k, v)
@@ -224,7 +226,7 @@ def descend(land: Landscape, starts, cfg: OptimizerConfig) -> list[DescentResult
 
     for j, v in enumerate(fx):
         if not math.isfinite(v):
-            fail(j, v, "at the initial point")
+            fail(j, f"non-finite objective value {v!r} at the initial point")
     ids, trajectories, rungs = ids[:first_failed], trajectories[:first_failed], rungs[:first_failed]
     x, fx = x[:first_failed], fx[:first_failed]
     step, slope = _STEPS[0], _SLOPES[0]
@@ -252,6 +254,11 @@ def descend(land: Landscape, starts, cfg: OptimizerConfig) -> list[DescentResult
         for j, gnorm in enumerate(gnorms):
             if gnorm <= cfg.grad_tol:
                 finish(j, True)
+            elif not math.isfinite(gnorm):
+                # no rung can pass; rows after this one are never reached
+                fail(j, f"non-finite gradient norm {gnorm!r} during descent")
+                searching = [i for i in searching if i < j]
+                break
         search(searching, g, gnorms, cand, values)
         if not all(stays) or ids[-1] >= first_failed:
             keep = [j for j, s in enumerate(stays) if s and ids[j] < first_failed]

@@ -1,11 +1,10 @@
 """Instance constructors for every hardness-reduction family.
 
-Each constructor pairs the built operators with the closed-form expectation
-they are supposed to reproduce, so simulation can be cross-checked against
-it. A closed form is written once, as an unchecked row kernel (``mu``'s
-kernels in ``landscape``, ``_boosted_rows``, ``_single_layer_rows``,
-``_qaoa1_rows``) that descent and ``verify`` evaluate on stacks of points;
-``closed_form`` checks its point and evaluates the kernel on that one row.
+Each constructor builds the operators of one reduction; the closed-form
+expectation they reproduce is written once, as an unchecked row kernel
+(``mu``'s kernels in ``landscape``, ``_boosted_rows``, ``_single_layer_rows``,
+``_qaoa1_rows``) that the family's landscape in ``families`` evaluates on
+stacks of points, for descent and for ``verify``'s check against simulation.
 """
 
 from __future__ import annotations
@@ -77,7 +76,6 @@ def oracular_vqa_instance(g: Graph) -> VqaInstance:
         initial=psi0,
         generators=tuple(SiteRotation(i, d) for i in range(d)),
         observable=observable,
-        closed_form=lambda phi: mu(g, phi),
         family="oracular",
         graph=g,
     )
@@ -118,7 +116,6 @@ def boosted_vqa_instance(g: Graph, k: int) -> VqaInstance:
         initial=psi0,
         generators=gens,
         observable=Diagonal((-1) ** (k - 1) * diag, dense=lambda: _boosted_dense_observable(g, k)),
-        closed_form=lambda phi: boosted_expectation(g, k, phi),
         family="boosted",
         graph=g,
     )
@@ -160,7 +157,6 @@ def logdim_vqa_instance(g: Graph) -> VqaInstance:
         initial=psi0,
         generators=_logdim_generators(d),
         observable=logdim_observable(g),
-        closed_form=lambda phi: mu(g, phi),
         family="logdim",
         graph=g,
     )
@@ -254,18 +250,10 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
     h[0::2] = spec.energies
     h[1::2] = -spec.energies
     psi0 = np.full(2 * d, 1 / math.sqrt(2 * d), dtype=complex)
-    energies = spec.energies
-
-    def closed_form(phi):
-        t = float(np.atleast_1d(np.asarray(phi, dtype=float))[0])
-        _check_phases(g, energies * t)
-        return float(_single_layer_rows(g, energies, np.array([[t]]))[0])
-
     return VqaInstance(
         initial=psi0,
         generators=(Diagonal(h),),
         observable=logdim_observable(g),
-        closed_form=closed_form,
         family="single-layer",
         graph=g,
     )
@@ -274,7 +262,7 @@ def single_layer_instance(g: Graph, m: int) -> VqaInstance:
 # ---------------------------------------------------------------------------
 # QAOA instances
 
-def _qaoa_instance(mixer, cost, layers: int, initial, closed_form, family: str, g: Graph) -> VqaInstance:
+def _qaoa_instance(mixer, cost, layers: int, initial, family: str, g: Graph) -> VqaInstance:
     """QAOA as a VqaInstance: generators (cost, mixer) * layers, observable
     the cost, initial state the mixer ground state.
 
@@ -298,7 +286,6 @@ def _qaoa_instance(mixer, cost, layers: int, initial, closed_form, family: str, 
         initial=psi,
         generators=(cost, mixer) * layers,
         observable=cost,
-        closed_form=closed_form,
         family=family,
         graph=g,
         kind="qaoa",
@@ -382,13 +369,7 @@ def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:
     hc[2 * d, : 2 * d] = tau * plus
     psi0 = np.zeros(dim, dtype=complex)
     psi0[2 * d] = 1.0
-    energies = spec.energies
-
-    def closed_form(beta: float, gamma: float) -> float:
-        _check_phases(g, energies * beta)
-        return float(_qaoa1_rows(g, energies, tau, np.array([[beta, gamma]], dtype=float))[0])
-
-    return _qaoa_instance(Diagonal(hb), hc, 1, psi0, closed_form, "qaoa1", g)
+    return _qaoa_instance(Diagonal(hb), hc, 1, psi0, "qaoa1", g)
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +432,7 @@ def qaoa_multilayer_instance(g: Graph) -> VqaInstance:
     )
     psi0 = np.zeros(dim, dtype=complex)
     psi0[:dim_k] = gs
-    return _qaoa_instance(hb, hc, d, psi0, None, "qaoa-multi", g)
+    return _qaoa_instance(hb, hc, d, psi0, "qaoa-multi", g)
 
 
 def multilayer_optimal_value(g: Graph, maxcut: int) -> float:

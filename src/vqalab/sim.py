@@ -304,15 +304,14 @@ class VqaInstance:
     """Initial state, ordered generator list, and observable on one space.
 
     Generators and observable are Operators; plain arrays are wrapped as
-    Dense. ``closed_form`` maps a phase vector to the analytically known
-    expectation value, where the construction provides one. ``kind`` is
-    "vqa", "qaoa" (generators alternate cost and mixer) or "fermion".
+    Dense. ``kind`` is "vqa", "qaoa" (generators alternate cost and mixer)
+    or "fermion". The closed form an instance reproduces is not part of it:
+    its family's landscape (``families.FAMILIES``) evaluates that.
     """
 
     initial: np.ndarray
     generators: tuple
     observable: Operator
-    closed_form: Optional[Callable] = None
     family: str = ""
     graph: Optional[Graph] = None
     kind: str = "vqa"

@@ -562,6 +562,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and "--tol" in captured.err
 
+    @pytest.mark.parametrize("command", ["optimize", "landscape", "export"])
+    def test_tol_is_a_verify_option(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--family", "oracular", "--random-graph", "3:0.5", "--tol", "1e-9"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --tol" in captured.err
+
     def test_tol_zero_is_accepted(self, capsys):
         main(["verify", "--family", "oracular", "--random-graph", "3:0.5", "--samples", "2", "--tol", "0"])
         assert json.loads(capsys.readouterr().out)["tolerance"] == 0.0
@@ -625,6 +633,16 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "maxcut^k overflows a float" in captured.err and len(captured.err.splitlines()) == 1
+
+    def test_boosting_gradient_overflow_fails(self, capsys):
+        # MaxCut of K6 is 9 and 9^300 is a float, but the squared norm of the
+        # gradient k * cut^(k-1) * grad mu overflows: no step can pass
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc = main(["optimize", "--family", "boosted", "--random-graph", "6:1.0", "--k", "300"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite gradient norm inf during descent\n"
 
     def test_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:

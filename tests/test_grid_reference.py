@@ -1,10 +1,11 @@
 """The grid reference of single-layer and qaoa1 against the scalar loop over
-the whole grid, and their unchecked kernels against the checked closed forms.
+the whole grid, and their unchecked kernels against the written-out closed
+forms.
 
 The oracle is the scalar loop ``min(objective(point(t)) for t in linspace)``
-over the checked ``closed_form``; the reference, which evaluates the same
-grid through the family's row objective, must give the same float, bit for
-bit.
+over conftest's ``single_layer_value`` and ``qaoa1_value``, each closed form
+written out on one point; the reference, which evaluates the same grid
+through the family's row objective, must give the same float, bit for bit.
 """
 
 import math
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import row_wise, scalar_landscape
+from conftest import qaoa1_value, row_wise, scalar_landscape, single_layer_value
 from vqalab import ergodic_energies, maxcut_bruteforce, mu, random_graph
 from vqalab import optimize
 from vqalab.families import FAMILIES, _grid_span
@@ -40,11 +41,11 @@ def grid_cases(draw):
 
 
 def scalar_oracle(family, g, args):
-    """The family's checked closed form along the grid parameter."""
-    inst = FAMILIES[family].build(g, args)
+    """The family's written-out closed form along the grid parameter."""
+    energies = ergodic_energies(g.d, args.m).energies
     if family == "single-layer":
-        return lambda t: inst.closed_form(t)
-    return lambda b: inst.closed_form(b, np.pi / (2 * args.tau))
+        return lambda t: single_layer_value(g, energies, t)
+    return lambda b: qaoa1_value(g, energies, args.tau, b, np.pi / (2 * args.tau))
 
 
 class TestScreenedReference:
@@ -66,22 +67,22 @@ class TestScreenedReference:
     def test_unchecked_landscape_equals_closed_form(self, case, x):
         family, g, args = case
         fam = FAMILIES[family]
-        inst = fam.build(g, args)
-        land = fam.landscape(g, args, inst)
+        land = fam.landscape(g, args, fam.build(g, args))
         x = np.array(x[: land.n_params])
         value = land.objective(x[None])[0]
         energies = ergodic_energies(g.d, args.m).energies
         if family == "single-layer":
-            assert value == inst.closed_form(x[0]) == mu(g, energies * x[0])
+            assert value == single_layer_value(g, energies, x[0]) == mu(g, energies * x[0])
         else:
             beta, gamma, tau = x[0], x[1], args.tau
-            # the closed form as it was written before the kernels
+            # the closed form as it was written before the kernels, with the
+            # public mu
             written_out = (
                 math.sin(tau * gamma) ** 2 * mu(g, energies * beta)
                 + 2 * tau * math.cos(tau * gamma) * math.sin(tau * gamma)
                 * (-math.sin(beta) / g.d * float(np.cos(energies * beta).sum()))
             )
-            assert value == inst.closed_form(beta, gamma) == written_out
+            assert value == qaoa1_value(g, energies, tau, beta, gamma) == written_out
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -14,11 +14,14 @@ from conftest import (
     kernels,
     multistart,
     reference_row_kernels,
+    qaoa1_value,
     row_wise,
     scalar_landscape,
+    single_layer_value,
 )
 from vqalab import (
     OptimizerConfig,
+    ergodic_energies,
     error_metrics,
     maxcut_bruteforce,
     maxcut_greedy,
@@ -371,16 +374,17 @@ class TestReferenceMinimum:
     @pytest.mark.parametrize("family", ["single-layer", "qaoa1"])
     def test_grid_families_sample_and_lower_to_descent(self, family):
         # on K4 the grid runs over t in [0, m^min(d, 3)] = [0, 512], not
-        # [0, m^d], along the first parameter; the scalar closed form on that
-        # span is the oracle
+        # [0, m^d], along the first parameter; the written-out closed form on
+        # that span is the oracle
         k4 = random_graph(4, 1.0, 0)
         args = SimpleNamespace(m=8, tau=0.5, grid_samples=11)
         inst = FAMILIES[family].build(k4, args)
         objective = FAMILIES[family].landscape(k4, args, inst).objective
+        energies = ergodic_energies(4, args.m).energies
         if family == "single-layer":
-            scalar = lambda t: inst.closed_form(t)
+            scalar = lambda t: single_layer_value(k4, energies, t)
         else:
-            scalar = lambda t: inst.closed_form(t, np.pi / (2 * args.tau))
+            scalar = lambda t: qaoa1_value(k4, energies, args.tau, t, np.pi / (2 * args.tau))
         grid_min = min(scalar(t) for t in np.linspace(0.0, 512.0, 11))
         assert grid_min != min(scalar(t) for t in np.linspace(0.0, 4096.0, 11))
         reference = FAMILIES[family].reference
@@ -634,6 +638,25 @@ class TestLockStep:
             descend(kernels(stacked, 1, gradient), np.array([[0.0], [7.0]]), OptimizerConfig())
         with pytest.raises(ValueError, match="at the initial point"):
             descend(kernels(stacked, 1, gradient), np.array([[7.0], [0.0]]), OptimizerConfig())
+
+    @pytest.mark.parametrize("start", [0.25, 1.0], ids=["at-the-start", "after-two-steps"])
+    def test_overflowing_gradient_norm_raises(self, start):
+        # 0.5 |x|^2, whose rung-0 steps halve x, with a gradient of 1e200 per
+        # component at (0.25, 0.25), where its squared norm overflows to inf
+        # and no rung can pass. Row 1 gets there at its start or after two
+        # steps; row 2 fails at its start first, but a loop over single
+        # restarts reaches row 1's error first
+        def value_and_gradient(X):
+            values = np.where(X[:, 0] == 9.0, np.nan, 0.5 * (X * X).sum(axis=1))
+            return values, np.where(X == 0.25, 1e200, X)
+
+        land = kernels(lambda X: value_and_gradient(X)[0], 2, value_and_gradient=value_and_gradient)
+        starts = np.array([[0.7, 0.7], [start, start], [9.0, 9.0]])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match=r"^non-finite gradient norm inf during descent$"):
+                descend(land, starts, OptimizerConfig())
+        (run,) = descend(land, starts[:1], OptimizerConfig())
+        assert run.converged is True
 
     @pytest.mark.parametrize("by_row", [False, True], ids=["stacked", "row-wise"])
     def test_armijo_squares_the_norm_with_pow(self, by_row):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import qaoa1_value, single_layer_value
 from vqalab import (
     apply_circuit,
     boosted_expectation,
@@ -206,20 +207,21 @@ class TestSingleLayer:
     def test_simulation_matches_closed_form(self, d):
         g = random_graph(d, 0.5, d + 7)
         inst = single_layer_instance(g, 16)
+        energies = ergodic_energies(d, 16).energies
         rng = np.random.default_rng(d)
         for _ in range(30):
             t = rng.uniform(0, 16.0 ** min(d, 3))
             assert simulate_expectation(inst, np.array([t])) == pytest.approx(
-                inst.closed_form(t), abs=1e-9
+                single_layer_value(g, energies, t), abs=1e-9
             )
 
     def test_dense_scan_approaches_minus_maxcut(self, k3):
         # Lipschitz slack |E| * eps around the discrete optimum
         m = 64
-        inst = single_layer_instance(k3, m)
+        energies = ergodic_energies(3, m).energies
         mc, _ = maxcut_bruteforce(k3)
         ts = np.linspace(0, float(m) ** 3, 50_000)
-        best = min(inst.closed_form(t) for t in ts)
+        best = min(single_layer_value(k3, energies, t) for t in ts)
         eps = 4 * np.pi / m
         assert best <= -mc + k3.edge_count * eps
 
@@ -243,12 +245,13 @@ class TestQaoaSingleLayer:
         tau = 1e-3
         g = random_graph(d, 0.6, d + 3)
         inst = qaoa_single_layer_instance(g, tau, 16)
+        energies = ergodic_energies(d, 16).energies
         rng = np.random.default_rng(d)
         for _ in range(30):
             beta = rng.uniform(0, 2 * np.pi)
             gamma = rng.uniform(0, 2 * np.pi / tau)
             _, val = qaoa_apply(inst, np.array([beta]), np.array([gamma]))
-            assert val == pytest.approx(inst.closed_form(beta, gamma), abs=1e-9)
+            assert val == pytest.approx(qaoa1_value(g, energies, tau, beta, gamma), abs=1e-9)
 
     def test_rejects_bad_parameters(self, k3):
         with pytest.raises(ValueError, match="tau"):
@@ -472,7 +475,7 @@ class TestQaoaChecks:
     GROUND = np.array([1, 0], dtype=complex)
 
     def build(self, hb=HB, hc=HC, layers=2, initial=GROUND):
-        return _qaoa_instance(hb, hc, layers, initial, None, "qaoa-multi", None)
+        return _qaoa_instance(hb, hc, layers, initial, "qaoa-multi", None)
 
     def test_alternates_cost_and_mixer(self):
         inst = self.build()
