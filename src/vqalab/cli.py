@@ -62,7 +62,8 @@ def cmd_verify(args) -> int:
     for g in _load_graphs(args):
         rng = np.random.default_rng(args.seed)
         inst = family.build(g, args)
-        residuals = family.verify(g, args, inst, family.landscape(g, args, inst).objective, rng)
+        objective = family.landscape(g, args, inst).objective
+        residuals = family.verify(g, args, inst, lambda X: family.report(args, objective(X)), rng)
         ok &= all(r <= args.tol for r in residuals.values())
         # a non-finite residual fails and is written as null: bare NaN is not JSON
         residuals = {name: r if math.isfinite(r) else None for name, r in residuals.items()}
@@ -94,6 +95,7 @@ def cmd_optimize(args) -> int:
         greedy_val, _, _ = maxcut_greedy(g, args.seed)
         lam_min, lam_max = family.spectrum(g, mc, args, inst)
         result = optimize(land, cfg)
+        result.best_value = float(family.report(args, result.best_value))
         ref = family.reference(g, mc, args, land.objective, result.best_value)
         records.append(
             {
@@ -142,7 +144,8 @@ def _check_index(idx: int, n_params: int, what: str) -> None:
 
 def cmd_landscape(args) -> int:
     g = _load_graphs(args)[0]
-    _, land = _landscape(FAMILIES[args.family], g, args)
+    family = FAMILIES[args.family]
+    _, land = _landscape(family, g, args)
     if not args.axis or len(args.axis) > 2:
         raise UsageError("landscape needs 1 or 2 --axis specifications")
     axes = [_parse_axis(a) for a in args.axis]
@@ -180,7 +183,8 @@ def cmd_landscape(args) -> int:
             X = np.tile(base, (flat.size, 1))
             for (idx, *_), column in zip(axes, columns):
                 X[:, idx] = column
-            for point, value in zip(zip(*(c.tolist() for c in columns)), land.objective(X).tolist()):
+            values = family.report(args, land.objective(X)).tolist()
+            for point, value in zip(zip(*(c.tolist() for c in columns)), values):
                 coords = [f"{t:.12g}" for t in point]
                 if not math.isfinite(value):
                     raise ValueError(f"non-finite objective value {value} at ({', '.join(coords)})")

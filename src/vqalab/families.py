@@ -25,7 +25,7 @@ from .graphs import maxcut_bruteforce
 from .landscape import _mu_gradient_rows, _mu_rows, _mu_value_and_gradient_rows
 from .optimize import Landscape, reference_minimum
 from .reductions import (
-    _boosted_rows,
+    _boost,
     _qaoa1_rows,
     _qaoa_rows,
     _single_layer_rows,
@@ -82,25 +82,27 @@ class Family:
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
     is the ``Landscape`` that descent runs on. Its objective is the row
     kernel of the family's closed form, the one place that form is
-    evaluated (the checked public ``mu`` and ``boosted_expectation`` are
-    that kernel on one row); value_and_gradient evaluates once for both
-    (the mu families take np.cos of the stack once), and a family without
-    an analytic gradient takes ``Landscape.central_differences``. Descent
-    calls value_and_gradient at every rung-0 candidate of its line search,
-    rejected ones included, so it must not raise there (a NaN is never
-    read). qaoa-multi's rows, one stacked circuit, match ``qaoa_apply``
-    within round-off, not bit for bit (a one-row stack is bit for bit). The
-    kernels may skip input checks, since their callers (descent from
-    uniform start points, the landscape command's checked grid, the grid
-    reference, verify's draws) pass finite rows and reject a non-finite
-    value.
+    evaluated (the checked public ``mu`` is that kernel on one row);
+    value_and_gradient evaluates once for both (the mu families take np.cos
+    of the stack once), and a family without an analytic gradient takes
+    ``Landscape.central_differences``. Descent calls value_and_gradient at
+    every rung-0 candidate of its line search, rejected ones included, so it
+    must not raise there (a NaN is never read). qaoa-multi's rows, one
+    stacked circuit, match ``qaoa_apply`` within round-off, not bit for bit
+    (a one-row stack is bit for bit). The kernels may skip input checks,
+    since their callers (descent from uniform start points, the landscape
+    command's checked grid, the grid reference, verify's draws) pass finite
+    rows and reject a non-finite value.
+    ``report(args, values)`` maps landscape values to the reported ones
+    (optimize's best value, verify's objective, landscape's values): the
+    identity, but -|mu|^k for boosted, which descends on ``mu``.
     ``reference(g, maxcut, args, objective, best)`` is the ansatz minimum
     <O>_min; a sampled reference evaluates its grid through the row
     objective, and only it may be lowered to the descent's best value
     ``best``.
     ``verify(g, args, inst, objective, rng)`` maps each identity to its max
-    residual, where ``objective`` is the landscape's: a closed form is
-    checked by evaluating that kernel once on the stack of all draws.
+    residual, where ``objective`` is the landscape's as ``report`` maps it:
+    a closed form is checked by evaluating it once on the stack of all draws.
     Optimize and landscape build the instance only if ``needs_instance``.
     """
 
@@ -112,25 +114,10 @@ class Family:
         (lambda X: _mu_value_and_gradient_rows(g, X)),
         g.d,
     )
+    report: Callable = lambda args, values: values
     reference: Callable = lambda g, maxcut, args, objective, best: -float(maxcut)
     verify: Callable = _verify_mu
     needs_instance: bool = False
-
-
-def _boosted_landscape(g, args, inst):
-    k = args.k
-
-    # the chain rule needs mu's values too: one mu evaluation for both, raised
-    # to powers with np.float_power as _boosted_rows does; the gradient kernel
-    # drops the values
-    def value_and_gradient(X):
-        values, gradients = _mu_value_and_gradient_rows(g, X)
-        cut = -values
-        return -np.float_power(cut, k), (k * np.float_power(cut, k - 1))[:, None] * gradients
-
-    return Landscape(
-        (lambda X: _boosted_rows(g, k, X)), (lambda X: value_and_gradient(X)[1]), value_and_gradient, g.d
-    )
 
 
 def _boosted_minimum(maxcut, args) -> float:
@@ -246,7 +233,7 @@ FAMILIES = {
     "boosted": Family(
         build=lambda g, args: boosted_vqa_instance(g, args.k),
         spectrum=lambda g, maxcut, args, inst: (_boosted_minimum(maxcut, args), 0.0),
-        landscape=_boosted_landscape,
+        report=lambda args, values: _boost(values, args.k),
         reference=lambda g, maxcut, args, objective, best: _boosted_minimum(maxcut, args),
         verify=_verify_boosted,
     ),

@@ -2,9 +2,11 @@
 
 Each constructor builds the operators of one reduction; the closed-form
 expectation they reproduce is written once, as an unchecked row kernel
-(``mu``'s kernels in ``landscape``, ``_boosted_rows``, ``_single_layer_rows``,
-``_qaoa1_rows``) that the family's landscape in ``families`` evaluates on
-stacks of points, for descent and for ``verify``'s check against simulation.
+(``mu``'s kernels in ``landscape``, ``_single_layer_rows``, ``_qaoa1_rows``)
+that the family's landscape in ``families`` evaluates on stacks of points, for
+descent and for ``verify``'s check against simulation. Boosted descends on
+``mu``; ``_boost`` maps its values to -|mu|^k where they are reported, and
+``_boosted_rows`` is that map on ``mu``'s kernel.
 """
 
 from __future__ import annotations
@@ -81,10 +83,16 @@ def oracular_vqa_instance(g: Graph) -> VqaInstance:
     )
 
 
+def _boost(values, k: int):
+    # -|mu|^k of mu values: strictly increasing in mu <= 0, so boosted
+    # descends on mu and maps only the values it reports. np.float_power is
+    # C pow, as Python's float ** int is
+    return -np.float_power(-values, k)
+
+
 def _boosted_rows(g: Graph, k: int, X: np.ndarray) -> np.ndarray:
-    # unchecked: -|mu|^k of each row of X. mu <= 0, and np.float_power is C
-    # pow, as Python's float ** int is
-    return -np.float_power(-_mu_rows(g, X), k)
+    # unchecked: the boosted value of each row of X
+    return _boost(_mu_rows(g, X), k)
 
 
 def boosted_expectation(g: Graph, k: int, phi) -> float:

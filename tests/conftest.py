@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from vqalab import Graph, ergodic_energies, parse_graph, qaoa_apply
-from vqalab.landscape import _mu_rows, _sin_exact
+from vqalab.families import FAMILIES
+from vqalab.landscape import _mu_rows, _mu_value_and_gradient_rows, _sin_exact
 from vqalab.optimize import Landscape, descend, optimize
 
 # qaoa-multi's stacked kernels against its one-row kernel: trajectories and
@@ -94,7 +95,8 @@ def qaoa1_value(g, energies, tau, beta, gamma):
 def scalar_landscape(family, g, args, inst):
     """The oracle of the row kernels: the family's (objective, gradient or
     None, n_params) on single points, as ``Family.landscape`` gave them
-    before it returned row kernels."""
+    before it returned row kernels; for boosted, the chain-rule landscape's
+    (chain_rule_landscape)."""
     if family == "boosted":
         k = args.k
         return (
@@ -122,9 +124,10 @@ def reference_mu_gradient_rows(g, X):
 
 
 def reference_row_kernels(family, g, args):
-    """(objective, gradient) of a mu family or boosted as separate row
-    kernels that each evaluate mu's pieces themselves, as ``Family.landscape``
-    returned them before it gave a value-and-gradient kernel too."""
+    """(objective, gradient) of a mu family or boosted's chain-rule landscape
+    as separate row kernels that each evaluate mu's pieces themselves, as
+    ``Family.landscape`` returned them before it gave a value-and-gradient
+    kernel too."""
     if family == "boosted":
         k = args.k
         return (
@@ -132,6 +135,31 @@ def reference_row_kernels(family, g, args):
             (lambda X: (k * np.float_power(-_mu_rows(g, X), k - 1))[:, None] * reference_mu_gradient_rows(g, X)),
         )
     return (lambda X: _mu_rows(g, X)), (lambda X: reference_mu_gradient_rows(g, X))
+
+
+def chain_rule_landscape(g, k):
+    """The boosted landscape -|mu|^k itself, with the chain-rule gradient
+    k |mu|^(k-1) grad mu, as the boosted family descended on it before it
+    descended on mu: one mu evaluation for both, raised to powers with
+    np.float_power. Its gradient scale of about k MaxCut^(k-1) makes
+    descend's line search backtrack, so the descent tests keep it as an
+    input."""
+
+    def value_and_gradient(X):
+        values, gradients = _mu_value_and_gradient_rows(g, X)
+        cut = -values
+        return -np.float_power(cut, k), (k * np.float_power(cut, k - 1))[:, None] * gradients
+
+    return kernels(lambda X: -np.float_power(-_mu_rows(g, X), k), g.d, value_and_gradient=value_and_gradient)
+
+
+def descent_landscape(family, g, args, inst=None):
+    """The Landscape a descent test runs on: the family's, but for "boosted"
+    the chain-rule landscape, whose scalar kernels are scalar_landscape's and
+    whose two-call kernels are reference_row_kernels'."""
+    if family == "boosted":
+        return chain_rule_landscape(g, args.k)
+    return FAMILIES[family].landscape(g, args, inst)
 
 
 def row_wise(f):

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import int_adjacency_mu, qaoa1_value, scalar_landscape, single_layer_value
 from vqalab import (
+    boosted_expectation,
     ergodic_energies,
     families,
     gaussian_expectation,
@@ -262,6 +263,28 @@ class TestOptimizeCommand:
             for key in ("delta", "delta_m", "delta_o"):
                 assert -1e-9 <= rec[key] <= 1 + 1e-9
             assert rec["delta"] == pytest.approx(rec["delta_m"] + rec["delta_o"])
+
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 20])
+    @pytest.mark.parametrize("graph, seed", [("2:1.0", 2), ("6:0.5", 1), ("8:0.5", 100), ("12:0.5", 100)])
+    def test_boosted_restarts_are_oracular_restarts(self, graph, seed, k, capsys):
+        # boosted descends on mu, so from the same starts its restarts are
+        # oracular's, bit for bit; only the best value is mapped, to
+        # -(-mu)^k, which is boosted_expectation at the best point
+        docs = {}
+        for family in ("oracular", "boosted"):
+            argv = ["optimize", "--family", family, "--k", str(k), "--random-graph", graph,
+                    "--instances", "2", "--restarts", "6", "--seed", str(seed)]
+            assert main(argv) == 0
+            docs[family] = json.loads(capsys.readouterr().out)["instances"]
+        d, p = graph.split(":")
+        for i, (oracular, boosted) in enumerate(zip(docs["oracular"], docs["boosted"])):
+            assert [v.hex() for v in boosted["best_params"]] == [v.hex() for v in oracular["best_params"]]
+            assert boosted["iterations_per_restart"] == oracular["iterations_per_restart"]
+            assert boosted["converged"] == oracular["converged"]
+            assert boosted["best_value"].hex() == (-((-oracular["best_value"]) ** k)).hex()
+            g = random_graph(int(d), float(p), seed + i)
+            assert boosted["best_value"].hex() == boosted_expectation(g, k, boosted["best_params"]).hex()
 
 
 class TestLandscapeCommand:
@@ -634,15 +657,30 @@ class TestExitCodes:
         assert captured.out == ""
         assert "maxcut^k overflows a float" in captured.err and len(captured.err.splitlines()) == 1
 
-    def test_boosting_gradient_overflow_fails(self, capsys):
-        # MaxCut of K6 is 9 and 9^300 is a float, but the squared norm of the
-        # gradient k * cut^(k-1) * grad mu overflows: no step can pass
-        with pytest.warns(RuntimeWarning, match="overflow"):
+    def test_boosting_power_300_reports_finite_numbers(self, capsys):
+        # MaxCut of K6 is 9 and 9^300 is a float: descent runs on mu, so no
+        # k * cut^(k-1) gradient scale is formed, and every reported number,
+        # -|mu|^300 included, is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["optimize", "--family", "boosted", "--random-graph", "6:1.0", "--k", "300"])
-        assert rc == 1
+        assert rc == 0
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: non-finite gradient norm inf during descent\n"
+        assert captured.err == ""
+        numbers = []
+
+        def collect(node):
+            if isinstance(node, dict):
+                node = list(node.values())
+            if isinstance(node, list):
+                for item in node:
+                    collect(item)
+            elif isinstance(node, (int, float)) and not isinstance(node, bool):
+                numbers.append(node)
+
+        collect(json.loads(captured.out))
+        assert numbers and all(math.isfinite(v) for v in numbers)
+        assert json.loads(captured.out)["instances"][0]["reference_min"] == -(9.0**300)
 
     def test_unknown_family(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -121,7 +121,6 @@ DIGESTS.update({
     "landscape-qaoa-multi": "9bfc59d997446cef05c2db61a544ca90163b1f456d731cd3be328771a4f73a26",
     "landscape-qaoa1": "a37c68171ddd1fa8eb9f8f02fb53f1125f78287955f261dc17fd164b48c09d1a",
     "landscape-single-layer": "56af86b57eba208f4bd4f677b79d64c71b0fa9bd08fdaa4c9b33a803640ecf36",
-    "optimize-boosted-k2-d2": "650310cac1cec3a5046f179c57610681aa562011694c2fd0ecc05ce942e57572",
     "optimize-fermion-k4": "e710ede421882dd46aef47a061741aea5e57f26ab6aef65ec6e51dc0e723ec30",
     "optimize-logdim-k4": "843bceb4cb3ab7ae9ae9f62714c1a2b8b23e9fd5f669adef5475a0d438f8dfc4",
     "verify-boosted": "d512cd4fea46b4ee5960fc569279bb4c8f3590991d058a93a62ab0498a3067c0",
@@ -135,8 +134,6 @@ DIGESTS.update({
 
 # Recorded while descent still called the checked public mu and mu_gradient.
 DIGESTS.update({
-    "optimize-descent-boosted-seed1": "3a63baf9cd6b91f104962a8d4d2ecf8f9df6043113977f48e83d0e9293945a8a",
-    "optimize-descent-boosted-seed2": "9b81e28eb558dea996cb73259c77b197da9f3d8a25d266483c0fbb85f136af44",
     "optimize-descent-fermion-seed1": "93c1242bc0ef4337b34a243d0018ca61acc9d35d0bb99d4bf4d69c2e991696d5",
     "optimize-descent-fermion-seed2": "1a6f7e47e8145d012caf845d57a011eb8d58d4d02eaace7b916185ffdb38e576",
     "optimize-descent-logdim-seed1": "af217c3a52e92fdec76f0815b3bccb981f191c88a2ce6eb804d9018064bf153e",
@@ -149,6 +146,15 @@ DIGESTS.update({
 DIGESTS.update({
     "optimize-oracular-d6-instances3": "3a9897d7955d32df478d5e731b30e5ef069b796f79800e467493fcc321a24deb",
     "optimize-single-layer-d4-instances2": "a4646a3f68214c85244be03a6351d4855d0512c529d76518a3fbfbdd6ea272c3",
+})
+
+# Re-recorded when boosted moved from descent on -|mu|^k with its chain-rule
+# gradient to descent on mu: its restarts are oracular's from the same starts,
+# and its best value is -|mu|^k of oracular's.
+DIGESTS.update({
+    "optimize-boosted-k2-d2": "fb92265df0a445cc828748b27449a0b7f650674a16d1ca74ba855cc147b50ba2",
+    "optimize-descent-boosted-seed1": "317c1cc81e267808863b8809ef469c56f50b6c5eda7fad55747063b2c4e3ed31",
+    "optimize-descent-boosted-seed2": "111ff119396207409ce443be9b0c12f26d23a4156f114776ba4f7a7db073fc45",
 })
 
 # Raw stdout, recorded with the stdlib's ``json.dumps(sort_keys=True, indent=2)``

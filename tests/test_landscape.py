@@ -11,6 +11,7 @@ from conftest import (
     QAOA_MULTI_TOL,
     central_difference_gradient,
     central_difference_hessian,
+    chain_rule_landscape,
     int_adjacency_gradient,
     int_adjacency_mu,
     qaoa1_value,
@@ -39,7 +40,7 @@ from vqalab.landscape import (
     phases_from_assignment,
 )
 from vqalab.optimize import OptimizerConfig, descend, finite_difference_gradient
-from vqalab.reductions import _qaoa1_rows
+from vqalab.reductions import _boosted_rows, _qaoa1_rows
 
 
 class TestMu:
@@ -294,17 +295,27 @@ class TestRowKernels:
     @KERNEL_SETTINGS
     @given(case=graphs_and_stacks(), k=st.integers(1, 5))
     def test_boosted_rows_are_python_powers(self, case, k):
-        # the kernels against the scalar kernels and against the row
-        # kernels as they were before each evaluated mu once
+        # boosted descends on the mu kernels and reports their values as
+        # -(-mu)^k, bit for bit _boosted_rows and the scalar Python powers;
+        # conftest's chain-rule landscape, the descent tests' input, against
+        # its scalar kernels and its kernels as they were before each
+        # evaluated mu once
         g, X = case
         args = SimpleNamespace(k=k)
-        land = FAMILIES["boosted"].landscape(g, args, None)
-        f, grad, _ = scalar_landscape("boosted", g, args, None)
+        family = FAMILIES["boosted"]
+        land = family.landscape(g, args, None)
         values, gradients = land.value_and_gradient(X)
+        assert bits(values) == bits(land.objective(X)) == bits(_mu_rows(g, X))
+        assert bits(gradients) == bits(land.gradient(X)) == bits(_mu_gradient_rows(g, X))
+        reported = family.report(args, values)
+        assert bits(reported) == bits(_boosted_rows(g, k, X))
+        chain = chain_rule_landscape(g, k)
+        f, grad, _ = scalar_landscape("boosted", g, args, None)
+        chain_values, chain_gradients = chain.value_and_gradient(X)
         reference, reference_gradient = reference_row_kernels("boosted", g, args)
-        assert bits(values) == bits(land.objective(X)) == bits(reference(X))
-        assert bits(gradients) == bits(land.gradient(X)) == bits(reference_gradient(X))
-        for x, value, row in zip(X, values, gradients):
+        assert bits(chain_values) == bits(chain.objective(X)) == bits(reference(X)) == bits(reported)
+        assert bits(chain_gradients) == bits(chain.gradient(X)) == bits(reference_gradient(X))
+        for x, value, row in zip(X, chain_values, chain_gradients):
             assert bits(value) == bits(f(x))
             assert bits(row) == bits(grad(x))
 

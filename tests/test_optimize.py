@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import (
     QAOA_MULTI_TOL,
     central_difference_gradient,
+    descent_landscape,
     gradient_descent,
     kernels,
     multistart,
@@ -477,12 +478,13 @@ class TestLockStep:
     @pytest.mark.parametrize("family, k", LOCK_STEP_CASES)
     @pytest.mark.parametrize("seed", range(3))
     def test_row_kernels_match_the_scalar_loop(self, family, k, seed):
-        # k is boosted's power and qaoa1's coupling tau; boosted runs to the
-        # iteration cap on most graphs past d = 3
+        # k is boosted's power and qaoa1's coupling tau; boosted is the
+        # chain-rule landscape, which runs to the iteration cap on most graphs
+        # past d = 3
         d = 2 + seed % 2 if family == "boosted" else 3 + 2 * seed
         g = random_graph(d, 0.6, 100 * seed + (k if family == "boosted" else 1))
         args = SimpleNamespace(k=k, m=8, tau=k)
-        land = FAMILIES[family].landscape(g, args, None)
+        land = descent_landscape(family, g, args)
         cfg = OptimizerConfig(seed=seed, restarts=4)
         f, grad, _ = scalar_landscape(family, g, args, None)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(land.n_params, cfg)]
@@ -782,11 +784,14 @@ class TestCentralDifferenceProbe:
 
 
 # the optimize-descent benchmark's commands at seed 1, on complete graphs:
-# (family, d, k), and the kernel calls of descend and of the two-call loop
+# (family, d, k), and the kernel calls of descend and of the two-call loop.
+# The boosted command descends on mu, as oracular on K2 does; "boosted" is
+# the chain-rule landscape on the same graph, whose line search backtracks
 DESCENT_COMMANDS = [
     ("oracular", 10, 1, 94, 170),
     ("logdim", 8, 1, 89, 162),
     ("fermion", 8, 1, 89, 162),
+    ("oracular", 2, 1, 93, 170),
     ("boosted", 2, 2, 57, 100),
 ]
 
@@ -795,7 +800,8 @@ class TestFusedDescent:
     """descend on a family's kernels against the two-call loop on the row
     kernels as they were before the value-and-gradient one (conftest's
     reference_row_kernels): the same runs, bit for bit, in no more kernel
-    calls."""
+    calls. "boosted" is conftest's chain-rule landscape, the input on which
+    the line search backtracks."""
 
     @staticmethod
     def both_ways(family, g, k, cfg, taken=None):
@@ -803,7 +809,7 @@ class TestFusedDescent:
         each: ``objective``, ``gradient`` and ``fused`` for descend,
         ``reference`` and ``reference_gradient`` for the loop."""
         args = SimpleNamespace(k=k)
-        land = FAMILIES[family].landscape(g, args, None)
+        land = descent_landscape(family, g, args)
         reference, reference_gradient = reference_row_kernels(family, g, args)
         calls = dict.fromkeys(("objective", "gradient", "fused", "reference", "reference_gradient"), 0)
 
@@ -886,3 +892,21 @@ class TestFusedDescent:
         assert seen == [-1.0]
         assert_same_runs([run], [own])
         assert run.trajectory == [1.0, 0.0] and run.converged is True
+
+
+class TestBoostedDescent:
+    def test_restarts_end_stationary_or_at_the_cap(self):
+        # boosted at k = 20 on G(12, 0.5): on the chain-rule landscape every
+        # restart stopped after 1 or 2 iterations at a point where |grad mu|
+        # is of order 1, since no rung of the ladder absorbs a gradient of
+        # norm about 20 * cut^19. Descent on mu ends each restart at
+        # |grad mu| <= grad_tol or at the iteration cap
+        g = random_graph(12, 0.5, 100)
+        cfg = OptimizerConfig(seed=100, restarts=20)
+        runs = optimize(FAMILIES["boosted"].landscape(g, SimpleNamespace(k=20), None), cfg).runs
+        for run in runs:
+            if run.converged:
+                assert np.linalg.norm(mu_gradient(g, run.params)) <= cfg.grad_tol
+            else:
+                assert len(run.trajectory) == cfg.max_iters + 1
+        assert min(len(run.trajectory) for run in runs) > 10
