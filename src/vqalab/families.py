@@ -82,17 +82,17 @@ class Family:
     is (lambda_min, lambda_max) of its observable. ``landscape(g, args, inst)``
     is the ``Landscape`` that descent runs on. Its objective is the row
     kernel of the family's closed form, the one place that form is
-    evaluated (the checked public ``mu`` is that kernel on one row);
-    value_and_gradient evaluates once for both (the mu families take np.cos
-    of the stack once), and a family without an analytic gradient takes
-    ``Landscape.central_differences``. Descent calls value_and_gradient at
-    every rung-0 candidate of its line search, rejected ones included, so it
-    must not raise there (a NaN is never read). qaoa-multi's rows, one
-    stacked circuit, match ``qaoa_apply`` within round-off, not bit for bit
-    (a one-row stack is bit for bit). The kernels may skip input checks,
-    since their callers (descent from uniform start points, the landscape
-    command's checked grid, the grid reference, verify's draws) pass finite
-    rows and reject a non-finite value.
+    evaluated (the checked public ``mu`` is that kernel on one row), and its
+    gradient is the form's analytic gradient (adjoint for qaoa-multi's
+    circuit); value_and_gradient evaluates once for both with the
+    objective's operations, so its values are the objective's bit for bit.
+    Descent calls value_and_gradient at every rung-0 candidate of its line
+    search, rejected ones included, so it must not raise there (a NaN is
+    never read). qaoa-multi's rows, one stacked circuit, match ``qaoa_apply``
+    within round-off, not bit for bit (a one-row stack is bit for bit). The
+    kernels may skip input checks, since their callers (descent from uniform
+    start points, the landscape command's checked grid, the grid reference,
+    verify's draws) pass finite rows and reject a non-finite value.
     ``report(args, values)`` maps landscape values to the reported ones
     (optimize's best value, verify's objective, landscape's values): the
     identity, but -|mu|^k for boosted, which descends on ``mu``.
@@ -178,18 +178,24 @@ def _grid_reference(points):
     return reference
 
 
+def _rows_landscape(rows, n_params: int) -> Landscape:
+    # the Landscape of a row kernel: rows(X) the values, rows(X, True) the
+    # pair of values and gradients
+    return Landscape(rows, lambda X: rows(X, True)[1], lambda X: rows(X, True), n_params)
+
+
 def _single_layer_landscape(g, args, inst):
     energies = _energies(g, args)
-    return Landscape.central_differences(lambda X: _single_layer_rows(g, energies, X), 1)
+    return _rows_landscape(lambda X, gradient=False: _single_layer_rows(g, energies, X, gradient), 1)
 
 
 def _qaoa1_landscape(g, args, inst):
     energies, tau = _energies(g, args), args.tau
-    return Landscape.central_differences(lambda X: _qaoa1_rows(g, energies, tau, X), 2)
+    return _rows_landscape(lambda X, gradient=False: _qaoa1_rows(g, energies, tau, X, gradient), 2)
 
 
 def _qaoa_multi_landscape(g, args, inst):
-    return Landscape.central_differences(lambda X: _qaoa_rows(inst, X), len(inst.generators))
+    return _rows_landscape(lambda X, gradient=False: _qaoa_rows(inst, X, gradient), len(inst.generators))
 
 
 def _verify_qaoa_multi(g, args, inst, objective, rng):

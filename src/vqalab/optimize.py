@@ -4,7 +4,6 @@ metrics (delta, delta_m, delta_o)."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Optional
@@ -26,14 +25,12 @@ class OptimizerConfig:
     The stop rule is fixed: at most ``max_iters`` iterations, stopping early
     once the gradient norm is at most ``grad_tol``; each line search tries up
     to MAX_BACKTRACKS steps, from ``initial_step`` halving each time, until
-    one meets the Armijo condition with ARMIJO_C; without an analytic
-    gradient, central differences use ``finite_diff_step``.
+    one meets the Armijo condition with ARMIJO_C.
     """
 
     max_iters: ClassVar[int] = 10_000
     grad_tol: ClassVar[float] = 1e-8
     initial_step: ClassVar[float] = 0.5
-    finite_diff_step: ClassVar[float] = 1e-5
 
     seed: int = 0
     restarts: int = 1
@@ -74,59 +71,17 @@ def _row_norms(g: np.ndarray) -> np.ndarray:
     return np.sqrt((g[:, None, :] @ g[:, :, None]).ravel())
 
 
-@functools.lru_cache(maxsize=None)
-def _shift(L: int, h: float) -> np.ndarray:
-    # h * I, one read-only copy per (L, h) that the process differentiates at
-    shift = h * np.eye(L)
-    shift.flags.writeable = False
-    return shift
-
-
-def _shifted_rows(X: np.ndarray, h: float) -> np.ndarray:
-    """The 2 * n * L central-difference points of the rows of X: every
-    X[j] + h * e_i, then every X[j] - h * e_i, in row-major (j, i) order."""
-    shift = _shift(X.shape[1], h)
-    return np.concatenate([X[:, None, :] + shift, X[:, None, :] - shift]).reshape(-1, X.shape[1])
-
-
-def _central_differences(values: np.ndarray, n: int, L: int, h: float) -> np.ndarray:
-    """The (n, L) gradients from the objective values at _shifted_rows' points."""
-    return (values[: n * L] - values[n * L :]).reshape(n, L) / (2 * h)
-
-
-def finite_difference_gradient(objective: Callable, X: np.ndarray, h: float) -> np.ndarray:
-    """Central differences of a row objective at each row of X: the 2 * L
-    shifted copies of every row go through one objective call."""
-    return _central_differences(objective(_shifted_rows(X, h)), *X.shape, h)
-
-
 @dataclass(frozen=True)
 class Landscape:
     """The row kernels that descent runs on: ``objective`` maps an (n,
     n_params) stack of points to their n values, ``gradient`` to their (n,
-    n_params) gradients, and ``value_and_gradient`` to the pair of both.
-    ``central_differences`` is the landscape of an objective without an
-    analytic gradient."""
+    n_params) analytic gradients, and ``value_and_gradient`` to the pair of
+    both, its values those of ``objective`` bit for bit."""
 
     objective: Callable
     gradient: Callable
     value_and_gradient: Callable
     n_params: int
-
-    @classmethod
-    def central_differences(cls, objective: Callable, n_params: int) -> Landscape:
-        """``objective`` with central differences at OptimizerConfig's
-        finite_diff_step as its gradient: ``gradient`` is
-        ``finite_difference_gradient``, and the pair comes from one objective
-        call at the points and their central-difference points
-        (``_shifted_rows``)."""
-        h = OptimizerConfig.finite_diff_step
-
-        def value_and_gradient(X):
-            out = objective(np.concatenate([X, _shifted_rows(X, h)]))
-            return out[: len(X)], _central_differences(out[len(X) :], *X.shape, h)
-
-        return cls(objective, lambda X: finite_difference_gradient(objective, X, h), value_and_gradient, n_params)
 
 
 def descend(land: Landscape, starts, cfg: OptimizerConfig) -> list[DescentResult]:

@@ -1,10 +1,11 @@
 """Instance constructors for every hardness-reduction family.
 
-Each constructor builds the operators of one reduction; the closed-form
-expectation they reproduce is written once, as an unchecked row kernel
-(``mu``'s kernels in ``landscape``, ``_single_layer_rows``, ``_qaoa1_rows``)
-that the family's landscape in ``families`` evaluates on stacks of points, for
-descent and for ``verify``'s check against simulation. Boosted descends on
+Each constructor builds the operators of one reduction; the expectation
+they reproduce is written once, with its analytic gradient, as an unchecked
+row kernel (``mu``'s kernels in ``landscape``, ``_single_layer_rows``,
+``_qaoa1_rows``, and ``_qaoa_rows``' stacked circuit) that the family's
+landscape in ``families`` evaluates on stacks of points, for descent and for
+``verify``'s check against simulation. Boosted descends on
 ``mu``; ``_boost`` maps its values to -|mu|^k where they are reported, and
 ``_boosted_rows`` is that map on ``mu``'s kernel.
 """
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .landscape import _check_phases, _mu_cosine_rows, _mu_rows, mu, reduce_phases
+from .landscape import _check_phases, _mu_cosine_rows, _mu_gradient_cosine_rows, _mu_rows, mu, reduce_phases
 from .sim import (
     DENSE_MAX_QUBITS,
     Blocks,
@@ -243,10 +244,27 @@ def ergodic_phase_errors(phi, spec: ErgodicSpectrum, t: int) -> np.ndarray:
     return errs
 
 
-def _single_layer_rows(g: Graph, energies: np.ndarray, X: np.ndarray) -> np.ndarray:
-    # unchecked: mu at the phases energies * t of each row (t,) of X, which
-    # must be finite
-    return _mu_rows(g, X[:, :1] * energies)
+def _dot_rows(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # each row of A dotted with v, as stacked (1, L) @ (L, 1) products that
+    # give a row what it gives that row alone
+    return (A[:, None, :] @ v[:, None])[:, 0, 0]
+
+
+def _line_rows(g: Graph, energies: np.ndarray, X: np.ndarray, gradient: bool):
+    # unchecked: the phases P = energies * t of each row (t, ...) of X, which
+    # must be finite, their cosines C, mu at them, and with ``gradient`` the
+    # t-derivatives energies . grad mu (else None)
+    P = X[:, :1] * energies
+    C = np.cos(P)
+    dt = _dot_rows(_mu_gradient_cosine_rows(g, P, C), energies) if gradient else None
+    return P, C, _mu_cosine_rows(g, C), dt
+
+
+def _single_layer_rows(g: Graph, energies: np.ndarray, X: np.ndarray, gradient: bool = False):
+    # unchecked: mu at the phases energies * t of each row (t,) of X; with
+    # ``gradient``, the pair of those values and their (n, 1) derivatives
+    _, _, values, dt = _line_rows(g, energies, X, gradient)
+    return (values, dt[:, None]) if gradient else values
 
 
 def single_layer_instance(g: Graph, m: int) -> VqaInstance:
@@ -317,36 +335,57 @@ def qaoa_apply(inst: VqaInstance, beta, gamma) -> tuple[np.ndarray, float]:
 QAOA_BLOCK_AMPLITUDES = 1 << 19
 
 
-def _qaoa_rows(inst: VqaInstance, X: np.ndarray) -> np.ndarray:
+def _qaoa_rows(inst: VqaInstance, X: np.ndarray, gradient: bool = False):
     # unchecked: qaoa_apply(inst, x[:L], x[L:])[1] of each row x of X, for an
-    # instance whose generators are Blocks. Column j of one (dim, n) state
-    # matrix carries row j's angles; a one-row stack is bit for bit
-    # qaoa_apply, larger stacks round their products differently (last bits)
+    # instance whose generators are Blocks, and with ``gradient`` their
+    # adjoint gradients 2 Im <lam_k|H_k|psi_k>, psi and lam = O psi going
+    # back through the circuit as one matrix. Column j of the (dim, n) state
+    # matrix carries row j's angles; a one-row stack's value is bit for bit
+    # qaoa_apply's, larger stacks round differently (last bits)
     L = len(inst.generators) // 2
     # gamma_1, beta_1, gamma_2, ... per row, as qaoa_apply interleaves them
     angles = np.stack((X[:, L:], X[:, :L]), axis=2).reshape(len(X), 2 * L)
     rows = max(1, QAOA_BLOCK_AMPLITUDES // inst.dim)
-    values = np.empty(len(X))
+    values, grads = np.empty(len(X)), np.empty(angles.shape)
     for start in range(0, len(X), rows):
         block = angles[start : start + rows]
-        psi = np.repeat(inst.initial[:, None], len(block), axis=1)
+        n = len(block)
+        psi = np.repeat(inst.initial[:, None], n, axis=1)
         for h, theta in zip(inst.generators, block.T):
             psi = h.apply_exp(psi, theta)
-        opsi = inst.observable.apply(psi)
-        values[start : start + len(block)] = [np.vdot(psi[:, j], opsi[:, j]).real for j in range(len(block))]
-    return values
+        lam = inst.observable.apply(psi)
+        values[start : start + n] = [np.vdot(psi[:, j], lam[:, j]).real for j in range(n)]
+        if gradient:
+            both = np.concatenate((psi, lam), axis=1)
+            for k in reversed(range(2 * L)):
+                h, theta = inst.generators[k], block[:, k]
+                grads[start : start + n, k] = 2 * (both[:, n:].conj() * h.apply(both[:, :n])).sum(axis=0).imag
+                if k:
+                    both = h.apply_exp(both, -np.concatenate((theta, theta)))
+    if not gradient:
+        return values
+    return values, np.concatenate((grads[:, 1::2], grads[:, 0::2]), axis=1)
 
 
-def _qaoa1_rows(g: Graph, energies: np.ndarray, tau: float, X: np.ndarray) -> np.ndarray:
-    # unchecked: the closed form at each row (beta, gamma) of X, for which
-    # energies * beta must be finite. f is mu of the phases energies * beta,
-    # and np.float_power squares with C pow, as Python's float ** 2 does,
-    # where numpy's s ** 2 multiplies s * s
-    C = np.cos(X[:, :1] * energies)
-    f = _mu_cosine_rows(g, C)
-    gfun = -np.sin(X[:, 0]) / g.d * C.sum(axis=1)
-    s, co = np.sin(tau * X[:, 1]), np.cos(tau * X[:, 1])
-    return np.float_power(s, 2) * f + 2 * tau * co * s * gfun
+def _qaoa1_rows(g: Graph, energies: np.ndarray, tau: float, X: np.ndarray, gradient: bool = False):
+    # unchecked: s^2 f + 2 tau c s gfun, s = sin(tau gamma), c = cos(tau
+    # gamma), at each row (beta, gamma) of X, for which energies * beta must
+    # be finite; with ``gradient``, the pair of those values and their (n, 2)
+    # gradients. f is mu at the phases energies * beta (_line_rows), gfun =
+    # -sin(beta) / d * h with h their cosines' sum over each row alone, and
+    # np.float_power squares with C pow, as Python's float ** 2 does
+    P, C, f, df = _line_rows(g, energies, X, gradient)
+    h, sb, tg = C.sum(axis=1), np.sin(X[:, 0]), tau * X[:, 1]
+    gfun = -sb / g.d * h
+    s, co = np.sin(tg), np.cos(tg)
+    s2, w = np.float_power(s, 2), 2 * tau * co * s
+    values = s2 * f + w * gfun
+    if not gradient:
+        return values
+    grads = np.empty((len(X), 2))
+    grads[:, 0] = s2 * df + w * (sb * _dot_rows(np.sin(P), energies) - np.cos(X[:, 0]) * h) / g.d
+    grads[:, 1] = w * f + 2 * tau * tau * (co * co - s2) * gfun
+    return values, grads
 
 
 def qaoa_single_layer_instance(g: Graph, tau: float, m: int) -> VqaInstance:

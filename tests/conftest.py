@@ -8,8 +8,8 @@ from vqalab.families import FAMILIES
 from vqalab.landscape import _mu_rows, _mu_value_and_gradient_rows, _sin_exact
 from vqalab.optimize import Landscape, descend, optimize
 
-# qaoa-multi's stacked kernels against its one-row kernel: trajectories and
-# params of a descent, and the value-and-gradient kernel's values
+# qaoa-multi's stacked kernels against its one-row kernels: trajectories and
+# params of a descent
 QAOA_MULTI_TOL = 1e-9
 
 
@@ -82,6 +82,11 @@ def single_layer_value(g, energies, t):
     return int_adjacency_mu(g, energies * t)
 
 
+def single_layer_gradient(g, energies, t):
+    """The chain rule d/dt mu(energies * t) = energies . grad mu(energies * t)."""
+    return np.array([float(energies @ int_adjacency_gradient(g, energies * t))])
+
+
 def qaoa1_value(g, energies, tau, beta, gamma):
     """The qaoa1 closed form sin^2(tau gamma) f(beta) + 2 tau cos(tau gamma)
     sin(tau gamma) g(beta), with f = mu at energies * beta and g = -sin(beta)
@@ -92,11 +97,29 @@ def qaoa1_value(g, energies, tau, beta, gamma):
     return math.sin(tau * gamma) ** 2 * f + 2 * tau * math.cos(tau * gamma) * math.sin(tau * gamma) * gfun
 
 
+def qaoa1_gradient(g, energies, tau, beta, gamma):
+    """The (beta, gamma) gradient of qaoa1_value by the chain rule: f' is
+    single_layer_gradient, g' = -(cos(beta) h + sin(beta) h') / d with h the
+    sum of cos(energies * beta) and h' = -energies . sin(energies * beta),
+    d/dgamma sin^2(tau gamma) = 2 tau sin cos and d/dgamma cos sin = tau
+    (cos^2 - sin^2)."""
+    phases = energies * beta
+    f, df = int_adjacency_mu(g, phases), single_layer_gradient(g, energies, beta)[0]
+    h, dh = float(np.cos(phases).sum()), -float(energies @ np.sin(phases))
+    gfun = -math.sin(beta) / g.d * h
+    dgfun = -(math.cos(beta) * h + math.sin(beta) * dh) / g.d
+    s, c = math.sin(tau * gamma), math.cos(tau * gamma)
+    return np.array([s * s * df + 2 * tau * c * s * dgfun, 2 * tau * s * c * f + 2 * tau * tau * (c * c - s * s) * gfun])
+
+
 def scalar_landscape(family, g, args, inst):
     """The oracle of the row kernels: the family's (objective, gradient or
-    None, n_params) on single points, as ``Family.landscape`` gave them
-    before it returned row kernels; for boosted, the chain-rule landscape's
-    (chain_rule_landscape)."""
+    None, n_params) on single points, written out; for boosted, the
+    chain-rule landscape's (chain_rule_landscape). qaoa-multi's objective is
+    qaoa_apply, and it has no written-out gradient: central differences of
+    qaoa_apply are its oracle. single-layer's and qaoa1's gradients are the
+    chain rule in another order of operations than the kernels', so they
+    match those within round-off, not bit for bit."""
     if family == "boosted":
         k = args.k
         return (
@@ -106,10 +129,14 @@ def scalar_landscape(family, g, args, inst):
         )
     if family == "single-layer":
         energies = ergodic_energies(g.d, args.m).energies
-        return (lambda x: single_layer_value(g, energies, x[0])), None, 1
+        return (lambda x: single_layer_value(g, energies, x[0])), (lambda x: single_layer_gradient(g, energies, x[0])), 1
     if family == "qaoa1":
         energies = ergodic_energies(g.d, args.m).energies
-        return (lambda x: qaoa1_value(g, energies, args.tau, x[0], x[1])), None, 2
+        return (
+            (lambda x: qaoa1_value(g, energies, args.tau, x[0], x[1])),
+            (lambda x: qaoa1_gradient(g, energies, args.tau, x[0], x[1])),
+            2,
+        )
     if family == "qaoa-multi":
         L = len(inst.generators) // 2
         return (lambda x: qaoa_apply(inst, x[:L], x[L:])[1]), None, 2 * L
@@ -168,13 +195,55 @@ def row_wise(f):
     return lambda X: np.array([f(x) for x in X], dtype=float)
 
 
+# the step of the central-difference oracle
+FD_STEP = 1e-5
+
+
+def shifted_rows(X, h):
+    """The 2 * n * L central-difference points of the rows of X: every
+    X[j] + h * e_i, then every X[j] - h * e_i, in row-major (j, i) order."""
+    shift = h * np.eye(X.shape[1])
+    return np.concatenate([X[:, None, :] + shift, X[:, None, :] - shift]).reshape(-1, X.shape[1])
+
+
+def central_differences(values, n, L, h):
+    """The (n, L) gradients from the objective values at shifted_rows' points."""
+    return (values[: n * L] - values[n * L :]).reshape(n, L) / (2 * h)
+
+
+def finite_difference_gradient(objective, X, h=FD_STEP):
+    """Central differences of a row objective at each row of X: the 2 * L
+    shifted copies of every row go through one objective call."""
+    return central_differences(objective(shifted_rows(X, h)), *X.shape, h)
+
+
+def central_difference_landscape(objective, n_params, h=FD_STEP):
+    """The Landscape of an objective with central differences as its
+    gradient: ``gradient`` is finite_difference_gradient, and the pair comes
+    from one objective call at the points and their central-difference
+    points (shifted_rows), so that a line search's rung-0 call carries the
+    stencil of its candidates. The functions are looked up at call time, so
+    a test can spy on them."""
+
+    def value_and_gradient(X):
+        out = objective(np.concatenate([X, shifted_rows(X, h)]))
+        return out[: len(X)], central_differences(out[len(X) :], *X.shape, h)
+
+    return Landscape(objective, lambda X: finite_difference_gradient(objective, X, h), value_and_gradient, n_params)
+
+
+def one_row(kernel):
+    """A row kernel on one point: kernel of the one-row stack x[None]."""
+    return lambda x: kernel(x[None])[0]
+
+
 def kernels(objective, n_params, gradient=None, value_and_gradient=None):
     """The Landscape of row kernels where a test gives one gradient kernel or
     none: the other is made from the one given (``value_and_gradient(X)[1]``,
     or ``(objective(X), gradient(X))``), and without either, central
-    differences stand in."""
+    differences stand in (central_difference_landscape)."""
     if gradient is None and value_and_gradient is None:
-        return Landscape.central_differences(objective, n_params)
+        return central_difference_landscape(objective, n_params)
     if gradient is None:
         gradient = lambda X: value_and_gradient(X)[1]
     elif value_and_gradient is None:

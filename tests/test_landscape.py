@@ -1,3 +1,4 @@
+import functools
 import math
 from itertools import product
 from types import SimpleNamespace
@@ -8,15 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
-    QAOA_MULTI_TOL,
+    FD_STEP,
     central_difference_gradient,
     central_difference_hessian,
     chain_rule_landscape,
+    finite_difference_gradient,
     int_adjacency_gradient,
     int_adjacency_mu,
     qaoa1_value,
     reference_mu_gradient_rows,
     reference_row_kernels,
+    row_wise,
     scalar_landscape,
 )
 from vqalab import (
@@ -39,8 +42,8 @@ from vqalab.landscape import (
     discrete_signs,
     phases_from_assignment,
 )
-from vqalab.optimize import OptimizerConfig, descend, finite_difference_gradient
-from vqalab.reductions import _boosted_rows, _qaoa1_rows
+from vqalab.optimize import OptimizerConfig, descend
+from vqalab.reductions import _boosted_rows, _qaoa1_rows, _qaoa_rows, _single_layer_rows
 
 
 class TestMu:
@@ -198,6 +201,29 @@ def bits(x) -> bytes:
 
 
 KERNEL_SETTINGS = settings(max_examples=200, deadline=None)
+# the written-out chain rules against the kernels, relative to the larger
+# of 1 and the gradient's size: the two orders of operations differ in the
+# last bits
+CHAIN_RULE_TOL = 1e-12
+
+
+def assert_chain_rule(row, want):
+    assert np.abs(row - want).max() <= CHAIN_RULE_TOL * max(1.0, np.abs(want).max())
+
+
+def fd_bound(h, freq, size):
+    """A bound on the error of central differences at step h of a function
+    whose values are at most ``size`` in magnitude and which oscillates at
+    rates up to ``freq``: the truncation h^2 |f'''| / 6, with |f'''| at most
+    freq^3 size, and the round-off of a difference of two values over 2h,
+    both doubled."""
+    return 2 * (h * h * freq**3 / 6 + np.finfo(float).eps / h) * (1 + size)
+
+
+@functools.lru_cache(maxsize=None)
+def qaoa_multi_instance(d):
+    """qaoa-multi's instance on K_d, built once per d."""
+    return FAMILIES["qaoa-multi"].build(random_graph(d, 1.0, 0), None)
 phase = st.one_of(
     st.floats(-1e3, 1e3),
     st.integers(-300, 300).map(lambda k: k * np.pi),
@@ -384,35 +410,116 @@ class TestRowKernels:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("d", [2, 3])
     def test_landscape_kernels_agree(self, family, d):
-        # value_and_gradient is the pair of the other two kernels, bit for
-        # bit; qaoa-multi's within QAOA_MULTI_TOL, since its pair comes from
-        # one call on a stack enlarged by the central-difference points. A
-        # family without a scalar gradient (conftest's scalar_landscape) has
-        # finite_difference_gradient of its objective as its gradient, and
-        # every family's width is that of its scalar kernels
+        # value_and_gradient's values are the objective's and its gradients
+        # the gradient kernel's, bit for bit, for every family; the
+        # gradients match the written-out scalar gradients (conftest's
+        # scalar_landscape) to CHAIN_RULE_TOL, but for boosted, whose scalar
+        # kernels are the chain-rule landscape's, and qaoa-multi's match
+        # central differences of qaoa_apply. Every family's width is that of
+        # its scalar kernels
         g = random_graph(d, 1.0, d)
         args = SimpleNamespace(k=2, m=8, tau=0.5)
         fam = FAMILIES[family]
         inst = fam.build(g, args) if fam.needs_instance else None
         land = fam.landscape(g, args, inst)
-        _, scalar_gradient, n_params = scalar_landscape(family, g, args, inst)
+        f, scalar_gradient, n_params = scalar_landscape(family, g, args, inst)
         assert land.n_params == n_params
         X = np.random.default_rng(d).uniform(0.0, 2 * np.pi, (5, land.n_params))
         values, gradients = land.value_and_gradient(X)
         assert values.shape == (5,) and gradients.shape == X.shape
+        assert bits(values) == bits(land.objective(X))
+        assert bits(gradients) == bits(land.gradient(X))
         if family == "qaoa-multi":
-            assert np.abs(values - land.objective(X)).max() <= QAOA_MULTI_TOL
-            assert np.abs(gradients - land.gradient(X)).max() <= QAOA_MULTI_TOL
+            fd = finite_difference_gradient(row_wise(f), X)
+            assert np.abs(gradients - fd).max() <= fd_bound(FD_STEP, 6.0, 1.0)
+        elif family != "boosted":
+            for x, row in zip(X, gradients):
+                assert_chain_rule(row, scalar_gradient(x))
+
+    @KERNEL_SETTINGS
+    @given(case=graphs_and_stacks(), m=st.sampled_from([7, 8, 64]), tau=st.floats(1e-3, 10.0))
+    def test_grid_family_gradients(self, case, m, tau):
+        # the fused kernels of single-layer and qaoa1: their values are the
+        # objective's bit for bit, each row's value and gradient are that
+        # row's evaluated alone, bit for bit, and the gradients match the
+        # written-out chain rule (conftest's single_layer_gradient and
+        # qaoa1_gradient) to CHAIN_RULE_TOL
+        g, X = case
+        energies = ergodic_energies(g.d, m).energies
+        args = SimpleNamespace(m=m, tau=tau)
+        kernels = {
+            "single-layer": (lambda Y, gradient=False: _single_layer_rows(g, energies, Y, gradient)),
+            "qaoa1": (lambda Y, gradient=False: _qaoa1_rows(g, energies, tau, Y, gradient)),
+        }
+        for family, rows in kernels.items():
+            land = FAMILIES[family].landscape(g, args, None)
+            _, scalar_gradient, n_params = scalar_landscape(family, g, args, None)
+            T = np.ascontiguousarray(X[:, :n_params])
+            values, gradients = rows(T, True)
+            assert bits(values) == bits(rows(T)) == bits(land.objective(T))
+            assert bits(land.value_and_gradient(T)[1]) == bits(land.gradient(T)) == bits(gradients)
+            for t, value, row in zip(T, values, gradients):
+                alone_value, alone_rows = rows(t[None], True)
+                assert bits(alone_value) == bits(value) and bits(alone_rows[0]) == bits(row)
+                assert_chain_rule(row, scalar_gradient(t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["single-layer", "qaoa1", "qaoa-multi"]),
+        d=st.integers(2, 6),
+        m=st.sampled_from([7, 8, 64]),
+        tau=st.sampled_from([0.5, 1e-3]) | st.floats(1e-3, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gradients_match_central_differences(self, family, d, m, tau, seed):
+        # each fused kernel's gradients, the family landscape's bit for bit,
+        # against central differences of its objective at eight random rows
+        # in [0, 2 pi)^L, within fd_bound: qaoa-multi on K2 and K3 (its
+        # generators' norms are at most 3, its cost's 1), the others on
+        # G(d, 0.6)
+        if family == "qaoa-multi":
+            g = random_graph(2 + d % 2, 1.0, 0)
+            inst = qaoa_multi_instance(g.d)
+            rows = lambda Y, gradient=False: _qaoa_rows(inst, Y, gradient)
+            freq, size = 6.0, 1.0
         else:
-            assert bits(values) == bits(land.objective(X))
-            assert bits(gradients) == bits(land.gradient(X))
-        if scalar_gradient is None:
-            fd = finite_difference_gradient(land.objective, X, OptimizerConfig.finite_diff_step)
-            assert bits(land.gradient(X)) == bits(fd)
+            g, inst = random_graph(d, 0.6, seed % 1000), None
+            energies = ergodic_energies(d, m).energies
+            if family == "single-layer":
+                rows = lambda Y, gradient=False: _single_layer_rows(g, energies, Y, gradient)
+                freq, size = energies.sum(), g.edge_count
+            else:
+                rows = lambda Y, gradient=False: _qaoa1_rows(g, energies, tau, Y, gradient)
+                freq, size = max(1.0 + energies.sum(), 2 * tau), g.edge_count + 2 * tau
+        land = FAMILIES[family].landscape(g, SimpleNamespace(m=m, tau=tau), inst)
+        X = np.random.default_rng(seed).uniform(0.0, 2 * np.pi, (8, land.n_params))
+        _, gradients = rows(X, True)
+        assert bits(land.gradient(X)) == bits(gradients)
+        fd = finite_difference_gradient(rows, X)
+        assert np.abs(gradients - fd).max() <= fd_bound(FD_STEP, freq, size)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_qaoa_multi_adjoint_matches_qaoa_apply(self, d):
+        # the adjoint gradient of each row against central differences of
+        # qaoa_apply on that row alone, and its values against qaoa_apply:
+        # a row alone bit for bit, in the stack within round-off
+        g = random_graph(d, 1.0, 0)
+        inst = qaoa_multi_instance(d)
+        X = np.random.default_rng(d).uniform(0.0, 2 * np.pi, (3, 2 * d))
+        values, gradients = _qaoa_rows(inst, X, True)
+        f, _, _ = scalar_landscape("qaoa-multi", g, None, inst)
+        for x, value, row in zip(X, values, gradients):
+            assert abs(value - f(x)) <= 1e-13
+            assert np.abs(row - central_difference_gradient(f, x, FD_STEP)).max() <= fd_bound(FD_STEP, 6.0, 1.0)
+            alone_value, alone_rows = _qaoa_rows(inst, x[None], True)
+            assert bits(alone_value[0]) == bits(f(x))
+            assert np.abs(alone_rows[0] - row).max() <= 1e-13
 
     @KERNEL_SETTINGS
     @given(case=graphs_and_stacks())
     def test_finite_differences_on_rows(self, case):
+        # conftest's stacked central differences, the oracle above, against
+        # the scalar loop of central differences, bit for bit
         g, X = case
         rows = finite_difference_gradient(lambda Y: _mu_rows(g, Y), X, 1e-5)
         args, T = SimpleNamespace(m=8), X[:, :1]

@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import (
     QAOA_MULTI_TOL,
-    central_difference_gradient,
     descent_landscape,
+    finite_difference_gradient,
     gradient_descent,
     kernels,
     multistart,
+    one_row,
     reference_row_kernels,
     qaoa1_value,
     row_wise,
@@ -33,7 +35,6 @@ from vqalab import (
     reference_minimum,
     round_to_discrete,
 )
-from vqalab import optimize as optimize_module
 from vqalab.families import FAMILIES
 from vqalab.landscape import is_discrete_local_min, phases_from_assignment
 from vqalab.optimize import (
@@ -47,16 +48,13 @@ from vqalab.optimize import (
     _STEP_ARRAY,
     build_report,
     descend,
-    finite_difference_gradient,
     optimize,
 )
 
 
-def scalar_gradient_descent(objective, init, cfg, gradient=None) -> DescentResult:
+def scalar_gradient_descent(objective, init, cfg, gradient) -> DescentResult:
     """The oracle: descent from one start, one restart at a time, as the
     package ran it before restarts descended in lock step."""
-    if gradient is None:
-        gradient = lambda x: central_difference_gradient(objective, x, cfg.finite_diff_step)
     x = np.asarray(init, dtype=float).copy()
     fx = objective(x)
     if not math.isfinite(fx):
@@ -98,7 +96,7 @@ def two_call_descend(objective, starts, cfg, gradient=None, taken=None) -> list[
     call per line-search block, the blocks shared as descend shares them.
     ``taken``, where given, collects the rung of every step taken."""
     if gradient is None:
-        gradient = lambda X: finite_difference_gradient(objective, X, cfg.finite_diff_step)
+        gradient = lambda X: finite_difference_gradient(objective, X)
     x = np.array(starts, dtype=float)
     fx = objective(x).tolist()
     trajectories = [[v] for v in fx]
@@ -487,6 +485,10 @@ class TestLockStep:
         land = descent_landscape(family, g, args)
         cfg = OptimizerConfig(seed=seed, restarts=4)
         f, grad, _ = scalar_landscape(family, g, args, None)
+        if family in ("single-layer", "qaoa1"):
+            # their written-out chain rules match the gradient kernel within
+            # round-off only, so the loop takes that kernel on one row
+            grad = one_row(land.gradient)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(land.n_params, cfg)]
         assert_same_runs(optimize(land, cfg).runs, expected)
         assert_same_runs(multistart(f, land.n_params, cfg, grad).runs, expected)
@@ -503,10 +505,11 @@ class TestLockStep:
 
     @pytest.mark.parametrize("text", ["2\n1 2", "3\n1 2\n2 3\n1 3"], ids=["K2", "K3"])
     def test_qaoa_multi_matches_the_scalar_loop(self, text):
-        # qaoa-multi's rows are one stacked circuit, on finite differences:
-        # its values move in the last bits with the stack around a row, so
-        # runs match the qaoa_apply loop within QAOA_MULTI_TOL, not bit for
-        # bit (worst gap measured 4.3e-11); 40 iterations keep the loop short
+        # qaoa-multi's rows are one stacked circuit: its values and adjoint
+        # gradients move in the last bits with the stack around a row, so
+        # runs match the loop over qaoa_apply and the gradient kernel on one
+        # row within QAOA_MULTI_TOL, not bit for bit (worst gap measured
+        # 3.6e-15); 40 iterations keep the loop short
         class Short(OptimizerConfig):
             max_iters = 40
 
@@ -515,7 +518,8 @@ class TestLockStep:
         inst = family.build(g, None)
         land = family.landscape(g, None, inst)
         cfg = Short(seed=1, restarts=3)
-        f, grad, _ = scalar_landscape("qaoa-multi", g, None, inst)
+        f, _, _ = scalar_landscape("qaoa-multi", g, None, inst)
+        grad = one_row(land.gradient)
         expected = [scalar_gradient_descent(f, x0, cfg, grad) for x0 in scalar_starts(land.n_params, cfg)]
         runs = optimize(land, cfg).runs
         assert len(runs) == len(expected)
@@ -683,10 +687,13 @@ class TestLockStep:
 
 
 class TestCentralDifferenceProbe:
-    """Without a gradient, descend takes the central differences at a rung-0
-    step from the objective call of the line search that took it; the
-    two-call loop calls the objective for them, one call per iteration. The
-    two must be the same runs, bit for bit."""
+    """On conftest's central-difference landscape, whose value-and-gradient
+    kernel carries the stencil of its points in one objective call, descend
+    takes the central differences at a rung-0 step from the objective call
+    of the line search that took it; the two-call loop calls the objective
+    for them, one call per iteration. The two must be the same runs, bit for
+    bit: descend must handle a fused kernel whose gradients at a rejected
+    candidate go unread."""
 
     @staticmethod
     def both_ways(objective, n_params, cfg, monkeypatch):
@@ -696,13 +703,13 @@ class TestCentralDifferenceProbe:
         iterations whose gradients came from such a call. Every iteration
         with rows left, and the end after max_iters, takes one gradient, so
         descend takes as many as its longest trajectory has values."""
-        spied = {name: 0 for name in ("_shifted_rows", "finite_difference_gradient")}
+        spied = {name: 0 for name in ("shifted_rows", "finite_difference_gradient")}
         for name in spied:
-            def spy(*args, _f=getattr(optimize_module, name), _name=name):
+            def spy(*args, _f=getattr(conftest, name), _name=name):
                 spied[_name] += 1
                 return _f(*args)
 
-            monkeypatch.setattr(optimize_module, name, spy)
+            monkeypatch.setattr(conftest, name, spy)
         calls = []
 
         def counted(X):
@@ -712,7 +719,7 @@ class TestCentralDifferenceProbe:
         probed = optimize(kernels(counted, n_params), cfg).runs
         fd = spied["finite_difference_gradient"]
         gradients = max(len(run.trajectory) for run in probed)
-        probe = {"calls": len(calls), "stencils": spied["_shifted_rows"] - fd, "reads": gradients - fd}
+        probe = {"calls": len(calls), "stencils": spied["shifted_rows"] - fd, "reads": gradients - fd}
         calls.clear()
         own = two_call_descend(counted, np.array(scalar_starts(n_params, cfg)), cfg)
         assert_same_runs(probed, own)
@@ -751,10 +758,11 @@ class TestCentralDifferenceProbe:
         ids=["single-layer-K3", "qaoa1-K2"],
     )
     def test_optimize_grid_commands(self, family, text, args, restarts, calls, own_calls, monkeypatch):
-        # the descents of the optimize-grid benchmark's commands at seed 1
-        # (qaoa1 at the CLI's default --m 64): restarts converge at different
-        # iterations, so the stack shrinks, and on qaoa1 a row backtracks past
-        # rung 0 in a block that carried the stencil, which then goes unread
+        # the optimize-grid benchmark's commands at seed 1 (qaoa1 at the
+        # CLI's default --m 64), descending on central differences of their
+        # objectives: restarts converge at different iterations, so the stack
+        # shrinks, and on qaoa1 a row backtracks past rung 0 in a block that
+        # carried the stencil, which then goes unread
         g = parse_graph(text)
         land = FAMILIES[family].landscape(g, args, None)
         cfg = OptimizerConfig(seed=1, restarts=restarts)
