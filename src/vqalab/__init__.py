@@ -20,7 +20,6 @@ from .landscape import (
     round_to_discrete,
 )
 from .sim import (
-    Dense,
     Diagonal,
     SiteRotation,
     VqaInstance,

@@ -28,6 +28,10 @@ class UsageError(ValueError):
 
 
 def _load_graphs(args) -> list[Graph]:
+    if args.graph is not None and args.random_graph is not None:
+        raise UsageError("--graph and --random-graph conflict: give one graph source")
+    if args.instances > 1 and (args.graph is not None or args.command in ("landscape", "export")):
+        raise UsageError(f"--instances {args.instances} needs --random-graph, in verify or optimize")
     if args.graph is not None:
         with open(args.graph) as fh:
             return [parse_graph(fh.read())]

@@ -18,14 +18,15 @@ from .graphs import Graph
 from .sim import IMAG_TOL, Blocks, Diagonal, Operator, VqaInstance, _as_operator, assert_hermitian
 
 FOCK_MAX_MODES = 8
+ZERO_MODE_TOL = 1e-12
 
 
-def ground_covariance(h, zero_tol: float = 1e-12) -> np.ndarray:
+def ground_covariance(h) -> np.ndarray:
     """Zero-temperature covariance: projector onto the negative-energy
     eigenspace, with weight 1/2 on zero modes (degenerate limit)."""
     h = assert_hermitian(h)
     vals, vecs = np.linalg.eigh(h)
-    occ = np.where(vals < -zero_tol, 1.0, np.where(vals > zero_tol, 0.0, 0.5))
+    occ = np.where(vals < -ZERO_MODE_TOL, 1.0, np.where(vals > ZERO_MODE_TOL, 0.0, 0.5))
     return (vecs * occ) @ vecs.conj().T
 
 
@@ -33,8 +34,8 @@ def evolve_coefficient(o, generators, phi) -> np.ndarray:
     """Heisenberg evolution of the observable's coefficient matrix:
     o(phi) = w o w^dag with w = e^{i h_L phi_L} ... e^{i h_1 phi_1}.
 
-    Generators are Operators (matrices are wrapped as Dense); w is the
-    identity, its columns passed through every ``apply_exp(., -phi)``.
+    Generators are Operators (matrices are wrapped as one-block Blocks); w
+    is the identity, its columns passed through every ``apply_exp(., -phi)``.
     """
     o = assert_hermitian(o)
     gens = [_as_operator(h) for h in generators]

@@ -101,12 +101,12 @@ def round_to_discrete(g: Graph, phi) -> np.ndarray:
     return phi
 
 
-def discrete_signs(phi, tol: float = DISCRETE_TOL) -> np.ndarray:
-    """Map angles within tol of {0, pi} (mod 2*pi) to cosine signs +/-1."""
+def discrete_signs(phi) -> np.ndarray:
+    """Map angles within DISCRETE_TOL of {0, pi} (mod 2*pi) to cosine signs +/-1."""
     red = reduce_phases(phi)
     signs = np.empty(red.shape, dtype=int)
-    near_zero = (red <= tol) | (red >= 2 * np.pi - tol)
-    near_pi = np.abs(red - np.pi) <= tol
+    near_zero = (red <= DISCRETE_TOL) | (red >= 2 * np.pi - DISCRETE_TOL)
+    near_pi = np.abs(red - np.pi) <= DISCRETE_TOL
     if not np.all(near_zero | near_pi):
         raise ValueError("phase vector is not discrete (entries must be 0 or pi)")
     signs[near_zero] = 1
@@ -114,13 +114,13 @@ def discrete_signs(phi, tol: float = DISCRETE_TOL) -> np.ndarray:
     return signs
 
 
-def is_discrete_local_min(g: Graph, phi, tol: float = DISCRETE_TOL) -> bool:
+def is_discrete_local_min(g: Graph, phi) -> bool:
     """True iff no single 0 <-> pi swap strictly decreases mu.
 
     Flipping coordinate i changes mu by -c_i * (A c)_i, so the point is a
     local minimum iff c_i * (A c)_i <= 0 for all i.
     """
-    c = discrete_signs(_check_phases(g, phi), tol)
+    c = discrete_signs(_check_phases(g, phi))
     return bool(np.all(c * (g.adjacency @ c) <= 0))
 
 

@@ -293,9 +293,9 @@ def _qaoa_instance(mixer, cost, layers: int, initial, family: str, g: Graph) -> 
     the cost, initial state the mixer ground state.
 
     ``mixer`` and ``cost`` are Operators or Hermitian matrices, wrapped as
-    Dense. The operators are shared by every layer, so each is diagonalised
-    once: the mixer here, for the ground-state check, and the cost on first
-    use.
+    one-block Blocks (the qaoa1 cost is one). The operators are shared by
+    every layer, so each is diagonalised once: the mixer here, for the
+    ground-state check, and the cost on first use.
     """
     mixer = _as_operator(mixer)
     cost = _as_operator(cost)

@@ -1,10 +1,10 @@
 """Hermitian operators and exact state-vector simulation.
 
-Operators come in four forms: Diagonal (a real diagonal), SiteRotation
-(sigma_y/2 on chosen qubits, applied as 2x2 rotations), Blocks (a
+Operators come in three forms: Diagonal (a real diagonal), SiteRotation
+(sigma_y/2 on chosen qubits, applied as 2x2 rotations) and Blocks (a
 block-diagonal matrix in groups of (index, blocks, kinds), each distinct
-block diagonalised once, in batches) and Dense (a matrix diagonalised once
-and cached). Dense matrices of the structured forms are made only by
+block diagonalised once, in batches, and cached). A Hermitian matrix is a
+one-block Blocks. The structured forms make their dense matrices only in
 ``to_dense()``, for export and as the test oracle.
 """
 
@@ -23,24 +23,24 @@ NORM_TOL = 1e-10
 IMAG_TOL = 1e-10
 
 
-def assert_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def assert_hermitian(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("operator must be a square matrix")
     if not np.isfinite(a).all():
         raise ValueError("operator entries must be finite")
-    if np.abs(a - a.conj().T).max() > tol:
+    if np.abs(a - a.conj().T).max() > HERMITIAN_TOL:
         raise ValueError("operator is not Hermitian")
     return a
 
 
-def assert_state(psi, tol: float = NORM_TOL) -> np.ndarray:
+def assert_state(psi) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     if psi.ndim != 1:
         raise ValueError("state must be a vector")
     if not np.isfinite(psi).all():
         raise ValueError("state entries must be finite")
-    if abs(np.linalg.norm(psi) - 1.0) > tol:
+    if abs(np.linalg.norm(psi) - 1.0) > NORM_TOL:
         raise ValueError("state is not normalized")
     return psi
 
@@ -68,7 +68,7 @@ def check_state_size(n_qubits: int) -> None:
 
 
 def _site_operator(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    """Dense 2^n matrix acting with ``op`` on one qubit (big-endian site order).
+    """The 2^n matrix acting with ``op`` on one qubit (big-endian site order).
 
     The chain of Kronecker products I (x) ... (x) op (x) ... (x) I, each
     written as the one broadcast multiply ``np.kron`` makes per entry, so the
@@ -168,37 +168,6 @@ class SiteRotation(Operator):
         return sum(_site_operator(_SY / 2, q, self.n) for q in self.qubits)
 
 
-class Dense(Operator):
-    """A Hermitian matrix whose eigendecomposition is computed once, on first use."""
-
-    def __init__(self, mat):
-        self.mat = np.asarray(mat, dtype=complex)
-        self.dim = self.mat.shape[0]
-        self._eigh = None
-
-    def eigh(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(eigenvalues, eigenvectors, their conjugate transpose), cached."""
-        if self._eigh is None:
-            vals, vecs = np.linalg.eigh(self.mat)
-            self._eigh = (vals, vecs, vecs.conj().T)
-        return self._eigh
-
-    def apply_exp(self, psi, theta):
-        vals, vecs, vecs_h = self.eigh()
-        return vecs @ (np.exp(-1j * vals * theta) * (vecs_h @ psi).T).T
-
-    def apply(self, psi):
-        return self.mat @ psi
-
-    def extremes(self):
-        vals = self.eigh()[0]
-        lo, hi = float(vals[0]), float(vals[-1])
-        return lo, hi, hi - lo
-
-    def to_dense(self):
-        return self.mat
-
-
 class Blocks(Operator):
     """A block-diagonal Hermitian matrix on ``dim`` states.
 
@@ -295,8 +264,14 @@ class Blocks(Operator):
 
 
 def _as_operator(h) -> Operator:
-    """``h`` itself if it is an Operator, else a Dense wrapper of the Hermitian array."""
-    return h if isinstance(h, Operator) else Dense(assert_hermitian(h))
+    """``h`` itself if it is an Operator, else the square Hermitian array as
+    a one-block Blocks, diagonalised once, as a whole, on first use."""
+    if isinstance(h, Operator):
+        return h
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("operator must be a square matrix")
+    return Blocks(len(h), [(np.arange(len(h))[None], h[None])])
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,9 +279,9 @@ class VqaInstance:
     """Initial state, ordered generator list, and observable on one space.
 
     Generators and observable are Operators; plain arrays are wrapped as
-    Dense. ``kind`` is "vqa", "qaoa" (generators alternate cost and mixer)
-    or "fermion". The closed form an instance reproduces is not part of it:
-    its family's landscape (``families.FAMILIES``) evaluates that.
+    one-block Blocks. ``kind`` is "vqa", "qaoa" (generators alternate cost and
+    mixer) or "fermion". The closed form an instance reproduces is not part of
+    it: its family's landscape (``families.FAMILIES``) evaluates that.
     """
 
     initial: np.ndarray
@@ -359,12 +334,13 @@ def apply_circuit(inst: VqaInstance, phi) -> np.ndarray:
 
 def expectation(psi: np.ndarray, obs) -> float:
     """Real expectation <psi|obs|psi> of an Operator or a matrix; asserts a
-    negligible imaginary part."""
+    negligible imaginary part. A matrix is multiplied as it is, unchecked,
+    so a non-Hermitian one shows as an imaginary residue."""
     psi = np.asarray(psi, dtype=complex)
-    op = obs if isinstance(obs, Operator) else Dense(obs)
-    if psi.shape[0] != op.dim:
+    mat = None if isinstance(obs, Operator) else np.asarray(obs, dtype=complex)
+    if psi.shape[0] != (obs.dim if mat is None else len(mat)):
         raise ValueError("state and observable dimensions do not match")
-    val = np.vdot(psi, op.apply(psi))
+    val = np.vdot(psi, obs.apply(psi) if mat is None else mat @ psi)
     if abs(val.imag) > IMAG_TOL:
         raise ValueError(f"imaginary residue {val.imag:.3e} signals a non-Hermitian observable")
     return float(val.real)

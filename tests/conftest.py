@@ -36,6 +36,30 @@ def trap_graph():
     return parse_graph("6\n1 2\n1 3\n1 4\n4 5\n4 6")
 
 
+class DenseReference:
+    """The dense arithmetic of a Hermitian matrix diagonalised once, as the
+    operator form that wrapped plain matrices computed it before a matrix
+    became a one-block Blocks: the oracle of that wrapping, bit for bit."""
+
+    def __init__(self, mat):
+        self.mat = np.asarray(mat, dtype=complex)
+        self.vals, self.vecs = np.linalg.eigh(self.mat)
+        self.vecs_h = self.vecs.conj().T
+
+    def apply_exp(self, psi, theta):
+        return self.vecs @ (np.exp(-1j * self.vals * theta) * (self.vecs_h @ psi).T).T
+
+    def apply(self, psi):
+        return self.mat @ psi
+
+    def extremes(self):
+        lo, hi = float(self.vals[0]), float(self.vals[-1])
+        return lo, hi, hi - lo
+
+    def to_dense(self):
+        return self.mat
+
+
 def central_difference_gradient(f, x, h=1e-5):
     """Independent finite-difference oracle for first derivatives."""
     x = np.asarray(x, dtype=float)

@@ -562,6 +562,28 @@ class TestExitCodes:
         bad.write_text("2\n1 1\n")
         assert main(["verify", "--family", "oracular", "--graph", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["verify", "optimize", "landscape", "export"])
+    @pytest.mark.parametrize(
+        "extra, flags",
+        [(["--random-graph", "5:0.5"], ["--graph", "--random-graph"]), (["--instances", "3"], ["--instances 3", "--random-graph"])],
+        ids=["random-graph", "instances"],
+    )
+    def test_graph_file_conflicts_are_usage_errors(self, command, extra, flags, k3_file, capsys):
+        # a graph file is one graph: a second source or a count would be dropped
+        assert main(OUT_COMMANDS[command] + [k3_file, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert all(flag in captured.err for flag in flags)
+
+    @pytest.mark.parametrize("command", ["landscape", "export"])
+    def test_one_graph_commands_reject_instances(self, command, capsys):
+        # landscape and export read one graph: the second would be dropped
+        argv = OUT_COMMANDS[command][:-1] + ["--random-graph", "3:0.5", "--instances", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "--instances 2" in captured.err and "--random-graph" in captured.err
+
     def test_bad_random_graph_spec(self):
         assert main(["verify", "--family", "oracular", "--random-graph", "oops"]) == 2
 

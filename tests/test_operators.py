@@ -1,8 +1,10 @@
 """Structured operators checked against their dense forms.
 
 The dense simulation is the oracle: every instance is rebuilt with
-``to_dense()`` generators and observable, which VqaInstance wraps as Dense
-matrices run through eigh, and both circuits must agree.
+``to_dense()`` generators and observable, which VqaInstance wraps as
+one-block Blocks run through eigh, and both circuits must agree. A wrapped
+matrix is itself checked, bit for bit, against the dense arithmetic it
+replaced (conftest's DenseReference).
 """
 
 import contextlib
@@ -12,10 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from conftest import DenseReference
 from vqalab import (
     VqaInstance,
     boosted_vqa_instance,
+    expectation,
     logdim_vqa_instance,
     maxcut_bruteforce,
     mu,
@@ -30,7 +35,7 @@ from vqalab import (
 )
 from vqalab.cli import main
 from vqalab.landscape import phases_from_assignment
-from vqalab.sim import STATE_MAX_QUBITS, Blocks, Dense, Diagonal, SiteRotation
+from vqalab.sim import STATE_MAX_QUBITS, Blocks, Diagonal, SiteRotation, _as_operator
 
 SETTINGS = settings(max_examples=25, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -94,7 +99,7 @@ def test_structured_extremes_and_apply_match_dense(n, data):
     assert abs(lo - dense_lo) <= 1e-12 and abs(hi - dense_hi) <= 1e-12 and abs(width - dense_width) <= 1e-12
     assert np.abs(rot.apply(psi) - rot.to_dense() @ psi).max() <= 1e-12
     theta = rng.uniform(-5, 5)
-    assert np.abs(rot.apply_exp(psi, theta) - Dense(rot.to_dense()).apply_exp(psi, theta)).max() <= 1e-12
+    assert np.abs(rot.apply_exp(psi, theta) - _as_operator(rot.to_dense()).apply_exp(psi, theta)).max() <= 1e-12
 
 
 def kron_site_operator(site: int, n: int) -> np.ndarray:
@@ -135,9 +140,58 @@ def test_apply_exp_on_column_states_matches_each_column(n, k, seed):
     states = rng.normal(size=(dim, k)) + 1j * rng.normal(size=(dim, k))
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     theta = rng.uniform(-5, 5)
-    for op in (Diagonal(rng.normal(size=dim)), SiteRotation(tuple(range(n)), n), Dense((a + a.conj().T) / 2)):
+    for op in (Diagonal(rng.normal(size=dim)), SiteRotation(tuple(range(n)), n), _as_operator((a + a.conj().T) / 2)):
         columns = np.column_stack([op.apply_exp(col, theta) for col in states.T])
         assert np.abs(op.apply_exp(states, theta) - columns).max() <= 1e-12
+
+
+@st.composite
+def hermitian_matrices(draw):
+    """(a + a^H) / 2 for a complex k x k matrix a, k in 1..16, its parts
+    drawn from [-10, 10]; shrinking drives it to zeros and repeated
+    eigenvalues."""
+    k = draw(st.integers(1, 16))
+    parts = draw(hnp.arrays(np.float64, (2, k, k), elements=st.floats(-10.0, 10.0)))
+    a = parts[0] + 1j * parts[1]
+    return (a + a.conj().T) / 2
+
+
+@SETTINGS
+@given(
+    mat=hermitian_matrices(),
+    m=st.integers(1, 5),
+    theta=st.one_of(st.just(0.0), st.floats(-1e3, 1e3)),
+    seed=seeds,
+)
+def test_wrapped_matrix_is_the_dense_arithmetic(mat, m, theta, seed):
+    # a matrix becomes a one-block Blocks: its eigh, exponential, product,
+    # extremes and dense form must be the dense arithmetic's, bit for bit,
+    # and expectation must still flag a raw non-Hermitian matrix
+    rng = np.random.default_rng(seed)
+    k = len(mat)
+    op, ref = _as_operator(mat), DenseReference(mat)
+    assert isinstance(op, Blocks) and op.dim == k
+    psi = rng.normal(size=k) + 1j * rng.normal(size=k)
+    states = rng.normal(size=(k, m)) + 1j * rng.normal(size=(k, m))
+    for x in (psi, states):
+        got, want = op.apply_exp(x, theta), ref.apply_exp(x, theta)
+        if x.shape == (1, 1):
+            # the one exception: numpy multiplies the phase of a (1,) spectrum
+            # into a transposed (1, 1) state in another complex loop than a
+            # (1, 1, 1) stack into a (1, 1, 1) one, and the two round apart
+            assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(x).max()
+        else:
+            assert_same_bits(got, want)
+        assert_same_bits(op.apply(x), ref.apply(x))
+    assert op.extremes() == ref.extremes()
+    assert_same_bits(op.to_dense(), ref.to_dense())
+    # expectation multiplies a raw matrix as it is: i/2 on the diagonal shows
+    # as the imaginary residue 1/2, where the wrapping refuses the matrix
+    bad = mat + 0.5j * np.eye(k)
+    with pytest.raises(ValueError, match="imaginary residue 5.000e-01"):
+        expectation(psi / np.linalg.norm(psi), bad)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        _as_operator(bad)
 
 
 def fresh_qaoa_apply(inst, beta, gamma):
